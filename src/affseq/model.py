@@ -104,10 +104,9 @@ class ModelConfig:
 class Model:
     """A built network: per-modality branch stacks plus a shared head."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0, check_finite: bool = True):
+    def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
         self.rng = np.random.default_rng(seed)
-        self.check_finite = check_finite
         self._concat = Concatenate()
         self.branches: dict[str, list] = {}
         for modality in config.modalities():
@@ -147,18 +146,8 @@ class Model:
             layers.append(BatchNorm(in_dim, f"{modality}.norm"))
         return layers
 
-    def _branch_out_dim(self, modality: str) -> int:
-        for layer in reversed(self.branches[modality]):
-            if hasattr(layer, "hidden_dim"):
-                return layer.hidden_dim
-            if isinstance(layer, Dense):
-                return layer.out_dim
-            if isinstance(layer, (BatchNorm, PReLU)):
-                return next(iter(layer.params.values())).shape[-1]
-        raise ConfigError(f"branch {modality!r} has no sized layer")
-
     def _build_head(self) -> list:
-        concat_dim = sum(self._branch_out_dim(m) for m in self.config.modalities())
+        concat_dim = sum(self.config.branch_widths(m)[-1] for m in self.config.modalities())
         hidden = self.config.head_hidden()
         return [
             Dense(concat_dim, hidden, "head.dense1", self.rng),
@@ -172,7 +161,7 @@ class Model:
     def _run_stack(self, layers: list, x: np.ndarray, train: bool) -> np.ndarray:
         for layer in layers:
             x = layer.forward(x, train)
-            if self.check_finite and not np.all(np.isfinite(x)):
+            if not np.all(np.isfinite(x)):
                 raise NumericFaultError(f"non-finite output from layer {layer.name}")
         return x
 
@@ -285,7 +274,7 @@ class Model:
                     f"checkpoint tensor {name} has shape {value.shape}, "
                     f"model expects {layer.params[key].shape}"
                 )
-            layer.params[key] = value.astype(np.float64).copy()
+            layer.params[key] = value.astype(np.float64)
         own_state = {name: (layer, key) for name, layer, key in self.state_slots()}
         if set(own_state) != set(state):
             raise FileFormatError("checkpoint state tensors do not match model")
@@ -293,10 +282,10 @@ class Model:
             value = state[name]
             if value.shape != getattr(layer, key).shape:
                 raise FileFormatError(f"checkpoint state tensor {name} has shape {value.shape}")
-            setattr(layer, key, value.astype(np.float64).copy())
+            setattr(layer, key, value.astype(np.float64))
         self.zero_grads()
 
 
-def build(config: ModelConfig, seed: int = 0, check_finite: bool = True) -> Model:
+def build(config: ModelConfig, seed: int = 0) -> Model:
     """Construct a model with seeded initialization."""
-    return Model(config, seed=seed, check_finite=check_finite)
+    return Model(config, seed=seed)

@@ -4,7 +4,7 @@ from .initializers import glorot_uniform, orthogonal
 from .layers import BatchNorm, Concatenate, Dense, Dropout, Layer, PReLU, Tanh
 from .losses import masked_mse
 from .optim import RMSprop, clip_global_norm
-from .recurrent import Bidirectional, GRULayer, LSTMLayer, gru_cell
+from .recurrent import Bidirectional, GRULayer, LSTMLayer
 
 __all__ = [
     "BatchNorm",
@@ -20,7 +20,6 @@ __all__ = [
     "Tanh",
     "clip_global_norm",
     "glorot_uniform",
-    "gru_cell",
     "masked_mse",
     "orthogonal",
 ]

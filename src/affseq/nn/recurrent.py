@@ -8,8 +8,12 @@ Gate conventions:
         with the forget bias initialized to 1.
 
 Input kernels are Glorot-uniform, recurrent kernels orthogonal, biases zero.
-Input projections for the whole sequence are batched into single matmuls; the
-recurrent part walks timesteps.
+Input projections for the whole sequence run as one 2-D matmul per gate on
+[batch*T x in] (a 3-D ``@`` runs one small matmul per sequence), and so do
+the input-gradient terms in backward; the recurrent part walks timesteps.
+Per-gate products are summed one by one in gate order, never folded into one
+wider matmul, whose different rounding would move low bits.
+The sigmoid takes exp(-|x|), which never overflows and needs no branch.
 """
 
 from __future__ import annotations
@@ -22,13 +26,9 @@ from .layers import Layer
 
 
 def _sigmoid(x):
-    # split by sign for numerical stability
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # -|x| is -x for x >= 0 and x below: the same exp operand as a sign split
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class GRULayer(Layer):
@@ -60,9 +60,11 @@ class GRULayer(Layer):
         batch, steps, _ = x.shape
         p = self.params
         self._x = x
-        xz = x @ p["W_z"] + p["b_z"]
-        xr = x @ p["W_r"] + p["b_r"]
-        xh = x @ p["W_h"] + p["b_h"]
+        x2d = x.reshape(-1, self.in_dim)
+        xz, xr, xh = (
+            (x2d @ p[f"W_{g}"] + p[f"b_{g}"]).reshape(batch, steps, self.hidden_dim)
+            for g in self._GATES
+        )
 
         h = np.zeros((batch, self.hidden_dim))
         outputs = np.empty((batch, steps, self.hidden_dim))
@@ -114,19 +116,13 @@ class GRULayer(Layer):
             dh_next = dh_prev
 
         x2d = self._x.reshape(-1, self.in_dim)
+        dx = []
         for gate, dxg in (("z", dxz), ("r", dxr), ("h", dxh)):
             g2d = dxg.reshape(-1, self.hidden_dim)
             self.grads[f"W_{gate}"] += x2d.T @ g2d
             self.grads[f"b_{gate}"] += g2d.sum(axis=0)
-        return dxz @ p["W_z"].T + dxr @ p["W_r"].T + dxh @ p["W_h"].T
-
-
-def gru_cell(x_t: np.ndarray, h_prev: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
-    """Single GRU step on [batch x in] given the nine parameter tensors."""
-    z = _sigmoid(x_t @ params["W_z"] + h_prev @ params["U_z"] + params["b_z"])
-    r = _sigmoid(x_t @ params["W_r"] + h_prev @ params["U_r"] + params["b_r"])
-    hh = np.tanh(x_t @ params["W_h"] + (r * h_prev) @ params["U_h"] + params["b_h"])
-    return z * h_prev + (1.0 - z) * hh
+            dx.append(g2d @ p[f"W_{gate}"].T)
+        return (dx[0] + dx[1] + dx[2]).reshape(self._x.shape)
 
 
 class LSTMLayer(Layer):
@@ -160,7 +156,11 @@ class LSTMLayer(Layer):
         batch, steps, _ = x.shape
         p = self.params
         self._x = x
-        pre = {g: x @ p[f"W_{g}"] + p[f"b_{g}"] for g in self._GATES}
+        x2d = x.reshape(-1, self.in_dim)
+        pre = {
+            g: (x2d @ p[f"W_{g}"] + p[f"b_{g}"]).reshape(batch, steps, self.hidden_dim)
+            for g in self._GATES
+        }
 
         h = np.zeros((batch, self.hidden_dim))
         c = np.zeros((batch, self.hidden_dim))
@@ -215,13 +215,13 @@ class LSTMLayer(Layer):
             dh_next = dh_prev
 
         x2d = self._x.reshape(-1, self.in_dim)
-        dx = np.zeros_like(self._x)
+        dx = np.zeros_like(x2d)
         for gate in self._GATES:
             g2d = dpre[gate].reshape(-1, self.hidden_dim)
             self.grads[f"W_{gate}"] += x2d.T @ g2d
             self.grads[f"b_{gate}"] += g2d.sum(axis=0)
-            dx += dpre[gate] @ p[f"W_{gate}"].T
-        return dx
+            dx += g2d @ p[f"W_{gate}"].T
+        return dx.reshape(self._x.shape)
 
 
 class Bidirectional(Layer):

@@ -173,9 +173,9 @@ def _make_checkpoint(
     return Checkpoint(config=config, tensors=tensors)
 
 
-def restore_model(ckpt: Checkpoint, check_finite: bool = True) -> tuple[Model, NormalizationStats]:
+def restore_model(ckpt: Checkpoint) -> tuple[Model, NormalizationStats]:
     """Rebuild the model and normalization statistics stored in a checkpoint."""
-    model = build(ckpt.model_config(), seed=ckpt.config.get("seed", 0), check_finite=check_finite)
+    model = build(ckpt.model_config(), seed=ckpt.config.get("seed", 0))
     model.load_state(ckpt.group(PARAM_PREFIX), ckpt.group(STATE_PREFIX))
     stats = NormalizationStats()
     for name, value in ckpt.group(NORM_PREFIX).items():

@@ -2,8 +2,8 @@
 
 Everything here is written from the defining formulas, deliberately not
 sharing code paths with the package: naive DFT, direct-formula CCC, a
-covering-set windowing oracle, a pointwise mel filterbank, and central
-finite-difference gradient helpers.
+covering-set windowing oracle, a pointwise mel filterbank, a sign-split
+sigmoid and a single GRU step, and central finite-difference gradient helpers.
 """
 
 from __future__ import annotations
@@ -149,6 +149,24 @@ def _wrap_riff(
     if len(payload) % 2:
         chunks += b"\x00"
     return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+def sigmoid_sign_split(x: np.ndarray) -> np.ndarray:
+    """Logistic function evaluated as 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def gru_cell(x_t: np.ndarray, h_prev: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
+    """Single GRU step on [batch x in] given the nine parameter tensors."""
+    z = sigmoid_sign_split(x_t @ params["W_z"] + h_prev @ params["U_z"] + params["b_z"])
+    r = sigmoid_sign_split(x_t @ params["W_r"] + h_prev @ params["U_r"] + params["b_r"])
+    hh = np.tanh(x_t @ params["W_h"] + (r * h_prev) @ params["U_h"] + params["b_h"])
+    return z * h_prev + (1.0 - z) * hh
 
 
 def num_grad(loss_fn, arr: np.ndarray, eps: float = 1e-6) -> np.ndarray:

@@ -1,10 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from affseq.errors import DomainError
-from affseq.nn import Bidirectional, GRULayer, LSTMLayer, gru_cell
+from affseq.nn import Bidirectional, GRULayer, LSTMLayer
+from affseq.nn.recurrent import _sigmoid
 
-from oracles import check_layer_gradients, num_grad, rel_err
+from oracles import check_layer_gradients, gru_cell, num_grad, rel_err, sigmoid_sign_split
+
+
+def _sigmoid_probe(rng):
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = np.array([0.0, tiny, 1e-310, 36.0, 709.0, 745.0, 1e308])
+    edges = np.concatenate([edges, -edges])
+    normals = rng.normal(size=4096)
+    return np.concatenate([edges] + [normals * scale for scale in (0.01, 1.0, 30.0)])
 
 
 def _zero_gru_params(in_dim, h):
@@ -14,6 +25,22 @@ def _zero_gru_params(in_dim, h):
         params[f"U_{gate}"] = np.zeros((h, h))
         params[f"b_{gate}"] = np.zeros(h)
     return params
+
+
+# --- sigmoid -------------------------------------------------------------------
+
+def test_sigmoid_bit_equal_to_sign_split(rng):
+    x = _sigmoid_probe(rng)
+    # compared as raw bits, so a flipped sign of zero would fail too
+    np.testing.assert_array_equal(_sigmoid(x).view(np.uint64), sigmoid_sign_split(x).view(np.uint64))
+
+
+def test_sigmoid_raises_no_warning(rng):
+    x = _sigmoid_probe(rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _sigmoid(x)
+    assert np.all((out >= 0.0) & (out <= 1.0))
 
 
 # --- GRU cell -----------------------------------------------------------------
@@ -167,6 +194,16 @@ def test_bidirectional_gradients(rng):
 def test_bidirectional_param_count(rng):
     layer = Bidirectional(lambda name: GRULayer(6, 4, name, rng), "bi")
     assert layer.param_count() == 2 * 3 * (6 * 4 + 4 * 4 + 4)
+
+
+@pytest.mark.parametrize("cell", [GRULayer, LSTMLayer])
+@pytest.mark.parametrize("return_sequences", [True, False])
+def test_backward_input_grad_has_input_shape(rng, cell, return_sequences):
+    layer = cell(5, 3, "rnn", rng, return_sequences=return_sequences)
+    x = rng.normal(size=(4, 6, 5))
+    out = layer.forward(x)
+    dx = layer.backward(np.ones_like(out))
+    assert dx.shape == x.shape
 
 
 def test_seeded_initialization_reproducible():
