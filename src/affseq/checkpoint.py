@@ -1,4 +1,4 @@
-"""Versioned binary container for model parameters, optimizer state, and stats.
+"""Versioned binary container for model parameters, batch-norm state, and stats.
 
 Layout (all integers little-endian):
 
@@ -10,12 +10,15 @@ Layout (all integers little-endian):
 
 Tensors are written in sorted-name order, so identical contents produce
 identical bytes. Values are stored as float32; loading widens to float64, and
-a load/save round trip is byte-exact.
+a load/save round trip is byte-exact. A save goes through a temp file in the
+target's directory, fsynced and then renamed over the target, so a failed
+write leaves the previous file intact.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -35,14 +38,13 @@ CHECKPOINT_MAGIC = b"AFCK"
 CHECKPOINT_VERSION = 1
 
 PARAM_PREFIX = "param/"
-OPTIM_PREFIX = "optim/"
 STATE_PREFIX = "state/"
 NORM_PREFIX = "norm/"
 
 
 @dataclass
 class Checkpoint:
-    """Config echo plus named tensors (parameters, optimizer caches, norm stats)."""
+    """Config echo plus named tensors (parameters, batch-norm state, norm stats)."""
 
     config: dict
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
@@ -67,7 +69,7 @@ class Checkpoint:
         }
 
 
-def save_checkpoint(path, ckpt: Checkpoint) -> None:
+def _encode(ckpt: Checkpoint) -> list[bytes]:
     parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
     blob = json.dumps(ckpt.config, sort_keys=True).encode("utf-8")
     parts.append(struct.pack("<I", len(blob)))
@@ -88,10 +90,29 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         parts.append(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
         parts.append(payload)
         parts.append(struct.pack("<I", zlib.crc32(payload)))
-    body = b"".join(parts)
-    with open(path, "wb") as fh:
-        fh.write(body)
-        fh.write(struct.pack("<I", zlib.crc32(body)))
+    return parts
+
+
+def save_checkpoint(path, ckpt: Checkpoint) -> None:
+    """Write ``ckpt`` to ``path`` atomically: the old file survives any failure."""
+    parts = _encode(ckpt)
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            crc = 0
+            for part in parts:
+                fh.write(part)
+                crc = zlib.crc32(part, crc)
+            fh.write(struct.pack("<I", crc))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path, expect_variant: str | None = None) -> Checkpoint:
@@ -102,6 +123,7 @@ def load_checkpoint(path, expect_variant: str | None = None) -> Checkpoint:
     """
     with open(path, "rb") as fh:
         blob = fh.read()
+    view = memoryview(blob)  # slices of a view share the file's buffer, no copies
 
     def need(offset: int, count: int, what: str) -> int:
         if offset + count > len(blob) - 4:  # final 4 bytes are the file CRC
@@ -119,14 +141,14 @@ def load_checkpoint(path, expect_variant: str | None = None) -> Checkpoint:
         raise VersionMismatchError(f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}")
 
     (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
-    if zlib.crc32(blob[:-4]) != stored_crc:
+    if zlib.crc32(view[:-4]) != stored_crc:
         raise ChecksumError(f"{path}: whole-file CRC mismatch")
 
     offset = 8
     (config_len,) = struct.unpack_from("<I", blob, offset)
     offset = need(offset + 4, config_len, "config blob")
     try:
-        config = json.loads(blob[offset - config_len : offset].decode("utf-8"))
+        config = json.loads(str(view[offset - config_len : offset], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"{path}: config blob is not valid JSON ({exc})") from None
 
@@ -144,7 +166,7 @@ def load_checkpoint(path, expect_variant: str | None = None) -> Checkpoint:
         dims = struct.unpack_from(f"<{rank}I", blob, offset - 4 * rank)
         count = int(np.prod(dims)) if rank else 1
         offset = need(offset, 4 * count, f"tensor {name!r} payload")
-        payload = blob[offset - 4 * count : offset]
+        payload = view[offset - 4 * count : offset]
         offset = need(offset, 4, "tensor checksum")
         (crc,) = struct.unpack_from("<I", blob, offset - 4)
         if zlib.crc32(payload) != crc:

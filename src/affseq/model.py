@@ -104,9 +104,12 @@ class ModelConfig:
 class Model:
     """A built network: per-modality branch stacks plus a shared head."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int = 0, init: bool = True):
         self.config = config
         self.rng = np.random.default_rng(seed)
+        # init=False leaves weight kernels uninitialized: only for a model whose
+        # every tensor load_state overwrites next. Dropout keeps the seeded rng.
+        self._init_rng = self.rng if init else None
         self._concat = Concatenate()
         self.branches: dict[str, list] = {}
         for modality in config.modalities():
@@ -116,9 +119,9 @@ class Model:
     # -- construction -----------------------------------------------------
 
     def _make_rnn(self, in_dim: int, width: int, name: str):
+        rng = self._init_rng
         if self.config.cell == "gru":
-            return GRULayer(in_dim, width, name, self.rng)
-        rng = self.rng
+            return GRULayer(in_dim, width, name, rng)
         return Bidirectional(
             lambda n: LSTMLayer(in_dim, width // 2, n, rng), name
         )
@@ -130,7 +133,7 @@ class Model:
         layers = []
         if modality == "facepose":
             for i, width in enumerate(widths, start=1):
-                layers.append(Dense(in_dim, width, f"{modality}.td{i}", self.rng))
+                layers.append(Dense(in_dim, width, f"{modality}.td{i}", self._init_rng))
                 layers.append(Dropout(cfg.dropout, f"{modality}.drop{i}", self.rng))
                 in_dim = width
         else:
@@ -150,9 +153,9 @@ class Model:
         concat_dim = sum(self.config.branch_widths(m)[-1] for m in self.config.modalities())
         hidden = self.config.head_hidden()
         return [
-            Dense(concat_dim, hidden, "head.dense1", self.rng),
+            Dense(concat_dim, hidden, "head.dense1", self._init_rng),
             PReLU(hidden, "head.act"),
-            Dense(hidden, 2, "head.dense2", self.rng),
+            Dense(hidden, 2, "head.dense2", self._init_rng),
             Tanh("head.out"),
         ]
 

@@ -250,7 +250,9 @@ class Bidirectional(Layer):
 
     def forward(self, x, train=False):
         out_f = self.fwd.forward(x, train)
-        out_b = self.bwd.forward(x[:, ::-1], train)[:, ::-1]
+        # one contiguous reversed copy, which the layer's forward and backward
+        # reshape as views instead of copying the strided x[:, ::-1] each time
+        out_b = self.bwd.forward(np.ascontiguousarray(x[:, ::-1]), train)[:, ::-1]
         self._split = out_f.shape[-1]
         return np.concatenate([out_f, out_b], axis=-1)
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from .checkpoint import (
     NORM_PREFIX,
-    OPTIM_PREFIX,
     PARAM_PREFIX,
     STATE_PREFIX,
     Checkpoint,
@@ -148,7 +147,6 @@ def _evaluate_videos(model: Model, videos: list[VideoData], ccc_mode: str, batch
 
 def _make_checkpoint(
     model: Model,
-    optimizer: RMSprop,
     stats: NormalizationStats,
     epoch: int,
     best_val_score: float | None,
@@ -157,8 +155,6 @@ def _make_checkpoint(
     tensors: dict[str, np.ndarray] = {}
     for name, param in model.named_parameters().items():
         tensors[PARAM_PREFIX + name] = param
-        cache = optimizer.cache.get(name)
-        tensors[OPTIM_PREFIX + name] = cache if cache is not None else np.zeros_like(param)
     for name, value in model.named_state().items():
         tensors[STATE_PREFIX + name] = value
     for modality in stats.modalities():
@@ -174,8 +170,13 @@ def _make_checkpoint(
 
 
 def restore_model(ckpt: Checkpoint) -> tuple[Model, NormalizationStats]:
-    """Rebuild the model and normalization statistics stored in a checkpoint."""
-    model = build(ckpt.model_config(), seed=ckpt.config.get("seed", 0))
+    """Rebuild the model and normalization statistics stored in a checkpoint.
+
+    Only the ``param/``, ``state/`` and ``norm/`` groups are read; any other
+    tensors (the ``optim/`` caches of older files) are ignored. The model is
+    built uninitialized, since ``load_state`` overwrites every tensor.
+    """
+    model = Model(ckpt.model_config(), seed=ckpt.config.get("seed", 0), init=False)
     model.load_state(ckpt.group(PARAM_PREFIX), ckpt.group(STATE_PREFIX))
     stats = NormalizationStats()
     for name, value in ckpt.group(NORM_PREFIX).items():
@@ -241,7 +242,7 @@ def train(manifest_rows: list[ManifestRow], config: TrainConfig, out_dir) -> tup
     best_path = out_dir / "best.ckpt"
     history: list[str] = []
 
-    ckpt = _make_checkpoint(model, optimizer, stats, epoch=0, best_val_score=None, seed=config.seed)
+    ckpt = _make_checkpoint(model, stats, epoch=0, best_val_score=None, seed=config.seed)
     save_checkpoint(best_path, ckpt)
 
     with open(out_dir / "history.csv", "w", encoding="utf-8", newline="") as hist_fh:
@@ -279,7 +280,7 @@ def train(manifest_rows: list[ManifestRow], config: TrainConfig, out_dir) -> tup
             if report.mean_ccc() > best_score:
                 best_score = report.mean_ccc()
                 ckpt = _make_checkpoint(
-                    model, optimizer, stats, epoch=epoch, best_val_score=best_score, seed=config.seed
+                    model, stats, epoch=epoch, best_val_score=best_score, seed=config.seed
                 )
                 save_checkpoint(best_path, ckpt)
 

@@ -1,9 +1,12 @@
+import builtins
+import os
 import struct
 import zlib
 
 import numpy as np
 import pytest
 
+import affseq.checkpoint
 from affseq.checkpoint import (
     CHECKPOINT_MAGIC,
     Checkpoint,
@@ -201,3 +204,62 @@ def test_overlong_tensor_name_rejected_on_save(tmp_path):
     ckpt = Checkpoint(config={}, tensors={"p" * 70000: np.zeros(1)})
     with pytest.raises(FileFormatError, match="name too long"):
         save_checkpoint(tmp_path / "a.ckpt", ckpt)
+
+
+class _FailingFile:
+    """File proxy whose write raises once ``limit`` writes have gone through."""
+
+    def __init__(self, fh, limit):
+        self._fh = fh
+        self._left = limit
+
+    def write(self, data):
+        if self._left == 0:
+            raise OSError("injected failure mid-write")
+        self._left -= 1
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def _fail_mid_write(monkeypatch):
+    def failing_open(file, mode="r", *args, **kwargs):
+        return _FailingFile(builtins.open(file, mode, *args, **kwargs), limit=8)
+
+    monkeypatch.setattr(affseq.checkpoint, "open", failing_open, raising=False)
+
+
+def _fail_fsync(monkeypatch):
+    def failing_fsync(fd):
+        raise OSError("injected fsync failure")
+
+    monkeypatch.setattr(affseq.checkpoint.os, "fsync", failing_fsync)
+
+
+@pytest.mark.parametrize("inject", [_fail_mid_write, _fail_fsync])
+def test_failed_save_keeps_previous_checkpoint(tmp_path, rng, monkeypatch, inject):
+    path = tmp_path / "best.ckpt"
+    save_checkpoint(path, _sample(rng))
+    before = path.read_bytes()
+    inject(monkeypatch)
+    with pytest.raises(OSError, match="injected"):
+        save_checkpoint(path, _sample(rng))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert load_checkpoint(path).epoch == 3
+    assert os.listdir(tmp_path) == ["best.ckpt"]  # no temp file left behind
+
+
+def test_failed_first_save_creates_no_file(tmp_path, rng, monkeypatch):
+    _fail_mid_write(monkeypatch)
+    with pytest.raises(OSError, match="injected"):
+        save_checkpoint(tmp_path / "best.ckpt", _sample(rng))
+    assert os.listdir(tmp_path) == []
+

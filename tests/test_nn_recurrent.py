@@ -196,6 +196,29 @@ def test_bidirectional_param_count(rng):
     assert layer.param_count() == 2 * 3 * (6 * 4 + 4 * 4 + 4)
 
 
+def test_bidirectional_equals_layers_on_explicit_reversed_copies(rng):
+    layer = Bidirectional(lambda name: LSTMLayer(5, 4, name, rng), "bi")
+    fwd = LSTMLayer(5, 4, "f", rng)
+    bwd = LSTMLayer(5, 4, "b", rng)
+    for key in layer.fwd.params:
+        fwd.params[key] = layer.fwd.params[key].copy()
+        bwd.params[key] = layer.bwd.params[key].copy()
+    x = rng.normal(size=(3, 6, 5))
+    grad = rng.normal(size=(3, 6, 8))
+
+    out = layer.forward(x, train=True)
+    want = np.concatenate([fwd.forward(x.copy()), bwd.forward(x[:, ::-1].copy())[:, ::-1]], axis=-1)
+    np.testing.assert_array_equal(out, want)
+
+    dx = layer.backward(grad)
+    dx_f = fwd.backward(grad[..., :4].copy())
+    dx_b = bwd.backward(grad[..., 4:][:, ::-1].copy())[:, ::-1]
+    np.testing.assert_array_equal(dx, dx_f + dx_b)
+    for key in fwd.grads:
+        np.testing.assert_array_equal(layer.fwd.grads[key], fwd.grads[key])
+        np.testing.assert_array_equal(layer.bwd.grads[key], bwd.grads[key])
+
+
 @pytest.mark.parametrize("cell", [GRULayer, LSTMLayer])
 @pytest.mark.parametrize("return_sequences", [True, False])
 def test_backward_input_grad_has_input_shape(rng, cell, return_sequences):

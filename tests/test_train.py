@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from affseq.checkpoint import load_checkpoint
+import affseq.nn.layers
+import affseq.nn.recurrent
+from affseq.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from affseq.dataset import load_manifest
 from affseq.errors import ConfigError, CoverageError, DomainError, NumericFaultError
 from affseq.model import ModelConfig
@@ -185,6 +187,79 @@ def test_restore_round_trip_predicts_identically(tmp_path, rng):
     model, stats = restore_model(ckpt)
     assert model.config == config.model
     assert set(stats.mean) == set(config.model.modalities())
+
+
+def test_best_checkpoint_holds_only_what_restore_reads(tmp_path, rng):
+    rows = _corpus(tmp_path, rng)
+    ckpt, _ = train(rows, TrainConfig(epochs=1, seed=2, model=_small_model()), tmp_path / "run")
+    model, _ = restore_model(ckpt)
+    want = {f"param/{n}" for n in model.named_parameters()}
+    want |= {f"state/{n}" for n in model.named_state()}
+    want |= {f"norm/{m}/{k}" for m in model.config.modalities() for k in ("mean", "std")}
+    assert set(load_checkpoint(tmp_path / "run" / "best.ckpt").tensors) == want
+
+
+def _forbid_seeded_init(monkeypatch):
+    def forbid(real):
+        def initializer(rng, *shape):
+            if rng is not None:
+                raise AssertionError("seeded initializer called during restore")
+            return real(rng, *shape)
+
+        return initializer
+
+    for module, name in (
+        (affseq.nn.layers, "glorot_uniform"),
+        (affseq.nn.recurrent, "glorot_uniform"),
+        (affseq.nn.recurrent, "orthogonal"),
+    ):
+        monkeypatch.setattr(module, name, forbid(getattr(module, name)))
+
+
+@pytest.mark.parametrize("cell", ["gru", "bilstm"])
+def test_restore_skips_seeded_init_and_installs_stored_tensors(tmp_path, rng, monkeypatch, cell):
+    rows = _corpus(tmp_path, rng)
+    config = TrainConfig(epochs=1, seed=2, model=_small_model(cell=cell))
+    ckpt, _ = train(rows, config, tmp_path / "run")
+    _forbid_seeded_init(monkeypatch)
+    model, stats = restore_model(ckpt)
+    # no initializer drew from the generator dropout uses
+    fresh = np.random.default_rng(ckpt.config["seed"])
+    assert model.rng.bit_generator.state == fresh.bit_generator.state
+    for name, value in model.named_parameters().items():
+        np.testing.assert_array_equal(value, ckpt.tensors[f"param/{name}"])
+    for name, value in model.named_state().items():
+        np.testing.assert_array_equal(value, ckpt.tensors[f"state/{name}"])
+    for modality in config.model.modalities():
+        np.testing.assert_array_equal(stats.mean[modality], ckpt.tensors[f"norm/{modality}/mean"])
+        np.testing.assert_array_equal(stats.std[modality], ckpt.tensors[f"norm/{modality}/std"])
+
+
+def test_checkpoint_with_optimizer_caches_restores_identically(tmp_path, rng):
+    """Files written with ``optim/`` caches per parameter still load, and the caches are ignored."""
+    rows = _corpus(tmp_path, rng)
+    ckpt, _ = train(rows, TrainConfig(epochs=1, seed=4, model=_small_model()), tmp_path / "run")
+    tensors = dict(ckpt.tensors)
+    for name, value in ckpt.group("param/").items():
+        tensors[f"optim/{name}"] = rng.random(value.shape)
+    save_checkpoint(tmp_path / "legacy.ckpt", Checkpoint(config=ckpt.config, tensors=tensors))
+    legacy = load_checkpoint(tmp_path / "legacy.ckpt")
+
+    model_a, stats_a = restore_model(ckpt)
+    model_b, stats_b = restore_model(legacy)
+    for got, want in (
+        (model_b.named_parameters(), model_a.named_parameters()),
+        (model_b.named_state(), model_a.named_state()),
+        (stats_b.mean, stats_a.mean),
+        (stats_b.std, stats_a.std),
+    ):
+        assert set(got) == set(want)
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name])
+    written_a = predict(rows, ckpt, tmp_path / "pred_a")
+    written_b = predict(rows, legacy, tmp_path / "pred_b")
+    for vid, path in written_a.items():
+        assert written_b[vid].read_bytes() == path.read_bytes()
 
 
 def test_evaluate_counts_valid_val_frames(tmp_path, rng):
