@@ -1,16 +1,18 @@
 """Per-frame feature and label ingestion, windowing, and overlap merging.
 
 Feature matrices live in a small binary container (magic ``AFFW``); labels and
-manifests are CSV. Tracks are z-score normalized with statistics drawn from
-the training split only, then cut into length-15 windows with 5 frames of
-overlap. Windowed predictions merge back to frame level by averaging every
-window that covers a frame.
+manifests are CSV. Tracks stay the float32 arrays read from disk. A window of
+15 frames (5 frames of overlap) is an integer array of frame rows, and a batch
+of windows is gathered into a float64 buffer and z-scored there with
+statistics drawn from the training split only. Windowed predictions merge
+back to frame level by averaging every window that covers a frame.
 """
 
 from __future__ import annotations
 
 import csv
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,7 +52,11 @@ _STD_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class FeatureTrack:
-    """One video's per-frame feature matrix for a single modality."""
+    """One video's per-frame feature matrix for a single modality.
+
+    ``data`` keeps the float32 it was read as (no widened copy is held);
+    any other dtype becomes float64.
+    """
 
     video_id: str
     modality: str
@@ -59,7 +65,9 @@ class FeatureTrack:
     def __post_init__(self):
         if self.modality not in MODALITY_DIMS:
             raise DomainError(f"unknown modality {self.modality!r}")
-        data = np.asarray(self.data, dtype=np.float64)
+        data = np.asarray(self.data)
+        if data.dtype != np.float32:
+            data = data.astype(np.float64, copy=False)
         if data.ndim != 2:
             raise DomainError(f"feature track must be 2-D, got shape {data.shape}")
         want = MODALITY_DIMS[self.modality]
@@ -168,7 +176,7 @@ def load_feature_track(path, modality: str, video_id: str = "") -> FeatureTrack:
     if found > expected:
         raise FileFormatError(f"{path}: {found - expected} trailing bytes after payload")
     data = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=16).reshape(rows, cols)
-    return FeatureTrack(video_id=video_id, modality=modality, data=data.astype(np.float64))
+    return FeatureTrack(video_id=video_id, modality=modality, data=data)
 
 
 def load_labels(path, video_id: str = "") -> LabelTrack:
@@ -272,13 +280,78 @@ def window_starts(n_frames: int, seq_len: int = SEQUENCE_LEN, overlap: int = SEQ
     return starts
 
 
+def window_rows(n_frames: int, seq_len: int = SEQUENCE_LEN, overlap: int = SEQUENCE_OVERLAP) -> np.ndarray:
+    """[n_windows x seq_len] frame rows of each window, in ``window_starts`` order.
+
+    Rows past the track end clamp to its last frame, which is the
+    edge-replicate padding of a track shorter than ``seq_len``.
+    """
+    starts = np.asarray(window_starts(n_frames, seq_len, overlap))
+    return np.minimum(starts[:, None] + np.arange(seq_len), n_frames - 1)
+
+
+def _window_labels(
+    rows: np.ndarray, n_frames: int, labels: LabelTrack | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Targets [n x seq_len x 2] and mask [n x seq_len] of the windows ``rows``.
+
+    Padded positions get target 0 and are masked; without labels every real
+    frame counts as valid.
+    """
+    real = rows[:, :1] + np.arange(rows.shape[1]) < n_frames
+    if labels is None:
+        return np.zeros(rows.shape + (2,)), real
+    targets = np.where(real[..., None], labels.targets()[rows], 0.0)
+    return targets, real & labels.valid[rows]
+
+
+@dataclass(frozen=True, eq=False)
+class WindowIndex(Sequence):
+    """Windows over aligned feature tracks as integer arrays; no feature data is copied.
+
+    Window ``j`` covers frame rows ``rows[j]`` of the tracks ``tracks[video[j]]``
+    (one ``{modality: FeatureTrack}`` per video); ``targets`` and ``mask`` come
+    from that video's labels. Indexing with an int cuts that window out as a
+    ``SequenceWindow``; a slice, index array or boolean mask selects a
+    sub-index over the same tracks.
+    """
+
+    tracks: tuple[dict[str, FeatureTrack], ...]
+    video: np.ndarray
+    rows: np.ndarray
+    targets: np.ndarray
+    mask: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.video)
+
+    def __getitem__(self, which):
+        if not isinstance(which, (int, np.integer)):
+            return self.select(which)
+        j = range(len(self))[which]
+        r = self.rows[j]
+        features = self.tracks[self.video[j]]
+        return SequenceWindow(
+            video_id=next(iter(features.values())).video_id,
+            start_frame=int(r[0]),
+            features={m: t.data[r] for m, t in features.items()},
+            targets=self.targets[j],
+            mask=self.mask[j],
+        )
+
+    def select(self, which) -> "WindowIndex":
+        return WindowIndex(
+            self.tracks, self.video[which], self.rows[which], self.targets[which], self.mask[which]
+        )
+
+
 def build_windows(
     features: dict[str, FeatureTrack],
     labels: LabelTrack | None = None,
     seq_len: int = SEQUENCE_LEN,
     overlap: int = SEQUENCE_OVERLAP,
-) -> list[SequenceWindow]:
-    """Cut aligned tracks into SequenceWindows; short tracks edge-replicate and mask."""
+) -> WindowIndex:
+    """Window aligned tracks by frame rows; short tracks edge-replicate and mask."""
     if not features:
         raise DomainError("at least one feature modality is required")
     lengths = {m: t.n_frames for m, t in features.items()}
@@ -289,41 +362,27 @@ def build_windows(
         raise DomainError(
             f"labels have {labels.n_frames} frames but features have {n_frames}"
         )
-    video_id = next(iter(features.values())).video_id
+    rows = window_rows(n_frames, seq_len, overlap)
+    targets, mask = _window_labels(rows, n_frames, labels)
+    return WindowIndex((features,), np.zeros(len(rows), dtype=np.intp), rows, targets, mask)
 
-    if labels is not None:
-        targets = labels.targets()
-        valid = labels.valid
-    else:
-        targets = np.zeros((n_frames, 2))
-        valid = np.ones(n_frames, dtype=bool)
 
-    windows = []
-    for start in window_starts(n_frames, seq_len, overlap):
-        real = min(seq_len, n_frames - start)
-        feat = {}
-        for modality, track in features.items():
-            block = track.data[start : start + real]
-            if real < seq_len:
-                pad = np.repeat(block[-1:], seq_len - real, axis=0)
-                block = np.concatenate([block, pad], axis=0)
-            feat[modality] = block
-        tgt = np.zeros((seq_len, 2))
-        tgt[:real] = targets[start : start + real]
-        mask = np.zeros(seq_len, dtype=bool)
-        mask[:real] = valid[start : start + real]
-        windows.append(
-            SequenceWindow(
-                video_id=video_id, start_frame=start, features=feat, targets=tgt, mask=mask
-            )
-        )
-    return windows
+def concat_windows(parts: list[WindowIndex]) -> WindowIndex:
+    """One index over every window of ``parts``, in order."""
+    tracks: list[dict[str, FeatureTrack]] = []
+    columns = []
+    for part in parts:
+        columns.append((part.video + len(tracks), part.rows, part.targets, part.mask))
+        tracks.extend(part.tracks)
+    return WindowIndex(tuple(tracks), *(np.concatenate(column) for column in zip(*columns)))
 
 
 def compute_stats(tracks: list[FeatureTrack]) -> NormalizationStats:
     """Column mean/std per modality over the concatenated rows of ``tracks``.
 
-    Standard deviations are population (1/N) and floored at 1e-8.
+    Standard deviations are population (1/N) and floored at 1e-8. Rows are
+    widened to float64 one modality at a time, in track order, so float32
+    tracks give the bits their float64 copies would.
     """
     if not tracks:
         raise DomainError("cannot compute normalization statistics from zero tracks")
@@ -332,27 +391,47 @@ def compute_stats(tracks: list[FeatureTrack]) -> NormalizationStats:
     for track in tracks:
         by_modality.setdefault(track.modality, []).append(track.data)
     for modality, blocks in by_modality.items():
-        stacked = np.concatenate(blocks, axis=0)
+        stacked = np.concatenate(blocks, axis=0, dtype=np.float64)
         stats.mean[modality] = stacked.mean(axis=0)
         stats.std[modality] = np.maximum(stacked.std(axis=0), _STD_FLOOR)
+        del stacked  # free before the next modality's rows are widened
     return stats
 
 
 def normalize(track: FeatureTrack, stats: NormalizationStats) -> FeatureTrack:
-    """Z-score a track's columns with its modality's training-split statistics."""
+    """Z-score a track's columns with its modality's training-split statistics.
+
+    The arithmetic is float64 whatever the track's dtype, so a float32 track
+    gives the bits of its widened float64 copy.
+    """
     if track.modality not in stats.mean:
         raise DomainError(f"no normalization statistics for modality {track.modality!r}")
-    mean = stats.mean[track.modality]
-    std = stats.std[track.modality]
+    mean = stats.mean[track.modality].astype(np.float64, copy=False)
     if mean.shape != (track.data.shape[1],):
         raise DomainError(
             f"stats width {mean.shape} does not match track width {track.data.shape[1]}"
         )
-    return FeatureTrack(
-        video_id=track.video_id,
-        modality=track.modality,
-        data=(track.data - mean) / np.maximum(std, _STD_FLOOR),
-    )
+    data = track.data - mean
+    data /= np.maximum(stats.std[track.modality], _STD_FLOOR)
+    return FeatureTrack(video_id=track.video_id, modality=track.modality, data=data)
+
+
+def gather_windows(windows: WindowIndex, modality: str, stats: NormalizationStats) -> np.ndarray:
+    """Z-scored float64 batch [B x seq_len x width] of ``modality`` over ``windows``.
+
+    The windows' rows are gathered as stored (float32 as loaded; one gather
+    per video) and ``normalize`` widens them in its subtraction, so the batch
+    is bit-equal to stacking windows cut from normalized float64 tracks,
+    without a widened or normalized copy of any track.
+    """
+    videos = np.unique(windows.video)
+    data = [windows.tracks[v][modality].data for v in videos]
+    rows = np.empty(windows.rows.shape + (data[0].shape[1],), dtype=np.result_type(*data))
+    for v, track in zip(videos, data):
+        pick = windows.video == v
+        rows[pick] = track[windows.rows[pick]]
+    flat = FeatureTrack(video_id="", modality=modality, data=rows.reshape(-1, rows.shape[-1]))
+    return normalize(flat, stats).data.reshape(rows.shape)
 
 
 def merge_window_predictions(

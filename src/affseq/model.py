@@ -194,18 +194,24 @@ class Model:
         merged = self._concat.forward(branch_outs)
         return self._run_stack(self.head, merged, train)
 
-    def backward(self, d_pred: np.ndarray) -> dict[str, np.ndarray]:
-        """Accumulate parameter gradients; returns gradients w.r.t. each input."""
+    def backward(self, d_pred: np.ndarray, input_grads: bool = True) -> dict[str, np.ndarray] | None:
+        """Accumulate parameter gradients; returns gradients w.r.t. each input.
+
+        With ``input_grads=False`` the first layer of each branch skips its
+        input-gradient products and None is returned; parameter gradients
+        are unchanged.
+        """
         grad = d_pred
         for layer in reversed(self.head):
             grad = layer.backward(grad)
         branch_grads = self._concat.backward(grad)
         out = {}
         for modality, grad in zip(self.config.modalities(), branch_grads):
-            for layer in reversed(self.branches[modality]):
+            first, *rest = self.branches[modality]
+            for layer in reversed(rest):
                 grad = layer.backward(grad)
-            out[modality] = grad
-        return out
+            out[modality] = first.backward(grad, need_dx=input_grads)
+        return out if input_grads else None
 
     # -- parameter plumbing -----------------------------------------------
 
@@ -262,7 +268,14 @@ class Model:
         return table
 
     def load_state(self, params: dict[str, np.ndarray], state: dict[str, np.ndarray]) -> None:
-        """Install named tensors from a checkpoint, validating names and shapes."""
+        """Install named tensors from a checkpoint, validating names and shapes.
+
+        A float64 tensor is installed as it is, not copied, so the model then
+        shares it with the caller (``restore_model``: with the ``Checkpoint``);
+        other dtypes are converted. Gradient buffers are left as they are:
+        every layer allocates them at construction, and training zeroes them
+        before each backward pass.
+        """
         own = {name: (layer, key) for name, layer, key in self.parameter_slots()}
         if set(own) != set(params):
             missing = sorted(set(own) - set(params))
@@ -277,7 +290,7 @@ class Model:
                     f"checkpoint tensor {name} has shape {value.shape}, "
                     f"model expects {layer.params[key].shape}"
                 )
-            layer.params[key] = value.astype(np.float64)
+            layer.params[key] = value.astype(np.float64, copy=False)
         own_state = {name: (layer, key) for name, layer, key in self.state_slots()}
         if set(own_state) != set(state):
             raise FileFormatError("checkpoint state tensors do not match model")
@@ -285,8 +298,7 @@ class Model:
             value = state[name]
             if value.shape != getattr(layer, key).shape:
                 raise FileFormatError(f"checkpoint state tensor {name} has shape {value.shape}")
-            setattr(layer, key, value.astype(np.float64))
-        self.zero_grads()
+            setattr(layer, key, value.astype(np.float64, copy=False))
 
 
 def build(config: ModelConfig, seed: int = 0) -> Model:

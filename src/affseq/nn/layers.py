@@ -2,7 +2,10 @@
 
 Every layer exposes ``forward(x, train=False)`` and ``backward(grad)``;
 parameters and their gradients live in the ``params`` / ``grads`` dicts under
-matching keys. All math is float64.
+matching keys. Layers that can sit first in a branch (``Dense`` and the
+recurrent layers) also take ``backward(grad, need_dx=False)``, which
+accumulates the same parameter gradients, skips the input-gradient product
+and returns None. All math is float64.
 """
 
 from __future__ import annotations
@@ -67,10 +70,12 @@ class Dense(Layer):
         out = self._x2d @ self.params["W"] + self.params["b"]
         return out.reshape(*x.shape[:-1], self.out_dim)
 
-    def backward(self, grad):
+    def backward(self, grad, need_dx=True):
         g2d = grad.reshape(-1, self.out_dim)
         self.grads["W"] += self._x2d.T @ g2d
         self.grads["b"] += g2d.sum(axis=0)
+        if not need_dx:
+            return None
         return (g2d @ self.params["W"].T).reshape(self._x_shape)
 
 

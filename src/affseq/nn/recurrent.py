@@ -79,7 +79,7 @@ class GRULayer(Layer):
             outputs[:, t] = h
         return outputs if self.return_sequences else h
 
-    def backward(self, grad):
+    def backward(self, grad, need_dx=True):
         p = self.params
         batch, steps, _ = self._x.shape
         if self.return_sequences:
@@ -121,7 +121,10 @@ class GRULayer(Layer):
             g2d = dxg.reshape(-1, self.hidden_dim)
             self.grads[f"W_{gate}"] += x2d.T @ g2d
             self.grads[f"b_{gate}"] += g2d.sum(axis=0)
-            dx.append(g2d @ p[f"W_{gate}"].T)
+            if need_dx:
+                dx.append(g2d @ p[f"W_{gate}"].T)
+        if not need_dx:
+            return None
         return (dx[0] + dx[1] + dx[2]).reshape(self._x.shape)
 
 
@@ -179,7 +182,7 @@ class LSTMLayer(Layer):
             outputs[:, t] = h
         return outputs if self.return_sequences else h
 
-    def backward(self, grad):
+    def backward(self, grad, need_dx=True):
         p = self.params
         batch, steps, _ = self._x.shape
         if self.return_sequences:
@@ -215,13 +218,14 @@ class LSTMLayer(Layer):
             dh_next = dh_prev
 
         x2d = self._x.reshape(-1, self.in_dim)
-        dx = np.zeros_like(x2d)
+        dx = np.zeros_like(x2d) if need_dx else None
         for gate in self._GATES:
             g2d = dpre[gate].reshape(-1, self.hidden_dim)
             self.grads[f"W_{gate}"] += x2d.T @ g2d
             self.grads[f"b_{gate}"] += g2d.sum(axis=0)
-            dx += g2d @ p[f"W_{gate}"].T
-        return dx.reshape(self._x.shape)
+            if need_dx:
+                dx += g2d @ p[f"W_{gate}"].T
+        return dx.reshape(self._x.shape) if need_dx else None
 
 
 class Bidirectional(Layer):
@@ -256,7 +260,9 @@ class Bidirectional(Layer):
         self._split = out_f.shape[-1]
         return np.concatenate([out_f, out_b], axis=-1)
 
-    def backward(self, grad):
-        dx_f = self.fwd.backward(grad[..., : self._split])
-        dx_b = self.bwd.backward(grad[..., self._split :][:, ::-1])[:, ::-1]
-        return dx_f + dx_b
+    def backward(self, grad, need_dx=True):
+        dx_f = self.fwd.backward(grad[..., : self._split], need_dx)
+        dx_b = self.bwd.backward(grad[..., self._split :][:, ::-1], need_dx)
+        if not need_dx:
+            return None
+        return dx_f + dx_b[:, ::-1]

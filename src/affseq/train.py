@@ -1,16 +1,20 @@
 """Training loop, checkpoint assembly, evaluation, and prediction export.
 
-One epoch shuffles the window list with a seeded generator, runs masked-MSE
-backprop over batches, applies RMSprop, then scores the validation split from
+One epoch shuffles the window index with a seeded generator, gathers and
+z-scores each batch from the float32 training tracks, runs masked-MSE
+backprop, applies RMSprop, then scores the validation split from
 overlap-merged frame predictions. The checkpoint with the best mean CCC is
-kept. With a fixed seed and one thread the whole trajectory is bit-for-bit
-reproducible; worker threads only parallelize per-video loading, never the
-optimizer step.
+kept. Validation, evaluation and prediction stream the manifest one video at
+a time (load, predict, drop), so their memory does not grow with its length.
+With a fixed seed and one thread the whole trajectory is bit-for-bit
+reproducible; worker threads only load videos ahead, never run the optimizer
+step.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,13 +34,13 @@ from .dataset import (
     LabelTrack,
     ManifestRow,
     NormalizationStats,
-    SequenceWindow,
     build_windows,
     compute_stats,
+    concat_windows,
+    gather_windows,
     load_feature_track,
     load_labels,
     merge_window_predictions,
-    normalize,
 )
 from .errors import ConfigError, CoverageError, DomainError, NumericFaultError
 from .metrics import EvalReport, evaluate
@@ -73,6 +77,8 @@ class TrainConfig:
 
 @dataclass
 class VideoData:
+    """One manifest row's feature tracks (float32 as read) and labels."""
+
     row: ManifestRow
     features: dict[str, FeatureTrack]
     labels: LabelTrack | None
@@ -104,44 +110,51 @@ def _load_video(row: ManifestRow, modalities, need_labels: bool) -> VideoData:
     return VideoData(row=row, features=features, labels=labels)
 
 
-def _load_videos(rows, modalities, need_labels: bool, threads: int) -> list[VideoData]:
-    if threads > 1 and len(rows) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda r: _load_video(r, modalities, need_labels), rows))
-    return [_load_video(row, modalities, need_labels) for row in rows]
+def _stream_videos(rows, modalities, need_labels: bool, threads: int):
+    """Yield each row's VideoData in row order.
+
+    With ``threads`` > 1, worker threads load at most ``threads`` videos ahead
+    of the one the caller holds, so memory stays bounded by a few videos.
+    """
+    if threads == 1 or len(rows) < 2:
+        for row in rows:
+            yield _load_video(row, modalities, need_labels)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        ahead = deque()
+        for row in rows:
+            ahead.append(pool.submit(_load_video, row, modalities, need_labels))
+            if len(ahead) > threads:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
 
 
-def _normalize_video(video: VideoData, stats: NormalizationStats) -> VideoData:
-    return VideoData(
-        row=video.row,
-        features={m: normalize(t, stats) for m, t in video.features.items()},
-        labels=video.labels,
-    )
+def predict_video(
+    model: Model, video: VideoData, batch_size: int = 32, *, stats: NormalizationStats
+) -> np.ndarray:
+    """Frame-level [n_frames x 2] predictions via windowing and overlap merge.
 
-
-def _stack_batch(windows: list[SequenceWindow], modalities):
-    inputs = {m: np.stack([w.features[m] for w in windows]) for m in modalities}
-    targets = np.stack([w.targets for w in windows])
-    mask = np.stack([w.mask for w in windows])
-    return inputs, targets, mask
-
-
-def predict_video(model: Model, video: VideoData, batch_size: int = 32) -> np.ndarray:
-    """Frame-level [n_frames x 2] predictions via windowing and overlap merge."""
+    ``video`` holds the tracks as loaded; each batch is z-scored with ``stats``.
+    """
     windows = build_windows(video.features)
     modalities = model.config.modalities()
-    merged_inputs: list[tuple[int, np.ndarray]] = []
+    blocks: list[tuple[int, np.ndarray]] = []
     for i in range(0, len(windows), batch_size):
         chunk = windows[i : i + batch_size]
-        inputs, _, _ = _stack_batch(chunk, modalities)
-        pred = model.forward(inputs, train=False)
-        merged_inputs.extend((w.start_frame, pred[j]) for j, w in enumerate(chunk))
-    return merge_window_predictions(merged_inputs, video.row.n_frames)
+        pred = model.forward({m: gather_windows(chunk, m, stats) for m in modalities}, train=False)
+        blocks.extend(zip(chunk.rows[:, 0].tolist(), pred))
+    return merge_window_predictions(blocks, video.row.n_frames)
 
 
-def _evaluate_videos(model: Model, videos: list[VideoData], ccc_mode: str, batch_size: int) -> EvalReport:
-    predictions = {v.row.video_id: predict_video(model, v, batch_size) for v in videos}
-    labels = {v.row.video_id: v.labels for v in videos}
+def _evaluate_rows(
+    model: Model, stats: NormalizationStats, rows, ccc_mode: str, batch_size: int, threads: int
+) -> EvalReport:
+    predictions: dict[str, np.ndarray] = {}
+    labels: dict[str, LabelTrack] = {}
+    for video in _stream_videos(rows, model.config.modalities(), need_labels=True, threads=threads):
+        predictions[video.row.video_id] = predict_video(model, video, batch_size, stats=stats)
+        labels[video.row.video_id] = video.labels
     return evaluate(predictions, labels, ccc_mode=ccc_mode)
 
 
@@ -215,22 +228,24 @@ def train(manifest_rows: list[ManifestRow], config: TrainConfig, out_dir) -> tup
         raise ConfigError("manifest has no train rows")
     if not val_rows:
         raise ConfigError("manifest has no val rows")
+    history = _fit(train_rows, val_rows, config, out_dir)
+    # the tracks, model and optimizer died with _fit, so the reload adds no peak
+    return load_checkpoint(out_dir / "best.ckpt"), history
 
+
+def _fit(train_rows, val_rows, config: TrainConfig, out_dir: Path) -> list[str]:
     modalities = config.model.modalities()
-    train_videos = _load_videos(train_rows, modalities, need_labels=True, threads=config.threads)
-    val_videos = _load_videos(val_rows, modalities, need_labels=True, threads=config.threads)
+    threads = config.threads
+    train_videos = list(_stream_videos(train_rows, modalities, need_labels=True, threads=threads))
+    # Validation rereads its videos every epoch; a val video that cannot load
+    # fails here, before training, as well.
+    for _ in _stream_videos(val_rows, modalities, need_labels=True, threads=threads):
+        pass
 
     stats = compute_stats([t for v in train_videos for t in v.features.values()])
-    train_videos = [_normalize_video(v, stats) for v in train_videos]
-    val_videos = [_normalize_video(v, stats) for v in val_videos]
-
-    train_windows = [
-        w
-        for video in train_videos
-        for w in build_windows(video.features, video.labels)
-        if w.mask.any()  # a window with no valid frame contributes no gradient
-    ]
-    if not train_windows:
+    windows = concat_windows([build_windows(v.features, v.labels) for v in train_videos])
+    windows = windows.select(windows.mask.any(axis=1))  # a window with no valid frame contributes no gradient
+    if not len(windows):
         raise ConfigError("training split contains no window with a valid label")
 
     root_rng = np.random.default_rng(config.seed)
@@ -250,29 +265,29 @@ def train(manifest_rows: list[ManifestRow], config: TrainConfig, out_dir) -> tup
         hist_fh.flush()
         for epoch in range(1, config.epochs + 1):
             if config.shuffle:
-                order = root_rng.permutation(len(train_windows))
+                order = root_rng.permutation(len(windows))
             else:
-                order = np.arange(len(train_windows))
+                order = np.arange(len(windows))
             total_sq = 0.0
             total_count = 0
             for batch_no, batch_start in enumerate(range(0, len(order), config.batch_size)):
-                chosen = [train_windows[i] for i in order[batch_start : batch_start + config.batch_size]]
-                inputs, targets, mask = _stack_batch(chosen, modalities)
+                batch = windows.select(order[batch_start : batch_start + config.batch_size])
+                inputs = {m: gather_windows(batch, m, stats) for m in modalities}
                 try:
                     model.zero_grads()
                     pred = model.forward(inputs, train=True)
-                    loss, d_pred = masked_mse(pred, targets, mask)
-                    model.backward(d_pred)
+                    loss, d_pred = masked_mse(pred, batch.targets, batch.mask)
+                    model.backward(d_pred, input_grads=False)
                     if config.clip_norm > 0:
                         clip_global_norm([g for _, _, g in model.gradient_slots()], config.clip_norm)
                     optimizer.step(model.gradient_slots())
                 except NumericFaultError as exc:
                     raise NumericFaultError(f"epoch {epoch} batch {batch_no}: {exc}") from exc
-                count = int(mask.sum()) * 2
+                count = int(batch.mask.sum()) * 2
                 total_sq += loss * count
                 total_count += count
             train_loss = total_sq / total_count
-            report = _evaluate_videos(model, val_videos, config.ccc_mode, config.batch_size)
+            report = _evaluate_rows(model, stats, val_rows, config.ccc_mode, config.batch_size, threads)
             line = _history_line(epoch, train_loss, report)
             history.append(line)
             hist_fh.write(line + "\n")
@@ -283,8 +298,7 @@ def train(manifest_rows: list[ManifestRow], config: TrainConfig, out_dir) -> tup
                     model, stats, epoch=epoch, best_val_score=best_score, seed=config.seed
                 )
                 save_checkpoint(best_path, ckpt)
-
-    return load_checkpoint(best_path), history
+    return history
 
 
 def evaluate_checkpoint(
@@ -299,9 +313,7 @@ def evaluate_checkpoint(
     if not val_rows:
         raise ConfigError("manifest has no val rows to evaluate")
     model, stats = restore_model(ckpt)
-    videos = _load_videos(val_rows, model.config.modalities(), need_labels=True, threads=threads)
-    videos = [_normalize_video(v, stats) for v in videos]
-    return _evaluate_videos(model, videos, ccc_mode, batch_size)
+    return _evaluate_rows(model, stats, val_rows, ccc_mode, batch_size, threads)
 
 
 def predict(
@@ -311,15 +323,18 @@ def predict(
     threads: int = 1,
     batch_size: int = 32,
 ) -> dict[str, Path]:
-    """Write one ``<video_id>.csv`` of frame predictions per manifest row."""
+    """Write one ``<video_id>.csv`` of frame predictions per manifest row.
+
+    Rows stream one at a time: each video is loaded, predicted, written and
+    dropped before the next, so memory does not grow with the manifest.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     model, stats = restore_model(ckpt)
-    videos = _load_videos(manifest_rows, model.config.modalities(), need_labels=False, threads=threads)
-    videos = [_normalize_video(v, stats) for v in videos]
+    modalities = model.config.modalities()
     written: dict[str, Path] = {}
-    for video in videos:
-        frames = predict_video(model, video, batch_size)
+    for video in _stream_videos(manifest_rows, modalities, need_labels=False, threads=threads):
+        frames = predict_video(model, video, batch_size, stats=stats)
         path = out_dir / f"{video.row.video_id}.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("frame,valence,arousal\n")

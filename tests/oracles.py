@@ -2,8 +2,9 @@
 
 Everything here is written from the defining formulas, deliberately not
 sharing code paths with the package: naive DFT, direct-formula CCC, a
-covering-set windowing oracle, a pointwise mel filterbank, a sign-split
-sigmoid and a single GRU step, and central finite-difference gradient helpers.
+covering-set windowing oracle, slice-and-pad window cutting, a pointwise mel
+filterbank, a sign-split sigmoid and a single GRU step, and central
+finite-difference gradient helpers.
 """
 
 from __future__ import annotations
@@ -68,6 +69,29 @@ def window_starts_oracle(n_frames: int, seq_len: int = 15, hop: int = 10) -> lis
     if starts and starts[-1] == tail:
         return starts
     return starts + [min(s, tail)]
+
+
+def slice_and_pad_windows(data: np.ndarray, targets: np.ndarray, valid: np.ndarray, starts, seq_len: int = 15):
+    """Stacked windows by slicing each start and repeating a short track's last row.
+
+    Returns features [n x seq_len x width], targets [n x seq_len x 2] (0 on
+    padding) and mask [n x seq_len] (False on padding).
+    """
+    n_frames = data.shape[0]
+    feats, tgts, masks = [], [], []
+    for start in starts:
+        real = min(seq_len, n_frames - start)
+        block = data[start : start + real]
+        if real < seq_len:
+            block = np.concatenate([block, np.repeat(block[-1:], seq_len - real, axis=0)], axis=0)
+        tgt = np.zeros((seq_len, 2))
+        tgt[:real] = targets[start : start + real]
+        mask = np.zeros(seq_len, dtype=bool)
+        mask[:real] = valid[start : start + real]
+        feats.append(block)
+        tgts.append(tgt)
+        masks.append(mask)
+    return np.stack(feats), np.stack(tgts), np.stack(masks)
 
 
 def hz_to_mel_slaney(f: float) -> float:

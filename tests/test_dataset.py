@@ -29,7 +29,8 @@ from affseq.errors import (
     WidthMismatchError,
 )
 
-from oracles import window_starts_oracle
+from affseq.dataset import concat_windows, gather_windows, window_rows
+from oracles import slice_and_pad_windows, window_starts_oracle
 
 
 # --- feature file format -------------------------------------------------------
@@ -317,6 +318,100 @@ def test_normalize_requires_matching_stats(rng):
     stats = compute_stats([_track("v", "audio", rng.normal(size=(5, 168)))])
     with pytest.raises(DomainError):
         normalize(_track("v", "expnet", rng.normal(size=(5, 2048))), stats)
+
+
+# --- float32 tracks, window index and batch gather -------------------------------------
+
+def _same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_loaded_track_keeps_float32(tmp_path, rng):
+    data = rng.normal(size=(7, 168)).astype(np.float32)
+    path = tmp_path / "a.feat"
+    write_feature_file(path, data)
+    track = load_feature_track(path, "audio")
+    assert track.data.dtype == np.float32
+    np.testing.assert_array_equal(track.data, data)
+    assert FeatureTrack("v", "audio", data).data.dtype == np.float32
+    assert FeatureTrack("v", "audio", np.zeros((2, 168), dtype=np.float16)).data.dtype == np.float64
+    assert FeatureTrack("v", "audio", np.zeros((2, 168), dtype=np.int32)).data.dtype == np.float64
+
+
+def test_compute_stats_of_float32_tracks_equals_widened_copies(rng):
+    tracks = [
+        FeatureTrack(f"v{i}", m, (rng.normal(size=(n, d)) * 3 + 1).astype(np.float32))
+        for i, n in enumerate((23, 9, 40))
+        for m, d in (("audio", 168), ("facepose", 714))
+    ]
+    wide = [FeatureTrack(t.video_id, t.modality, t.data.astype(np.float64)) for t in tracks]
+    got, want = compute_stats(tracks), compute_stats(wide)
+    for modality in ("audio", "facepose"):
+        _same_bits(got.mean[modality], want.mean[modality])
+        _same_bits(got.std[modality], want.std[modality])
+
+
+def test_window_rows_clamp_to_the_last_frame():
+    np.testing.assert_array_equal(window_rows(9), [list(range(9)) + [8] * 6])
+    np.testing.assert_array_equal(window_rows(15), [list(range(15))])
+    rows = window_rows(30)
+    np.testing.assert_array_equal(rows[:, 0], [0, 10, 15])
+    np.testing.assert_array_equal(rows, rows[:, :1] + np.arange(15))
+
+
+def test_gathered_batch_is_bit_equal_to_stacked_normalized_windows(rng):
+    """Long, exactly-15, short (padded) and partly unlabeled videos, float32 as loaded."""
+    lengths = {"long": 47, "exact": 15, "short": 9, "gaps": 33}
+    videos = {}
+    for vid, n in lengths.items():
+        features = {
+            m: FeatureTrack(vid, m, (rng.normal(size=(n, d)) * 2 + 0.5).astype(np.float32))
+            for m, d in (("audio", 168), ("facepose", 714))
+        }
+        valence, arousal = rng.uniform(-1, 1, size=(2, n))
+        if vid == "gaps":
+            valence[10:25] = -5.0  # the whole window at start 10 is invalid
+            arousal[3] = 7.0
+        labels = LabelTrack(vid, valence, arousal, (np.abs(valence) <= 1) & (np.abs(arousal) <= 1))
+        videos[vid] = (features, labels)
+    stats = compute_stats([t for f, _ in videos.values() for t in f.values()])
+
+    index = concat_windows([build_windows(features, labels) for features, labels in videos.values()])
+    assert not index.mask[index.video == 3][1].any()  # the all-invalid window is indexed, not dropped
+    for modality in ("audio", "facepose"):
+        batch = gather_windows(index, modality, stats)
+        shuffled = np.random.default_rng(5).permutation(len(index))
+        _same_bits(gather_windows(index.select(shuffled), modality, stats), batch[shuffled])
+        old_path, sliced = [], []
+        for features, labels in videos.values():
+            wide = FeatureTrack("v", modality, features[modality].data.astype(np.float64))
+            windows = build_windows({modality: normalize(wide, stats)}, labels)
+            old_path.append(np.stack([w.features[modality] for w in windows]))
+            starts = window_starts(labels.n_frames)
+            sliced.append(slice_and_pad_windows(normalize(wide, stats).data, labels.targets(), labels.valid, starts)[0])
+        _same_bits(batch, np.concatenate(old_path))
+        _same_bits(batch, np.concatenate(sliced))
+
+    targets, masks = [], []
+    for features, labels in videos.values():
+        windows = build_windows(features, labels)
+        targets.append(np.stack([w.targets for w in windows]))
+        masks.append(np.stack([w.mask for w in windows]))
+        _, tgt, mask = slice_and_pad_windows(
+            features["audio"].data, labels.targets(), labels.valid, window_starts(labels.n_frames)
+        )
+        _same_bits(targets[-1], tgt)
+        _same_bits(masks[-1], mask)
+    _same_bits(index.targets, np.concatenate(targets))
+    _same_bits(index.mask, np.concatenate(masks))
+
+
+def test_gather_windows_requires_matching_stats(rng):
+    stats = compute_stats([_track("v", "audio", rng.normal(size=(5, 168)))])
+    track = _track("v", "expnet", rng.normal(size=(20, 2048)))
+    with pytest.raises(DomainError, match="expnet"):
+        gather_windows(build_windows({"expnet": track}), "expnet", stats)
 
 
 # --- overlap merge --------------------------------------------------------------------

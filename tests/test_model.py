@@ -210,6 +210,23 @@ def test_full_model_gradients_match_finite_differences(rng):
         assert err < 1e-4, f"{modality} input grad: rel err {err:.2e}"
 
 
+@pytest.mark.parametrize("cell", ["gru", "bilstm"])
+@pytest.mark.parametrize("variant", ["fusion", "audio_only", "video_only"])
+def test_backward_without_input_grads_keeps_parameter_grads(rng, variant, cell):
+    config = ModelConfig(variant=variant, cell=cell, **SMALL)
+    inputs = _inputs(rng, config, batch=3)
+    proj = rng.normal(size=(3, config.sequence_len, 2))
+    grads = []
+    for input_grads in (True, False):
+        model = build(config, seed=5)  # same seed: same weights and dropout masks
+        model.forward(inputs, train=True)
+        returned = model.backward(proj, input_grads=input_grads)
+        assert (returned is None) == (not input_grads)
+        grads.append(model.gradient_slots())
+    for (name, _, with_dx), (_, _, without_dx) in zip(*grads):
+        np.testing.assert_array_equal(without_dx, with_dx, err_msg=name)
+
+
 def test_load_state_rejects_name_mismatch(rng):
     model = build(ModelConfig(**SMALL), seed=1)
     params = model.named_parameters()

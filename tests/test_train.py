@@ -1,3 +1,7 @@
+import importlib
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,8 @@ from affseq.train import (
 )
 
 from conftest import make_corpus
+
+train_module = importlib.import_module("affseq.train")  # the package rebinds affseq.train to the function
 
 
 def _small_model(**kw):
@@ -300,3 +306,93 @@ def test_predict_is_deterministic(tmp_path, rng):
     b = predict(rows, ckpt, tmp_path / "pb")
     for vid in a:
         assert a[vid].read_bytes() == b[vid].read_bytes()
+
+
+def test_restore_installs_checkpoint_tensors_without_copies(tmp_path, rng):
+    rows = _corpus(tmp_path, rng)
+    ckpt, _ = train(rows, TrainConfig(epochs=1, seed=4, model=_small_model()), tmp_path / "run")
+    model, _ = restore_model(ckpt)
+    for name, value in model.named_parameters().items():
+        assert value is ckpt.tensors[f"param/{name}"]
+    for name, value in model.named_state().items():
+        assert value is ckpt.tensors[f"state/{name}"]
+    assert not any(grad.any() for _, _, grad in model.gradient_slots())
+    # float32 tensors (exact: the file stores float32) are converted and predict the same bytes
+    narrow = Checkpoint(config=ckpt.config, tensors={k: v.astype(np.float32) for k, v in ckpt.tensors.items()})
+    model_b, _ = restore_model(narrow)
+    for name, value in model_b.named_parameters().items():
+        assert value.dtype == np.float64
+        np.testing.assert_array_equal(value, ckpt.tensors[f"param/{name}"])
+    written_a = predict(rows, ckpt, tmp_path / "pred_a")
+    written_b = predict(rows, narrow, tmp_path / "pred_b")
+    for vid, path in written_a.items():
+        assert written_b[vid].read_bytes() == path.read_bytes()
+
+
+def _scoring_corpus(tmp_path, rng, n_val):
+    videos = [("tr0", "train", 20)] + [(f"va{i}", "val", 40) for i in range(n_val)]
+    rows = _corpus(tmp_path, rng, videos=videos)
+    ckpt, _ = train(rows, TrainConfig(epochs=0, model=_small_model()), tmp_path / "run")
+    return rows, ckpt
+
+
+def test_predict_peak_memory_does_not_grow_with_the_manifest(tmp_path, rng):
+    rows, ckpt = _scoring_corpus(tmp_path, rng, n_val=8)
+    one_video = 40 * (168 + 2048 + 714) * 4  # float32 bytes of one video's tracks
+
+    def peak(subset, out):
+        tracemalloc.start()
+        try:
+            predict(subset, ckpt, tmp_path / out)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(rows[:2], "warm")
+    short, long = peak(rows[:5], "short"), peak(rows, "long")
+    assert long - short < one_video // 4, (short, long)
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_threaded_loading_holds_at_most_threads_videos_ahead(tmp_path, rng, monkeypatch, threads):
+    rows, ckpt = _scoring_corpus(tmp_path, rng, n_val=7)
+    lock = threading.Lock()
+    started, done, ahead = [], [], []
+    real_load, real_predict = train_module._load_video, train_module.predict_video
+
+    def load(row, *args):
+        with lock:
+            started.append(row.video_id)
+        return real_load(row, *args)
+
+    def predict_video(model, video, *args, **kwargs):
+        with lock:
+            ahead.append(len(started) - len(done) - 1)
+        frames = real_predict(model, video, *args, **kwargs)
+        done.append(video.row.video_id)
+        return frames
+
+    monkeypatch.setattr(train_module, "_load_video", load)
+    monkeypatch.setattr(train_module, "predict_video", predict_video)
+    written = predict(rows, ckpt, tmp_path / "threaded", threads=threads)
+    assert done == [r.video_id for r in rows]
+    assert sorted(started) == sorted(done)
+    assert 1 <= max(ahead) <= threads
+    for seen in (started, done, ahead):
+        seen.clear()
+    evaluate_checkpoint(rows, ckpt, threads=threads)
+    assert max(ahead) <= threads
+    monkeypatch.undo()
+    serial = predict(rows, ckpt, tmp_path / "serial")
+    for vid, path in serial.items():
+        assert written[vid].read_bytes() == path.read_bytes()
+
+
+def test_predict_video_keeps_batch_size_third_and_takes_stats_by_keyword(tmp_path, rng):
+    rows, ckpt = _scoring_corpus(tmp_path, rng, n_val=1)
+    model, stats = restore_model(ckpt)
+    video = train_module._load_video(rows[1], model.config.modalities(), need_labels=False)
+    frames = train_module.predict_video(model, video, 7, stats=stats)
+    assert frames.shape == (rows[1].n_frames, 2)
+    with pytest.raises(TypeError, match="stats"):
+        train_module.predict_video(model, video, 32)
