@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import (
     ChecksumError,
-    ConfigError,
     FileFormatError,
     TruncatedFileError,
     VersionMismatchError,
@@ -50,7 +49,11 @@ class Checkpoint:
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig.from_dict(self.config["model"])
+        """The stored model config; FileFormatError if the section is missing or malformed."""
+        data = self.config.get("model")
+        if data is None:
+            raise FileFormatError("checkpoint config has no model section")
+        return ModelConfig.from_dict(data)
 
     @property
     def epoch(self) -> int:
@@ -59,6 +62,13 @@ class Checkpoint:
     @property
     def best_val_score(self):
         return self.config.get("best_val_score")
+
+    @property
+    def seed(self) -> int:
+        seed = self.config.get("seed", 0)
+        if type(seed) is not int or seed < 0:
+            raise FileFormatError(f"checkpoint seed must be a non-negative integer, got {seed!r}")
+        return seed
 
     def group(self, prefix: str) -> dict[str, np.ndarray]:
         """Tensors under a namespace, with the prefix stripped."""
@@ -115,12 +125,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         raise
 
 
-def load_checkpoint(path, expect_variant: str | None = None) -> Checkpoint:
-    """Read and verify an AFCK file.
-
-    ``expect_variant`` optionally asserts the stored model variant, raising a
-    ConfigError naming both variants on mismatch.
-    """
+def load_checkpoint(path) -> Checkpoint:
+    """Read and verify an AFCK file."""
     with open(path, "rb") as fh:
         blob = fh.read()
     view = memoryview(blob)  # slices of a view share the file's buffer, no copies
@@ -151,6 +157,8 @@ def load_checkpoint(path, expect_variant: str | None = None) -> Checkpoint:
         config = json.loads(str(view[offset - config_len : offset], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"{path}: config blob is not valid JSON ({exc})") from None
+    if not isinstance(config, dict):
+        raise FileFormatError(f"{path}: config blob is a JSON {type(config).__name__}, not an object")
 
     offset = need(offset, 4, "tensor count")
     (tensor_count,) = struct.unpack_from("<I", blob, offset - 4)
@@ -178,11 +186,4 @@ def load_checkpoint(path, expect_variant: str | None = None) -> Checkpoint:
     if offset != len(blob) - 4:
         raise FileFormatError(f"{path}: {len(blob) - 4 - offset} unexpected bytes after tensors")
 
-    ckpt = Checkpoint(config=config, tensors=tensors)
-    if expect_variant is not None:
-        stored = ckpt.config.get("model", {}).get("variant")
-        if stored != expect_variant:
-            raise ConfigError(
-                f"checkpoint holds model variant {stored!r} but {expect_variant!r} was requested"
-            )
-    return ckpt
+    return Checkpoint(config=config, tensors=tensors)

@@ -45,10 +45,6 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_str(text: str) -> str:
-    return text.strip()
-
-
 def _parse_path(text: str) -> Path:
     return Path(text.strip())
 
@@ -258,11 +254,11 @@ def _cmd_train(opts: dict) -> int:
     )
     ckpt, history = train(rows, config, opts["out"])
     out_dir = Path(opts["out"])
-    best = ckpt.config.get("best_val_score")
+    best = ckpt.best_val_score
     if best is None:
         print(f"{out_dir / 'best.ckpt'}: initialized model, no epochs scored")
     else:
-        print(f"{out_dir / 'best.ckpt'}: epoch {ckpt.config.get('epoch')} mean val CCC {best:.4f}")
+        print(f"{out_dir / 'best.ckpt'}: epoch {ckpt.epoch} mean val CCC {best:.4f}")
     print(f"{out_dir / 'history.csv'}: {len(history)} epochs")
     return EXIT_OK
 

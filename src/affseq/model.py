@@ -16,7 +16,7 @@ output widths are unchanged.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .errors import ConfigError, DomainError, FileFormatError, NumericFaultError
 from .nn import (
     BatchNorm,
     Bidirectional,
-    Concatenate,
     Dense,
     Dropout,
     GRULayer,
@@ -98,6 +97,21 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
+        """Rebuild a stored config; FileFormatError names a key or type that does not fit.
+
+        Missing keys take their defaults; values of the right type but out of
+        range still raise ConfigError.
+        """
+        if not isinstance(data, dict):
+            raise FileFormatError(f"model config is a JSON {type(data).__name__}, not an object")
+        types = {f.name: type(f.default) for f in fields(cls)}
+        for key, value in data.items():
+            want = types.get(key)
+            if want is None:
+                raise FileFormatError(f"unknown model config key {key!r}")
+            # JSON has one number type: an integral float field may arrive as int
+            if type(value) is not want and not (want is float and type(value) is int):
+                raise FileFormatError(f"model config {key} must be {want.__name__}, got {value!r}")
         return cls(**data)
 
 
@@ -110,7 +124,6 @@ class Model:
         # init=False leaves weight kernels uninitialized: only for a model whose
         # every tensor load_state overwrites next. Dropout keeps the seeded rng.
         self._init_rng = self.rng if init else None
-        self._concat = Concatenate()
         self.branches: dict[str, list] = {}
         for modality in config.modalities():
             self.branches[modality] = self._build_branch(modality)
@@ -191,8 +204,7 @@ class Model:
             self._run_stack(self.branches[m], np.asarray(inputs[m], dtype=np.float64), train)
             for m in needed
         ]
-        merged = self._concat.forward(branch_outs)
-        return self._run_stack(self.head, merged, train)
+        return self._run_stack(self.head, np.concatenate(branch_outs, axis=-1), train)
 
     def backward(self, d_pred: np.ndarray, input_grads: bool = True) -> dict[str, np.ndarray] | None:
         """Accumulate parameter gradients; returns gradients w.r.t. each input.
@@ -204,9 +216,11 @@ class Model:
         grad = d_pred
         for layer in reversed(self.head):
             grad = layer.backward(grad)
-        branch_grads = self._concat.backward(grad)
+        modalities = self.config.modalities()
+        widths = [self.config.branch_widths(m)[-1] for m in modalities]
+        branch_grads = np.split(grad, np.cumsum(widths)[:-1], axis=-1)
         out = {}
-        for modality, grad in zip(self.config.modalities(), branch_grads):
+        for modality, grad in zip(modalities, branch_grads):
             first, *rest = self.branches[modality]
             for layer in reversed(rest):
                 grad = layer.backward(grad)

@@ -1,7 +1,7 @@
 """Minimal dense/recurrent network kernel with exact gradients (float64, numpy)."""
 
 from .initializers import glorot_uniform, orthogonal
-from .layers import BatchNorm, Concatenate, Dense, Dropout, Layer, PReLU, Tanh
+from .layers import BatchNorm, Dense, Dropout, Layer, PReLU, Tanh
 from .losses import masked_mse
 from .optim import RMSprop, clip_global_norm
 from .recurrent import Bidirectional, GRULayer, LSTMLayer
@@ -9,7 +9,6 @@ from .recurrent import Bidirectional, GRULayer, LSTMLayer
 __all__ = [
     "BatchNorm",
     "Bidirectional",
-    "Concatenate",
     "Dense",
     "Dropout",
     "GRULayer",

@@ -15,6 +15,10 @@ import numpy as np
 from ..errors import DomainError
 from .initializers import glorot_uniform
 
+_PRELU_ALPHA_INIT = 0.25
+_BN_EPS = 1e-5
+_BN_MOMENTUM = 0.9
+
 
 class Layer:
     """Base class: named parameter tensors with same-shape gradient tensors."""
@@ -82,9 +86,9 @@ class Dense(Layer):
 class PReLU(Layer):
     """y = x for x > 0 else alpha * x, with one learnable alpha per feature."""
 
-    def __init__(self, n_features: int, name: str, alpha_init: float = 0.25):
+    def __init__(self, n_features: int, name: str):
         super().__init__(name)
-        self.params["alpha"] = np.full(n_features, alpha_init)
+        self.params["alpha"] = np.full(n_features, _PRELU_ALPHA_INIT)
         self.zero_grads()
 
     def forward(self, x, train=False):
@@ -127,10 +131,8 @@ class BatchNorm(Layer):
     (batch*time) x features batch.
     """
 
-    def __init__(self, n_features: int, name: str, eps: float = 1e-5, momentum: float = 0.9):
+    def __init__(self, n_features: int, name: str):
         super().__init__(name)
-        self.eps = eps
-        self.momentum = momentum
         self.params["gamma"] = np.ones(n_features)
         self.params["beta"] = np.zeros(n_features)
         self.running_mean = np.zeros(n_features)
@@ -154,13 +156,13 @@ class BatchNorm(Layer):
                 raise DomainError(f"{self.name}: train-mode batch norm needs ≥ 2 rows, got {n}")
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
+            self.running_mean = _BN_MOMENTUM * self.running_mean + (1 - _BN_MOMENTUM) * mean
+            self.running_var = _BN_MOMENTUM * self.running_var + (1 - _BN_MOMENTUM) * var
             self._n = n
         else:
             mean = self.running_mean
             var = self.running_var
-        self._inv_std = 1.0 / np.sqrt(var + self.eps)
+        self._inv_std = 1.0 / np.sqrt(var + _BN_EPS)
         self._xhat = (x - mean) * self._inv_std
         return self.params["gamma"] * self._xhat + self.params["beta"]
 
@@ -205,15 +207,3 @@ class Dropout(Layer):
         if self._mask is None:
             return grad
         return grad * self._mask
-
-
-class Concatenate:
-    """Join branch outputs along the feature axis and split gradients back."""
-
-    def forward(self, blocks: list[np.ndarray]) -> np.ndarray:
-        self._widths = [b.shape[-1] for b in blocks]
-        return np.concatenate(blocks, axis=-1)
-
-    def backward(self, grad: np.ndarray) -> list[np.ndarray]:
-        splits = np.cumsum(self._widths)[:-1]
-        return np.split(grad, splits, axis=-1)

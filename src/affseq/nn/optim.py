@@ -8,18 +8,19 @@ import numpy as np
 
 from ..errors import NumericFaultError
 
+_RHO = 0.9
+_EPS = 1e-7
+
 
 class RMSprop:
-    """cache <- rho*cache + (1-rho)*g^2;  w <- w - lr*g/(sqrt(cache) + eps).
+    """cache <- rho*cache + (1-rho)*g^2;  w <- w - lr*g/(sqrt(cache) + eps), rho 0.9, eps 1e-7.
 
     Plain RMSprop: no momentum, no centering. Updates happen in place on the
     parameter arrays handed in, keyed by qualified name.
     """
 
-    def __init__(self, lr: float = 1e-4, rho: float = 0.9, eps: float = 1e-7):
+    def __init__(self, lr: float = 1e-4):
         self.lr = lr
-        self.rho = rho
-        self.eps = eps
         self.cache: dict[str, np.ndarray] = {}
 
     def step(self, slots: list[tuple[str, np.ndarray, np.ndarray]]) -> None:
@@ -31,9 +32,9 @@ class RMSprop:
             if cache is None:
                 cache = np.zeros_like(param)
                 self.cache[name] = cache
-            cache *= self.rho
-            cache += (1.0 - self.rho) * grad**2
-            param -= self.lr * grad / (np.sqrt(cache) + self.eps)
+            cache *= _RHO
+            cache += (1.0 - _RHO) * grad**2
+            param -= self.lr * grad / (np.sqrt(cache) + _EPS)
 
 
 def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> float:

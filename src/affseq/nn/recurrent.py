@@ -7,6 +7,14 @@ Gate conventions:
   LSTM  i,f,o = sig(...); g = tanh(...); c' = f*c + i*g; h' = o*tanh(c')
         with the forget bias initialized to 1.
 
+Both cells share one scaffold, ``_Gated``: it owns the per-gate parameters
+``W_g, U_g, b_g`` (drawn in gate order), the input shape check, the input
+projections and, in backward, the ``W``/``b``/input gradients. A cell adds
+only its timestep walk: ``_scan(pre)`` maps the per-gate input projections
+to the output sequence, and ``_scan_back(d_out)`` returns the per-gate
+pre-activation gradients, accumulating the ``U`` gradients on the way.
+Every layer returns the whole hidden-state sequence.
+
 Input kernels are Glorot-uniform, recurrent kernels orthogonal, biases zero.
 Input projections for the whole sequence run as one 2-D matmul per gate on
 [batch*T x in] (a 3-D ``@`` runs one small matmul per sequence), and so do
@@ -31,41 +39,55 @@ def _sigmoid(x):
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-class GRULayer(Layer):
-    _GATES = ("z", "r", "h")
+class _Gated(Layer):
+    """Shared scaffold of a gated recurrent layer over [batch x T x in] input."""
 
-    def __init__(
-        self,
-        in_dim: int,
-        hidden_dim: int,
-        name: str,
-        rng: np.random.Generator,
-        return_sequences: bool = True,
-    ):
+    _GATES: tuple[str, ...] = ()
+    _BIAS_INIT: dict[str, float] = {}  # gate -> initial bias; zero if absent
+
+    def __init__(self, in_dim: int, hidden_dim: int, name: str, rng: np.random.Generator):
         super().__init__(name)
         self.in_dim = in_dim
         self.hidden_dim = hidden_dim
-        self.return_sequences = return_sequences
         for gate in self._GATES:
             self.params[f"W_{gate}"] = glorot_uniform(rng, in_dim, hidden_dim)
             self.params[f"U_{gate}"] = orthogonal(rng, hidden_dim, hidden_dim)
-            self.params[f"b_{gate}"] = np.zeros(hidden_dim)
+            self.params[f"b_{gate}"] = np.full(hidden_dim, self._BIAS_INIT.get(gate, 0.0))
         self.zero_grads()
 
     def forward(self, x, train=False):
         if x.ndim != 3 or x.shape[-1] != self.in_dim:
-            raise DomainError(
-                f"{self.name}: expected [batch x T x {self.in_dim}], got {x.shape}"
-            )
+            raise DomainError(f"{self.name}: expected [batch x T x {self.in_dim}], got {x.shape}")
         batch, steps, _ = x.shape
         p = self.params
         self._x = x
         x2d = x.reshape(-1, self.in_dim)
-        xz, xr, xh = (
+        pre = tuple(
             (x2d @ p[f"W_{g}"] + p[f"b_{g}"]).reshape(batch, steps, self.hidden_dim)
             for g in self._GATES
         )
+        return self._scan(pre)
 
+    def backward(self, grad, need_dx=True):
+        dpre = self._scan_back(grad)
+        x2d = self._x.reshape(-1, self.in_dim)
+        dx = np.zeros_like(x2d) if need_dx else None
+        for gate, dgate in zip(self._GATES, dpre):
+            g2d = dgate.reshape(-1, self.hidden_dim)
+            self.grads[f"W_{gate}"] += x2d.T @ g2d
+            self.grads[f"b_{gate}"] += g2d.sum(axis=0)
+            if need_dx:
+                dx += g2d @ self.params[f"W_{gate}"].T
+        return dx.reshape(self._x.shape) if need_dx else None
+
+
+class GRULayer(_Gated):
+    _GATES = ("z", "r", "h")
+
+    def _scan(self, pre):
+        xz, xr, xh = pre
+        batch, steps, _ = xz.shape
+        p = self.params
         h = np.zeros((batch, self.hidden_dim))
         outputs = np.empty((batch, steps, self.hidden_dim))
         self._cache = []
@@ -77,20 +99,12 @@ class GRULayer(Layer):
             self._cache.append((z, r, hh, h, rh))
             h = z * h + (1.0 - z) * hh
             outputs[:, t] = h
-        return outputs if self.return_sequences else h
+        return outputs
 
-    def backward(self, grad, need_dx=True):
+    def _scan_back(self, d_out):
         p = self.params
-        batch, steps, _ = self._x.shape
-        if self.return_sequences:
-            d_out = grad
-        else:
-            d_out = np.zeros((batch, steps, self.hidden_dim))
-            d_out[:, steps - 1] = grad
-
-        dxz = np.empty((batch, steps, self.hidden_dim))
-        dxr = np.empty_like(dxz)
-        dxh = np.empty_like(dxz)
+        batch, steps, _ = d_out.shape
+        dxz, dxr, dxh = (np.empty(d_out.shape) for _ in self._GATES)
         dh_next = np.zeros((batch, self.hidden_dim))
         for t in reversed(range(steps)):
             z, r, hh, h_prev, rh = self._cache[t]
@@ -114,84 +128,38 @@ class GRULayer(Layer):
             self.grads["U_r"] += h_prev.T @ da_r
             dh_prev += da_z @ p["U_z"].T + da_r @ p["U_r"].T
             dh_next = dh_prev
-
-        x2d = self._x.reshape(-1, self.in_dim)
-        dx = []
-        for gate, dxg in (("z", dxz), ("r", dxr), ("h", dxh)):
-            g2d = dxg.reshape(-1, self.hidden_dim)
-            self.grads[f"W_{gate}"] += x2d.T @ g2d
-            self.grads[f"b_{gate}"] += g2d.sum(axis=0)
-            if need_dx:
-                dx.append(g2d @ p[f"W_{gate}"].T)
-        if not need_dx:
-            return None
-        return (dx[0] + dx[1] + dx[2]).reshape(self._x.shape)
+        return dxz, dxr, dxh
 
 
-class LSTMLayer(Layer):
+class LSTMLayer(_Gated):
     _GATES = ("i", "f", "o", "g")
+    _BIAS_INIT = {"f": 1.0}  # forget bias
 
-    def __init__(
-        self,
-        in_dim: int,
-        hidden_dim: int,
-        name: str,
-        rng: np.random.Generator,
-        return_sequences: bool = True,
-        forget_bias: float = 1.0,
-    ):
-        super().__init__(name)
-        self.in_dim = in_dim
-        self.hidden_dim = hidden_dim
-        self.return_sequences = return_sequences
-        for gate in self._GATES:
-            self.params[f"W_{gate}"] = glorot_uniform(rng, in_dim, hidden_dim)
-            self.params[f"U_{gate}"] = orthogonal(rng, hidden_dim, hidden_dim)
-            self.params[f"b_{gate}"] = np.zeros(hidden_dim)
-        self.params["b_f"] = np.full(hidden_dim, forget_bias)
-        self.zero_grads()
-
-    def forward(self, x, train=False):
-        if x.ndim != 3 or x.shape[-1] != self.in_dim:
-            raise DomainError(
-                f"{self.name}: expected [batch x T x {self.in_dim}], got {x.shape}"
-            )
-        batch, steps, _ = x.shape
+    def _scan(self, pre):
+        pre_i, pre_f, pre_o, pre_g = pre
+        batch, steps, _ = pre_i.shape
         p = self.params
-        self._x = x
-        x2d = x.reshape(-1, self.in_dim)
-        pre = {
-            g: (x2d @ p[f"W_{g}"] + p[f"b_{g}"]).reshape(batch, steps, self.hidden_dim)
-            for g in self._GATES
-        }
-
         h = np.zeros((batch, self.hidden_dim))
         c = np.zeros((batch, self.hidden_dim))
         outputs = np.empty((batch, steps, self.hidden_dim))
         self._cache = []
         for t in range(steps):
-            i = _sigmoid(pre["i"][:, t] + h @ p["U_i"])
-            f = _sigmoid(pre["f"][:, t] + h @ p["U_f"])
-            o = _sigmoid(pre["o"][:, t] + h @ p["U_o"])
-            g = np.tanh(pre["g"][:, t] + h @ p["U_g"])
+            i = _sigmoid(pre_i[:, t] + h @ p["U_i"])
+            f = _sigmoid(pre_f[:, t] + h @ p["U_f"])
+            o = _sigmoid(pre_o[:, t] + h @ p["U_o"])
+            g = np.tanh(pre_g[:, t] + h @ p["U_g"])
             c_new = f * c + i * g
             tanh_c = np.tanh(c_new)
             self._cache.append((i, f, o, g, h, c, tanh_c))
             h = o * tanh_c
             c = c_new
             outputs[:, t] = h
-        return outputs if self.return_sequences else h
+        return outputs
 
-    def backward(self, grad, need_dx=True):
+    def _scan_back(self, d_out):
         p = self.params
-        batch, steps, _ = self._x.shape
-        if self.return_sequences:
-            d_out = grad
-        else:
-            d_out = np.zeros((batch, steps, self.hidden_dim))
-            d_out[:, steps - 1] = grad
-
-        dpre = {g: np.empty((batch, steps, self.hidden_dim)) for g in self._GATES}
+        batch, steps, _ = d_out.shape
+        dpre = tuple(np.empty(d_out.shape) for _ in self._GATES)
         dh_next = np.zeros((batch, self.hidden_dim))
         dc_next = np.zeros((batch, self.hidden_dim))
         for t in reversed(range(steps)):
@@ -204,28 +172,14 @@ class LSTMLayer(Layer):
             dg = dc * i
             dc_next = dc * f
 
-            da = {
-                "i": di * i * (1.0 - i),
-                "f": df * f * (1.0 - f),
-                "o": do * o * (1.0 - o),
-                "g": dg * (1.0 - g**2),
-            }
+            da = (di * i * (1.0 - i), df * f * (1.0 - f), do * o * (1.0 - o), dg * (1.0 - g**2))
             dh_prev = np.zeros_like(dh)
-            for gate in self._GATES:
-                dpre[gate][:, t] = da[gate]
-                self.grads[f"U_{gate}"] += h_prev.T @ da[gate]
-                dh_prev += da[gate] @ p[f"U_{gate}"].T
+            for gate, dgate, da_gate in zip(self._GATES, dpre, da):
+                dgate[:, t] = da_gate
+                self.grads[f"U_{gate}"] += h_prev.T @ da_gate
+                dh_prev += da_gate @ p[f"U_{gate}"].T
             dh_next = dh_prev
-
-        x2d = self._x.reshape(-1, self.in_dim)
-        dx = np.zeros_like(x2d) if need_dx else None
-        for gate in self._GATES:
-            g2d = dpre[gate].reshape(-1, self.hidden_dim)
-            self.grads[f"W_{gate}"] += x2d.T @ g2d
-            self.grads[f"b_{gate}"] += g2d.sum(axis=0)
-            if need_dx:
-                dx += g2d @ p[f"W_{gate}"].T
-        return dx.reshape(self._x.shape) if need_dx else None
+        return dpre
 
 
 class Bidirectional(Layer):
@@ -238,8 +192,6 @@ class Bidirectional(Layer):
         super().__init__(name)
         self.fwd = make_layer(f"{name}.fwd")
         self.bwd = make_layer(f"{name}.bwd")
-        if not (self.fwd.return_sequences and self.bwd.return_sequences):
-            raise DomainError("bidirectional wrapping requires return_sequences layers")
         self.hidden_dim = self.fwd.hidden_dim + self.bwd.hidden_dim
 
     def sublayers(self):

@@ -189,7 +189,7 @@ def restore_model(ckpt: Checkpoint) -> tuple[Model, NormalizationStats]:
     tensors (the ``optim/`` caches of older files) are ignored. The model is
     built uninitialized, since ``load_state`` overwrites every tensor.
     """
-    model = Model(ckpt.model_config(), seed=ckpt.config.get("seed", 0), init=False)
+    model = Model(ckpt.model_config(), seed=ckpt.seed, init=False)
     model.load_state(ckpt.group(PARAM_PREFIX), ckpt.group(STATE_PREFIX))
     stats = NormalizationStats()
     for name, value in ckpt.group(NORM_PREFIX).items():

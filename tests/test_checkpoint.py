@@ -15,7 +15,6 @@ from affseq.checkpoint import (
 )
 from affseq.errors import (
     ChecksumError,
-    ConfigError,
     FileFormatError,
     TruncatedFileError,
     VersionMismatchError,
@@ -108,6 +107,7 @@ def test_config_accessors(rng):
     ckpt = _sample(rng)
     assert ckpt.epoch == 3
     assert ckpt.best_val_score == 0.42
+    assert ckpt.seed == 7
     assert ckpt.model_config().width_scale == 32
 
 
@@ -189,15 +189,6 @@ def test_config_blob_must_be_json(tmp_path, rng):
     path.write_bytes(_refix_crc(bytes(raw)))
     with pytest.raises(FileFormatError, match="JSON"):
         load_checkpoint(path)
-
-
-def test_expect_variant_names_both_sides(tmp_path, rng):
-    path = tmp_path / "a.ckpt"
-    save_checkpoint(path, _sample(rng))
-    assert load_checkpoint(path, expect_variant="fusion").epoch == 3
-    with pytest.raises(ConfigError) as err:
-        load_checkpoint(path, expect_variant="audio_only")
-    assert "fusion" in str(err.value) and "audio_only" in str(err.value)
 
 
 def test_overlong_tensor_name_rejected_on_save(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from affseq.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from affseq.cli import main
 from affseq.dataset import load_feature_track
 
@@ -271,6 +272,36 @@ def test_predict_writes_tracks(trained, tmp_path, capsys):
         assert len(lines) == n_frames + 1
         values = np.array([line.split(",")[1:] for line in lines[1:]], dtype=np.float64)
         assert np.all(np.abs(values) <= 1.0)
+
+
+def _set_model_key(key, value):
+    return lambda config: {**config, "model": {**config["model"], key: value}}
+
+
+@pytest.mark.parametrize(
+    "edit, code, message",
+    [
+        (lambda c: {k: v for k, v in c.items() if k != "model"}, 2, "no model section"),
+        (_set_model_key("depth", 3), 2, "unknown model config key 'depth'"),
+        (lambda c: [c], 2, "not an object"),
+        (_set_model_key("width_scale", "2"), 2, "width_scale must be int"),
+        (lambda c: {**c, "model": "fusion"}, 2, "not an object"),
+        (_set_model_key("variant", "trimodal"), 3, "unknown model variant"),
+        (lambda c: {**c, "seed": -1}, 2, "seed must be a non-negative integer"),
+    ],
+    ids=["no-model", "unknown-key", "json-list", "str-width-scale", "model-not-object", "bad-variant",
+         "negative-seed"],
+)
+def test_predict_rejects_malformed_checkpoint_config(trained, tmp_path, capsys, edit, code, message):
+    manifest, ckpt_path = trained
+    ckpt = load_checkpoint(ckpt_path)
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, Checkpoint(config=edit(ckpt.config), tensors=ckpt.tensors))
+    capsys.readouterr()
+    assert main(["predict", "--manifest", str(manifest), "--checkpoint", str(bad),
+                 "--out", str(tmp_path / "preds")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
 
 
 # --- thread environment ----------------------------------------------------------

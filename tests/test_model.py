@@ -123,6 +123,35 @@ def test_seeded_build_reproducible():
         np.testing.assert_array_equal(pa, pb)
 
 
+def _gated(layer, gates):
+    return [f"{layer}.{kind}_{gate}" for gate in gates for kind in ("W", "U", "b")]
+
+
+def _rnn(layer, cell):
+    if cell == "gru":
+        return _gated(layer, "zrh")
+    return _gated(f"{layer}.fwd", "ifog") + _gated(f"{layer}.bwd", "ifog")
+
+
+@pytest.mark.parametrize("cell", ["gru", "bilstm"])
+def test_parameter_slot_order_is_pinned(cell):
+    """Seeded init draws and clip_global_norm sums in this order."""
+    model = Model(ModelConfig(cell=cell), init=False)
+    want = [
+        *_rnn("audio.rnn1", cell), "audio.act1.alpha",
+        *_rnn("audio.rnn2", cell), "audio.act2.alpha",
+        "audio.norm.gamma", "audio.norm.beta",
+        *_rnn("expnet.rnn1", cell), "expnet.act1.alpha",
+        *_rnn("expnet.rnn2", cell), "expnet.act2.alpha",
+        *_rnn("expnet.rnn3", cell), "expnet.act3.alpha",
+        "expnet.norm.gamma", "expnet.norm.beta",
+        "facepose.td1.W", "facepose.td1.b", "facepose.td2.W", "facepose.td2.b",
+        "facepose.norm.gamma", "facepose.norm.beta",
+        "head.dense1.W", "head.dense1.b", "head.act.alpha", "head.dense2.W", "head.dense2.b",
+    ]
+    assert [name for name, _, _ in model.parameter_slots()] == want
+
+
 # --- forward validation ---------------------------------------------------------------
 
 def test_forward_rejects_missing_modality(rng):

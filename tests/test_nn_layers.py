@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from affseq.errors import DomainError
-from affseq.nn import BatchNorm, Concatenate, Dense, Dropout, PReLU, Tanh
+from affseq.nn import BatchNorm, Dense, Dropout, PReLU, Tanh
 
 from oracles import check_layer_gradients
 
@@ -121,7 +121,7 @@ def test_batchnorm_inference_gradients(rng):
 
 
 def test_batchnorm_running_stats_momentum(rng):
-    layer = BatchNorm(2, "bn", momentum=0.9)
+    layer = BatchNorm(2, "bn")
     x = rng.normal(size=(100, 2)) + 4
     layer.forward(x, train=True)
     np.testing.assert_allclose(layer.running_mean, 0.9 * 0.0 + 0.1 * x.mean(axis=0), atol=1e-12)
@@ -188,28 +188,3 @@ def test_dropout_rejects_rate_one(rng):
     with pytest.raises(DomainError):
         Dropout(-0.1, "dr", rng)
 
-
-# --- concatenate ---------------------------------------------------------------
-
-def test_concatenate_three_branches(rng):
-    cat = Concatenate()
-    blocks = [rng.normal(size=(2, 15, 64)) for _ in range(3)]
-    out = cat.forward(blocks)
-    assert out.shape == (2, 15, 192)
-    np.testing.assert_array_equal(out[..., 64:128], blocks[1])
-    back = cat.backward(out)
-    assert len(back) == 3
-    for b, g in zip(blocks, back):
-        np.testing.assert_array_equal(b, g)
-
-
-def test_concatenate_uneven_widths(rng):
-    cat = Concatenate()
-    blocks = [rng.normal(size=(4, 3)), rng.normal(size=(4, 5)), rng.normal(size=(4, 2))]
-    out = cat.forward(blocks)
-    assert out.shape == (4, 10)
-    grad = rng.normal(size=(4, 10))
-    back = cat.backward(grad)
-    np.testing.assert_array_equal(back[0], grad[:, :3])
-    np.testing.assert_array_equal(back[1], grad[:, 3:8])
-    np.testing.assert_array_equal(back[2], grad[:, 8:])

@@ -117,16 +117,6 @@ def test_gru_layer_gradients(rng):
         check_layer_gradients(layer, rng.normal(size=(b, t, i)), rng, tol=1e-5)
 
 
-def test_gru_layer_last_state_mode(rng):
-    layer = GRULayer(3, 4, "gru", rng, return_sequences=False)
-    x = rng.normal(size=(2, 5, 3))
-    out = layer.forward(x)
-    assert out.shape == (2, 4)
-    check_layer_gradients(
-        GRULayer(3, 4, "gru2", rng, return_sequences=False), x, rng, tol=1e-5
-    )
-
-
 def test_gru_parameter_counts():
     rng = np.random.default_rng(0)
     assert GRULayer(168, 128, "g", rng).param_count() == 114048
@@ -147,7 +137,7 @@ def test_lstm_forget_bias_default_one(rng):
 
 
 def test_lstm_zero_params_zero_forget_bias_stays_zero(rng):
-    layer = LSTMLayer(3, 4, "lstm", rng, forget_bias=0.0)
+    layer = LSTMLayer(3, 4, "lstm", rng)
     for key in layer.params:
         layer.params[key][:] = 0.0
     out = layer.forward(rng.normal(size=(2, 6, 3)))
@@ -220,9 +210,8 @@ def test_bidirectional_equals_layers_on_explicit_reversed_copies(rng):
 
 
 @pytest.mark.parametrize("cell", [GRULayer, LSTMLayer])
-@pytest.mark.parametrize("return_sequences", [True, False])
-def test_backward_input_grad_has_input_shape(rng, cell, return_sequences):
-    layer = cell(5, 3, "rnn", rng, return_sequences=return_sequences)
+def test_backward_input_grad_has_input_shape(rng, cell):
+    layer = cell(5, 3, "rnn", rng)
     x = rng.normal(size=(4, 6, 5))
     out = layer.forward(x)
     dx = layer.backward(np.ones_like(out))
