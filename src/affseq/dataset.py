@@ -2,17 +2,18 @@
 
 Feature matrices live in a small binary container (magic ``AFFW``); labels and
 manifests are CSV. Tracks stay the float32 arrays read from disk. A window of
-15 frames (5 frames of overlap) is an integer array of frame rows, and a batch
-of windows is gathered into a float64 buffer and z-scored there with
-statistics drawn from the training split only. Windowed predictions merge
-back to frame level by averaging every window that covers a frame.
+``SEQUENCE_LEN`` frames (``SEQUENCE_OVERLAP`` frames of overlap) is a row of
+frame indices, and every stage after loading works on those integer rows plus
+arrays: a batch of windows is gathered into a float64 buffer and z-scored
+there with statistics drawn from the training split only, and the windows'
+predictions merge back to frame level by averaging, for each frame, every
+window position that holds it.
 """
 
 from __future__ import annotations
 
 import csv
 import struct
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -104,17 +105,6 @@ class LabelTrack:
 
     def targets(self) -> np.ndarray:
         return np.stack([self.valence, self.arousal], axis=1)
-
-
-@dataclass(frozen=True)
-class SequenceWindow:
-    """A length-15 slice of one track: per-modality features, targets, mask."""
-
-    video_id: str
-    start_frame: int
-    features: dict[str, np.ndarray]
-    targets: np.ndarray
-    mask: np.ndarray
 
 
 @dataclass
@@ -263,42 +253,46 @@ def load_manifest(path) -> list[ManifestRow]:
     return rows
 
 
-def window_starts(n_frames: int, seq_len: int = SEQUENCE_LEN, overlap: int = SEQUENCE_OVERLAP) -> list[int]:
+def window_starts(n_frames: int) -> list[int]:
     """Window start indices: a regular hop-10 grid plus an anchored final window.
 
-    Tracks shorter than ``seq_len`` get a single window at 0 (padded later).
+    Tracks shorter than ``SEQUENCE_LEN`` get a single window at 0 (padded later).
     """
     if n_frames < 1:
         raise DomainError(f"n_frames must be ≥ 1, got {n_frames}")
-    if n_frames <= seq_len:
+    if n_frames <= SEQUENCE_LEN:
         return [0]
-    hop = seq_len - overlap
-    starts = list(range(0, n_frames - seq_len + 1, hop))
-    last = n_frames - seq_len
+    starts = list(range(0, n_frames - SEQUENCE_LEN + 1, SEQUENCE_LEN - SEQUENCE_OVERLAP))
+    last = n_frames - SEQUENCE_LEN
     if starts[-1] != last:
         starts.append(last)
     return starts
 
 
-def window_rows(n_frames: int, seq_len: int = SEQUENCE_LEN, overlap: int = SEQUENCE_OVERLAP) -> np.ndarray:
-    """[n_windows x seq_len] frame rows of each window, in ``window_starts`` order.
+def window_rows(n_frames: int) -> np.ndarray:
+    """[n_windows x SEQUENCE_LEN] frame rows of each window, in ``window_starts`` order.
 
     Rows past the track end clamp to its last frame, which is the
-    edge-replicate padding of a track shorter than ``seq_len``.
+    edge-replicate padding of a track shorter than ``SEQUENCE_LEN``.
     """
-    starts = np.asarray(window_starts(n_frames, seq_len, overlap))
-    return np.minimum(starts[:, None] + np.arange(seq_len), n_frames - 1)
+    starts = np.asarray(window_starts(n_frames))
+    return np.minimum(starts[:, None] + np.arange(SEQUENCE_LEN), n_frames - 1)
+
+
+def _real_positions(rows: np.ndarray, n_frames: int) -> np.ndarray:
+    """Mask [n x SEQUENCE_LEN] of the window positions that hold a real frame, not padding."""
+    return rows[:, :1] + np.arange(rows.shape[1]) < n_frames
 
 
 def _window_labels(
     rows: np.ndarray, n_frames: int, labels: LabelTrack | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Targets [n x seq_len x 2] and mask [n x seq_len] of the windows ``rows``.
+    """Targets [n x SEQUENCE_LEN x 2] and mask [n x SEQUENCE_LEN] of the windows ``rows``.
 
     Padded positions get target 0 and are masked; without labels every real
     frame counts as valid.
     """
-    real = rows[:, :1] + np.arange(rows.shape[1]) < n_frames
+    real = _real_positions(rows, n_frames)
     if labels is None:
         return np.zeros(rows.shape + (2,)), real
     targets = np.where(real[..., None], labels.targets()[rows], 0.0)
@@ -306,14 +300,14 @@ def _window_labels(
 
 
 @dataclass(frozen=True, eq=False)
-class WindowIndex(Sequence):
+class WindowIndex:
     """Windows over aligned feature tracks as integer arrays; no feature data is copied.
 
     Window ``j`` covers frame rows ``rows[j]`` of the tracks ``tracks[video[j]]``
     (one ``{modality: FeatureTrack}`` per video); ``targets`` and ``mask`` come
-    from that video's labels. Indexing with an int cuts that window out as a
-    ``SequenceWindow``; a slice, index array or boolean mask selects a
-    sub-index over the same tracks.
+    from that video's labels. ``select`` with a slice, index array or boolean
+    mask gives a sub-index over the same tracks, and ``gather_windows`` reads
+    a modality's feature rows for a batch of windows.
     """
 
     tracks: tuple[dict[str, FeatureTrack], ...]
@@ -325,32 +319,13 @@ class WindowIndex(Sequence):
     def __len__(self) -> int:
         return len(self.video)
 
-    def __getitem__(self, which):
-        if not isinstance(which, (int, np.integer)):
-            return self.select(which)
-        j = range(len(self))[which]
-        r = self.rows[j]
-        features = self.tracks[self.video[j]]
-        return SequenceWindow(
-            video_id=next(iter(features.values())).video_id,
-            start_frame=int(r[0]),
-            features={m: t.data[r] for m, t in features.items()},
-            targets=self.targets[j],
-            mask=self.mask[j],
-        )
-
     def select(self, which) -> "WindowIndex":
         return WindowIndex(
             self.tracks, self.video[which], self.rows[which], self.targets[which], self.mask[which]
         )
 
 
-def build_windows(
-    features: dict[str, FeatureTrack],
-    labels: LabelTrack | None = None,
-    seq_len: int = SEQUENCE_LEN,
-    overlap: int = SEQUENCE_OVERLAP,
-) -> WindowIndex:
+def build_windows(features: dict[str, FeatureTrack], labels: LabelTrack | None = None) -> WindowIndex:
     """Window aligned tracks by frame rows; short tracks edge-replicate and mask."""
     if not features:
         raise DomainError("at least one feature modality is required")
@@ -362,7 +337,7 @@ def build_windows(
         raise DomainError(
             f"labels have {labels.n_frames} frames but features have {n_frames}"
         )
-    rows = window_rows(n_frames, seq_len, overlap)
+    rows = window_rows(n_frames)
     targets, mask = _window_labels(rows, n_frames, labels)
     return WindowIndex((features,), np.zeros(len(rows), dtype=np.intp), rows, targets, mask)
 
@@ -398,26 +373,24 @@ def compute_stats(tracks: list[FeatureTrack]) -> NormalizationStats:
     return stats
 
 
-def normalize(track: FeatureTrack, stats: NormalizationStats) -> FeatureTrack:
-    """Z-score a track's columns with its modality's training-split statistics.
+def normalize(data: np.ndarray, modality: str, stats: NormalizationStats) -> np.ndarray:
+    """Z-score ``data`` (last axis = features) with ``modality``'s training-split statistics.
 
-    The arithmetic is float64 whatever the track's dtype, so a float32 track
-    gives the bits of its widened float64 copy.
+    Returns a new float64 array. The arithmetic is float64 whatever the dtype
+    of ``data``, so float32 rows give the bits of their widened float64 copy.
     """
-    if track.modality not in stats.mean:
-        raise DomainError(f"no normalization statistics for modality {track.modality!r}")
-    mean = stats.mean[track.modality].astype(np.float64, copy=False)
-    if mean.shape != (track.data.shape[1],):
-        raise DomainError(
-            f"stats width {mean.shape} does not match track width {track.data.shape[1]}"
-        )
-    data = track.data - mean
-    data /= np.maximum(stats.std[track.modality], _STD_FLOOR)
-    return FeatureTrack(video_id=track.video_id, modality=track.modality, data=data)
+    if modality not in stats.mean:
+        raise DomainError(f"no normalization statistics for modality {modality!r}")
+    mean = stats.mean[modality].astype(np.float64, copy=False)
+    if mean.shape != (data.shape[-1],):
+        raise DomainError(f"stats width {mean.shape} does not match feature width {data.shape[-1]}")
+    out = data - mean
+    out /= np.maximum(stats.std[modality], _STD_FLOOR)
+    return out
 
 
 def gather_windows(windows: WindowIndex, modality: str, stats: NormalizationStats) -> np.ndarray:
-    """Z-scored float64 batch [B x seq_len x width] of ``modality`` over ``windows``.
+    """Z-scored float64 batch [B x SEQUENCE_LEN x width] of ``modality`` over ``windows``.
 
     The windows' rows are gathered as stored (float32 as loaded; one gather
     per video) and ``normalize`` widens them in its subtraction, so the batch
@@ -430,31 +403,30 @@ def gather_windows(windows: WindowIndex, modality: str, stats: NormalizationStat
     for v, track in zip(videos, data):
         pick = windows.video == v
         rows[pick] = track[windows.rows[pick]]
-    flat = FeatureTrack(video_id="", modality=modality, data=rows.reshape(-1, rows.shape[-1]))
-    return normalize(flat, stats).data.reshape(rows.shape)
+    return normalize(rows, modality, stats)
 
 
-def merge_window_predictions(
-    windows: list[tuple[int, np.ndarray]], n_frames: int, seq_len: int = SEQUENCE_LEN
-) -> np.ndarray:
-    """Average per-frame predictions over every window covering each frame.
+def merge_window_predictions(rows: np.ndarray, pred: np.ndarray, n_frames: int) -> np.ndarray:
+    """Frame-level [n_frames x 2] average of the window predictions ``pred``.
 
-    Window positions past the track end (padding on short tracks) are ignored.
-    Raises CoverageError if any frame is covered by no window.
+    ``pred`` [n x SEQUENCE_LEN x 2] holds one prediction per position of the
+    windows ``rows`` (as ``window_rows`` gives them). Each frame gets the mean
+    over every window position that holds it, summed in window order; padding
+    positions past the track end are ignored. Raises CoverageError if any
+    frame is covered by no window.
     """
     if n_frames < 1:
         raise DomainError(f"n_frames must be ≥ 1, got {n_frames}")
+    pred = np.asarray(pred, dtype=np.float64)
+    if rows.ndim != 2 or pred.shape != rows.shape + (2,):
+        raise DomainError(f"window predictions {pred.shape} do not match window rows {rows.shape} x 2")
+    if rows.size and (rows.min() < 0 or rows.max() >= n_frames):
+        raise DomainError(f"window rows {rows.min()}..{rows.max()} outside track of {n_frames} frames")
+    real = _real_positions(rows, n_frames)
+    frames = rows[real]
     total = np.zeros((n_frames, 2))
-    count = np.zeros(n_frames, dtype=np.int64)
-    for start, block in windows:
-        block = np.asarray(block, dtype=np.float64)
-        if block.shape != (seq_len, 2):
-            raise DomainError(f"window block must be [{seq_len} x 2], got {block.shape}")
-        stop = min(start + seq_len, n_frames)
-        if start < 0 or start >= n_frames:
-            raise DomainError(f"window start {start} outside track of {n_frames} frames")
-        total[start:stop] += block[: stop - start]
-        count[start:stop] += 1
+    np.add.at(total, frames, pred[real])  # applied in C order: each frame's windows in order
+    count = np.bincount(frames, minlength=n_frames)
     if np.any(count == 0):
         missing = int(np.flatnonzero(count == 0)[0])
         raise CoverageError(f"frame {missing} is covered by no window")

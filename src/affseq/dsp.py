@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .audio_io import AudioClip
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,18 @@ class DspParams:
     fmin: float = 0.0
     fmax: float | None = None  # None means Nyquist
     log_floor: float = 1e-10
+
+    def __post_init__(self):
+        if self.n_fft < 2 or self.n_fft & (self.n_fft - 1):
+            raise ConfigError(f"n_fft must be a power of two ≥ 2, got {self.n_fft}")
+        if self.stft_hop < 1:
+            raise ConfigError(f"stft_hop must be ≥ 1, got {self.stft_hop}")
+        if self.n_mels < 1:
+            raise ConfigError(f"n_mels must be ≥ 1, got {self.n_mels}")
+        if not 1 <= self.n_mfcc <= self.n_mels:
+            raise ConfigError(f"n_mfcc must be between 1 and n_mels={self.n_mels}, got {self.n_mfcc}")
+        if not (math.isfinite(self.log_floor) and self.log_floor > 0):
+            raise ConfigError(f"log_floor must be finite and > 0, got {self.log_floor}")
 
     def feature_dim(self) -> int:
         return self.n_mfcc + self.n_mels
@@ -153,23 +165,12 @@ def mel_to_hz(mel):
     return np.where(m < _MIN_LOG_MEL, linear, logpart)
 
 
-@dataclass(frozen=True)
-class MelFilterbank:
-    """Triangular mel filters as a [n_mels x (n_fft//2 + 1)] weight matrix."""
-
-    weights: np.ndarray
-    n_mels: int
-    fmin: float
-    fmax: float
-    sample_rate: int
-    n_fft: int
-
-
 def mel_filterbank(
     sample_rate: int, n_fft: int, n_mels: int, fmin: float = 0.0, fmax: float | None = None
-) -> MelFilterbank:
-    """Build ``n_mels`` triangles with centers equally spaced on the mel axis.
+) -> np.ndarray:
+    """Read-only [n_mels x (n_fft//2 + 1)] mel filter weights.
 
+    Row ``m`` is a triangle; the centers are equally spaced on the mel axis.
     Rows carry Slaney area normalization 2/(f_upper - f_lower). A filter whose
     triangle captures no FFT bin comes out as an all-zero row and triggers a
     DegenerateFilterWarning.
@@ -209,14 +210,7 @@ def mel_filterbank(
             stacklevel=2,
         )
     weights.flags.writeable = False
-    return MelFilterbank(
-        weights=weights,
-        n_mels=n_mels,
-        fmin=float(fmin),
-        fmax=float(fmax),
-        sample_rate=sample_rate,
-        n_fft=n_fft,
-    )
+    return weights
 
 
 @lru_cache(maxsize=8)
@@ -254,7 +248,7 @@ def frame_features(
     segment: np.ndarray,
     sample_rate: int,
     params: DspParams = DspParams(),
-    filterbank: MelFilterbank | None = None,
+    filterbank: np.ndarray | None = None,
 ) -> AudioFrameFeatures:
     """Reduce one segment to MFCC (n_mfcc) ++ averaged log-mel (n_mels).
 
@@ -269,7 +263,7 @@ def frame_features(
         filterbank = mel_filterbank(sample_rate, params.n_fft, params.n_mels, params.fmin, params.fmax)
 
     power = _stft_power(segment, params.n_fft, params.stft_hop)
-    mel_energy = power @ filterbank.weights.T
+    mel_energy = power @ filterbank.T
     log_mel = 10.0 * np.log10(np.maximum(mel_energy, params.log_floor))
     mel_feature = log_mel.mean(axis=0)
     mfcc = dct_ortho_matrix(params.n_mels)[: params.n_mfcc] @ mel_feature

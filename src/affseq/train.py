@@ -63,8 +63,14 @@ class TrainConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def __post_init__(self):
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not math.isfinite(self.learning_rate):
+            raise ConfigError(f"learning_rate must be finite, got {self.learning_rate}")
+        if not (math.isfinite(self.clip_norm) and self.clip_norm >= 0):
+            raise ConfigError(f"clip_norm must be finite and ≥ 0 (0 disables), got {self.clip_norm}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be ≥ 1, got {self.batch_size}")
         if self.epochs < 0:
@@ -139,12 +145,11 @@ def predict_video(
     """
     windows = build_windows(video.features)
     modalities = model.config.modalities()
-    blocks: list[tuple[int, np.ndarray]] = []
+    pred = []
     for i in range(0, len(windows), batch_size):
-        chunk = windows[i : i + batch_size]
-        pred = model.forward({m: gather_windows(chunk, m, stats) for m in modalities}, train=False)
-        blocks.extend(zip(chunk.rows[:, 0].tolist(), pred))
-    return merge_window_predictions(blocks, video.row.n_frames)
+        chunk = windows.select(slice(i, i + batch_size))
+        pred.append(model.forward({m: gather_windows(chunk, m, stats) for m in modalities}, train=False))
+    return merge_window_predictions(windows.rows, np.concatenate(pred), video.row.n_frames)
 
 
 def _evaluate_rows(

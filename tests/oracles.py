@@ -2,8 +2,8 @@
 
 Everything here is written from the defining formulas, deliberately not
 sharing code paths with the package: naive DFT, direct-formula CCC, a
-covering-set windowing oracle, slice-and-pad window cutting, a pointwise mel
-filterbank, a sign-split sigmoid and a single GRU step, and central
+covering-set windowing oracle, slice-and-pad window cutting, a per-window
+overlap merge, a pointwise mel filterbank, a sign-split sigmoid and a single GRU step, and central
 finite-difference gradient helpers.
 """
 
@@ -92,6 +92,21 @@ def slice_and_pad_windows(data: np.ndarray, targets: np.ndarray, valid: np.ndarr
         tgts.append(tgt)
         masks.append(mask)
     return np.stack(feats), np.stack(tgts), np.stack(masks)
+
+
+def merge_windows_loop(starts, blocks, n_frames: int, seq_len: int = 15) -> np.ndarray:
+    """Frame average of window predictions, one window at a time in order.
+
+    ``blocks[j]`` is the [seq_len x 2] prediction of the window at
+    ``starts[j]``; its positions past the track end are dropped.
+    """
+    total = np.zeros((n_frames, 2))
+    count = np.zeros(n_frames, dtype=np.int64)
+    for start, block in zip(starts, blocks):
+        stop = min(start + seq_len, n_frames)
+        total[start:stop] += block[: stop - start]
+        count[start:stop] += 1
+    return total / count[:, None]
 
 
 def hz_to_mel_slaney(f: float) -> float:

@@ -124,6 +124,31 @@ def test_extract_audio_garbage_wav(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--n-fft", "3", "n_fft must be a power of two ≥ 2, got 3"),
+        ("--n-fft", "1", "n_fft must be a power of two ≥ 2, got 1"),
+        ("--stft-hop", "0", "stft_hop must be ≥ 1, got 0"),
+        ("--n-mels", "0", "n_mels must be ≥ 1, got 0"),
+        ("--n-mfcc", "500", "n_mfcc must be between 1 and n_mels=128, got 500"),
+        ("--n-mfcc", "0", "n_mfcc must be between 1 and n_mels=128, got 0"),
+        ("--log-floor", "0", "log_floor must be finite and > 0, got 0.0"),
+        ("--log-floor", "nan", "log_floor must be finite and > 0, got nan"),
+    ],
+    ids=["n-fft-3", "n-fft-1", "stft-hop-0", "n-mels-0", "n-mfcc-500", "n-mfcc-0", "log-floor-0", "log-floor-nan"],
+)
+def test_extract_audio_rejects_invalid_dsp_params(tmp_path, capsys, flag, value, message):
+    wav = tmp_path / "silent.wav"
+    wav.write_bytes(pcm16_wav_bytes(np.zeros(16000), 16000))
+    out = tmp_path / "x.feat"
+    code = main(["extract-audio", "--wav", str(wav), "--frames", "4", "--out", str(out), flag, value])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
 # --- train -----------------------------------------------------------------
 
 def test_train_writes_outputs(tmp_path, rng, capsys):
@@ -143,6 +168,28 @@ def test_train_epochs_zero_reports_initialized(tmp_path, rng, capsys):
     args[args.index("--epochs") + 1] = "0"
     assert main(args) == 0
     assert "initialized model" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--seed", "-1", "seed must be a non-negative integer, got -1"),
+        ("--learning-rate", "nan", "learning_rate must be finite, got nan"),
+        ("--learning-rate", "inf", "learning_rate must be finite, got inf"),
+        ("--clip-norm", "nan", "clip_norm must be finite and ≥ 0 (0 disables), got nan"),
+        ("--clip-norm", "inf", "clip_norm must be finite and ≥ 0 (0 disables), got inf"),
+        ("--clip-norm", "-1", "clip_norm must be finite and ≥ 0 (0 disables), got -1.0"),
+    ],
+    ids=["seed-neg", "lr-nan", "lr-inf", "clip-nan", "clip-inf", "clip-neg"],
+)
+def test_train_rejects_invalid_numeric_config(tmp_path, rng, capsys, flag, value, message):
+    manifest = _manifest(tmp_path, rng)
+    args = _train_args(manifest, tmp_path / "run", flag, value)
+    args[args.index("--epochs") + 1] = "0"
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
 
 
 def test_train_variant_flag(tmp_path, rng, capsys):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affseq import (
@@ -30,7 +30,7 @@ from affseq.errors import (
 )
 
 from affseq.dataset import concat_windows, gather_windows, window_rows
-from oracles import slice_and_pad_windows, window_starts_oracle
+from oracles import merge_windows_loop, slice_and_pad_windows, window_starts_oracle
 
 
 # --- feature file format -------------------------------------------------------
@@ -205,24 +205,25 @@ def _feature_set(n, rng, dims=(("audio", 168), ("expnet", 2048), ("facepose", 71
 
 def test_build_windows_slices_match_source(rng):
     features = {"audio": _track("v", "audio", rng.normal(size=(30, 168)))}
-    wins = build_windows(features)
-    assert [w.start_frame for w in wins] == [0, 10, 15]
-    for w in wins:
-        np.testing.assert_array_equal(
-            w.features["audio"], features["audio"].data[w.start_frame : w.start_frame + 15]
-        )
-        assert w.mask.all()
+    index = build_windows(features)
+    data = features["audio"].data
+    assert index.rows[:, 0].tolist() == [0, 10, 15]
+    for start, window in zip(index.rows[:, 0], data[index.rows]):
+        np.testing.assert_array_equal(window, data[start : start + 15])
+    assert index.mask.all()
 
 
 def test_build_windows_short_track_pads_and_masks(rng):
     features = {"audio": _track("v", "audio", rng.normal(size=(10, 168)))}
-    (w,) = build_windows(features)
-    assert w.features["audio"].shape == (15, 168)
-    np.testing.assert_array_equal(w.features["audio"][:10], features["audio"].data)
+    index = build_windows(features)
+    data = features["audio"].data
+    (window,) = data[index.rows]
+    assert window.shape == (15, 168)
+    np.testing.assert_array_equal(window[:10], data)
     for t in range(10, 15):
-        np.testing.assert_array_equal(w.features["audio"][t], features["audio"].data[9])
-    assert w.mask.tolist() == [True] * 10 + [False] * 5
-    np.testing.assert_array_equal(w.targets[10:], 0.0)
+        np.testing.assert_array_equal(window[t], data[9])
+    assert index.mask.tolist() == [[True] * 10 + [False] * 5]
+    np.testing.assert_array_equal(index.targets[0, 10:], 0.0)
 
 
 def test_build_windows_mask_propagates_invalid_labels(rng):
@@ -236,14 +237,14 @@ def test_build_windows_mask_propagates_invalid_labels(rng):
         arousal=np.zeros(n),
         valid=(np.abs(valence) <= 1),
     )
-    wins = build_windows(features, labels)
-    for w in wins:
+    index = build_windows(features, labels)
+    for start, mask in zip(index.rows[:, 0], index.mask):
         for t in range(15):
-            frame = w.start_frame + t
+            frame = start + t
             if frame == 12:
-                assert not w.mask[t]
+                assert not mask[t]
             else:
-                assert w.mask[t]
+                assert mask[t]
 
 
 def test_build_windows_targets_from_labels(rng):
@@ -255,9 +256,9 @@ def test_build_windows_targets_from_labels(rng):
         arousal=np.linspace(1, -1, n),
         valid=np.ones(n, dtype=bool),
     )
-    wins = build_windows(features, labels)
-    assert [w.start_frame for w in wins] == [0, 5]
-    np.testing.assert_array_equal(wins[1].targets[:, 0], labels.valence[5:20])
+    index = build_windows(features, labels)
+    assert index.rows[:, 0].tolist() == [0, 5]
+    np.testing.assert_array_equal(index.targets[1, :, 0], labels.valence[5:20])
 
 
 def test_build_windows_rejects_length_mismatch(rng):
@@ -282,8 +283,8 @@ def test_normalize_mean_rows_to_zero(rng):
     data = rng.normal(size=(8, 168))
     stats = compute_stats([_track("v", "audio", data)])
     constant = np.tile(stats.mean["audio"], (4, 1))
-    out = normalize(_track("v", "audio", constant), stats)
-    np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
+    out = normalize(constant, "audio", stats)
+    np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
 
 def test_normalize_z_score_example():
@@ -292,32 +293,34 @@ def test_normalize_z_score_example():
     stats = compute_stats([_track("v", "audio", data)])
     assert stats.mean["audio"][0] == 2.0
     assert stats.std["audio"][0] == 1.0
-    out = normalize(_track("v", "audio", data), stats)
-    assert out.data[0, 0] == -1.0
-    assert out.data[1, 0] == 1.0
+    out = normalize(data, "audio", stats)
+    assert out[0, 0] == -1.0
+    assert out[1, 0] == 1.0
 
 
 def test_normalize_constant_column_floored(rng):
     data = np.full((6, 168), 7.0)
     stats = compute_stats([_track("v", "audio", data)])
     assert np.all(stats.std["audio"] == 1e-8)
-    out = normalize(_track("v", "audio", data), stats)
-    assert np.all(np.isfinite(out.data))
-    np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
+    out = normalize(data, "audio", stats)
+    assert np.all(np.isfinite(out))
+    np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
 
 def test_normalized_train_split_has_unit_moments(rng):
     tracks = [_track(f"v{i}", "audio", rng.normal(size=(n, 168)) * 2 + 5) for i, n in enumerate((30, 45))]
     stats = compute_stats(tracks)
-    pooled = np.concatenate([normalize(t, stats).data for t in tracks], axis=0)
+    pooled = np.concatenate([normalize(t.data, t.modality, stats) for t in tracks], axis=0)
     np.testing.assert_allclose(pooled.mean(axis=0), 0.0, atol=1e-10)
     np.testing.assert_allclose(pooled.std(axis=0), 1.0, atol=1e-10)
 
 
 def test_normalize_requires_matching_stats(rng):
     stats = compute_stats([_track("v", "audio", rng.normal(size=(5, 168)))])
-    with pytest.raises(DomainError):
-        normalize(_track("v", "expnet", rng.normal(size=(5, 2048))), stats)
+    with pytest.raises(DomainError, match="modality 'expnet'"):
+        normalize(rng.normal(size=(5, 2048)), "expnet", stats)
+    with pytest.raises(DomainError, match="width 100"):
+        normalize(rng.normal(size=(5, 100)), "audio", stats)
 
 
 # --- float32 tracks, window index and batch gather -------------------------------------
@@ -383,26 +386,20 @@ def test_gathered_batch_is_bit_equal_to_stacked_normalized_windows(rng):
         batch = gather_windows(index, modality, stats)
         shuffled = np.random.default_rng(5).permutation(len(index))
         _same_bits(gather_windows(index.select(shuffled), modality, stats), batch[shuffled])
-        old_path, sliced = [], []
+        sliced = []
         for features, labels in videos.values():
-            wide = FeatureTrack("v", modality, features[modality].data.astype(np.float64))
-            windows = build_windows({modality: normalize(wide, stats)}, labels)
-            old_path.append(np.stack([w.features[modality] for w in windows]))
+            wide = normalize(features[modality].data.astype(np.float64), modality, stats)
             starts = window_starts(labels.n_frames)
-            sliced.append(slice_and_pad_windows(normalize(wide, stats).data, labels.targets(), labels.valid, starts)[0])
-        _same_bits(batch, np.concatenate(old_path))
+            sliced.append(slice_and_pad_windows(wide, labels.targets(), labels.valid, starts)[0])
         _same_bits(batch, np.concatenate(sliced))
 
     targets, masks = [], []
     for features, labels in videos.values():
-        windows = build_windows(features, labels)
-        targets.append(np.stack([w.targets for w in windows]))
-        masks.append(np.stack([w.mask for w in windows]))
         _, tgt, mask = slice_and_pad_windows(
             features["audio"].data, labels.targets(), labels.valid, window_starts(labels.n_frames)
         )
-        _same_bits(targets[-1], tgt)
-        _same_bits(masks[-1], mask)
+        targets.append(tgt)
+        masks.append(mask)
     _same_bits(index.targets, np.concatenate(targets))
     _same_bits(index.mask, np.concatenate(masks))
 
@@ -418,14 +415,14 @@ def test_gather_windows_requires_matching_stats(rng):
 
 def test_merge_single_window_identity(rng):
     block = rng.normal(size=(15, 2))
-    merged = merge_window_predictions([(0, block)], 15)
+    merged = merge_window_predictions(window_rows(15), block[None], 15)
     np.testing.assert_array_equal(merged, block)
 
 
 def test_merge_two_windows_means_overlap():
     a = np.full((15, 2), 0.2)
     b = np.full((15, 2), 0.4)
-    merged = merge_window_predictions([(0, a), (10, b)], 25)
+    merged = merge_window_predictions(window_rows(25), np.stack([a, b]), 25)
     np.testing.assert_allclose(merged[:10], 0.2)
     np.testing.assert_allclose(merged[10:15], 0.3)
     np.testing.assert_allclose(merged[15:], 0.4)
@@ -433,12 +430,14 @@ def test_merge_two_windows_means_overlap():
 
 def test_merge_three_windows_matches_brute_force(rng):
     n = 30
-    windows = [(s, rng.normal(size=(15, 2))) for s in (0, 10, 15)]
-    merged = merge_window_predictions(windows, n)
+    rows = window_rows(n)
+    assert rows[:, 0].tolist() == [0, 10, 15]
+    pred = rng.normal(size=(3, 15, 2))
+    merged = merge_window_predictions(rows, pred, n)
 
     total = np.zeros((n, 2))
     count = np.zeros(n)
-    for s, block in windows:
+    for s, block in zip(rows[:, 0], pred):
         for t in range(15):
             if s + t < n:
                 total[s + t] += block[t]
@@ -448,23 +447,43 @@ def test_merge_three_windows_matches_brute_force(rng):
 
 def test_merge_ignores_positions_past_track_end(rng):
     block = rng.normal(size=(15, 2))
-    merged = merge_window_predictions([(0, block)], 10)
+    merged = merge_window_predictions(window_rows(10), block[None], 10)
     assert merged.shape == (10, 2)
     np.testing.assert_array_equal(merged, block[:10])
 
 
 def test_merge_uncovered_frame_rejected(rng):
     with pytest.raises(CoverageError):
-        merge_window_predictions([(0, rng.normal(size=(15, 2)))], 40)
+        merge_window_predictions(window_rows(40)[:1], rng.normal(size=(1, 15, 2)), 40)
+
+
+def test_merge_rejects_mismatched_windows(rng):
+    rows = window_rows(30)
+    with pytest.raises(DomainError, match="do not match"):
+        merge_window_predictions(rows, rng.normal(size=(3, 14, 2)), 30)
+    with pytest.raises(DomainError, match="outside track"):
+        merge_window_predictions(rows, rng.normal(size=(3, 15, 2)), 25)
 
 
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 120), c=st.floats(-1, 1, allow_nan=False))
 def test_merge_constant_windows_idempotent(n, c):
-    block = np.full((15, 2), c)
-    windows = [(s, block) for s in window_starts(n)]
-    merged = merge_window_predictions(windows, n)
+    rows = window_rows(n)
+    merged = merge_window_predictions(rows, np.full(rows.shape + (2,), c), n)
     np.testing.assert_allclose(merged, c, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 500), seed=st.integers(0, 2**32 - 1))
+@example(n=1, seed=0)
+@example(n=9, seed=1)
+@example(n=14, seed=2)
+@example(n=15, seed=3)
+@example(n=16, seed=4)
+def test_merge_is_bit_equal_to_per_window_loop(n, seed):
+    rows = window_rows(n)
+    pred = np.random.default_rng(seed).normal(size=rows.shape + (2,))
+    _same_bits(merge_window_predictions(rows, pred, n), merge_windows_loop(rows[:, 0].tolist(), pred, n))
 
 
 # --- manifest ----------------------------------------------------------------------------

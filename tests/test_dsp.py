@@ -141,15 +141,15 @@ def test_mel_scale_continuous_at_1khz():
 def test_filterbank_matches_direct_formula_oracle():
     fb = mel_filterbank(16000, 512, 128, 0.0, 8000.0)
     direct = mel_weights_direct(16000, 512, 128, 0.0, 8000.0)
-    assert np.max(np.abs(fb.weights - direct)) < 1e-10
-    np.testing.assert_allclose(fb.weights.sum(axis=1), direct.sum(axis=1), rtol=0, atol=1e-10)
+    assert np.max(np.abs(fb - direct)) < 1e-10
+    np.testing.assert_allclose(fb.sum(axis=1), direct.sum(axis=1), rtol=0, atol=1e-10)
 
 
 def test_filterbank_nonnegative_contiguous(rng):
     for sr, n_fft, n_mels in ((16000, 512, 128), (8000, 256, 40), (44100, 2048, 128)):
         fb = mel_filterbank(sr, n_fft, n_mels)
-        assert np.all(fb.weights >= 0)
-        for row in fb.weights:
+        assert np.all(fb >= 0)
+        for row in fb:
             support = np.flatnonzero(row > 0)
             if support.size:
                 assert np.array_equal(support, np.arange(support[0], support[-1] + 1))
@@ -161,7 +161,7 @@ def test_filterbank_single_triangle_geometry():
     mid_mel = 0.5 * float(hz_to_mel(sr / 2))
     center_hz = float(mel_to_hz(mid_mel))
     bin_hz = np.arange(n_fft // 2 + 1) * (sr / n_fft)
-    assert np.argmax(fb.weights[0]) == np.argmin(np.abs(bin_hz - center_hz))
+    assert np.argmax(fb[0]) == np.argmin(np.abs(bin_hz - center_hz))
 
 
 def test_filterbank_rejects_fmax_above_nyquist():
@@ -179,7 +179,7 @@ def test_filterbank_rejects_bad_fmin():
 def test_filterbank_degenerate_filters_warn():
     with pytest.warns(DegenerateFilterWarning):
         fb = mel_filterbank(16000, 64, 128)
-    assert np.any(~np.any(fb.weights > 0, axis=1))
+    assert np.any(~np.any(fb > 0, axis=1))
 
 
 # --- DCT ----------------------------------------------------------------------
