@@ -13,6 +13,9 @@ identical bytes. Values are stored as float32; loading widens to float64, and
 a load/save round trip is byte-exact. A save goes through a temp file in the
 target's directory, fsynced and then renamed over the target, so a failed
 write leaves the previous file intact.
+
+This module knows the container, not the names in it: which tensors a model
+stores, and under what names, is the checkpoint layout of ``train._slots``.
 """
 
 from __future__ import annotations
@@ -36,14 +39,10 @@ from .model import ModelConfig
 CHECKPOINT_MAGIC = b"AFCK"
 CHECKPOINT_VERSION = 1
 
-PARAM_PREFIX = "param/"
-STATE_PREFIX = "state/"
-NORM_PREFIX = "norm/"
-
 
 @dataclass
 class Checkpoint:
-    """Config echo plus named tensors (parameters, batch-norm state, norm stats)."""
+    """Config echo plus named tensors, as ``train._slots`` lays them out."""
 
     config: dict
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
@@ -69,14 +68,6 @@ class Checkpoint:
         if type(seed) is not int or seed < 0:
             raise FileFormatError(f"checkpoint seed must be a non-negative integer, got {seed!r}")
         return seed
-
-    def group(self, prefix: str) -> dict[str, np.ndarray]:
-        """Tensors under a namespace, with the prefix stripped."""
-        return {
-            name[len(prefix) :]: value
-            for name, value in self.tensors.items()
-            if name.startswith(prefix)
-        }
 
 
 def _encode(ckpt: Checkpoint) -> list[bytes]:

@@ -114,9 +114,6 @@ class NormalizationStats:
     mean: dict[str, np.ndarray] = field(default_factory=dict)
     std: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def modalities(self) -> list[str]:
-        return sorted(self.mean)
-
 
 @dataclass(frozen=True)
 class ManifestRow:

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .audio_io import AudioClip
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NumericFaultError
 
 
 @dataclass(frozen=True)
@@ -49,32 +49,16 @@ class DspParams:
         return self.n_mfcc + self.n_mels
 
 
-@dataclass(frozen=True)
-class SegmentPlan:
-    """Half-overlap tiling of a clip into one segment per video frame."""
-
-    n_segments: int
-    segment_len: int
-    hop: int
-    starts: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class AudioFrameFeatures:
-    mfcc: np.ndarray
-    mel: np.ndarray
-    combined: np.ndarray
-
-
 class DegenerateFilterWarning(RuntimeWarning):
     """A mel filter has no FFT bin inside its triangle."""
 
 
-def plan_segments(clip_len: int, n_frames: int) -> SegmentPlan:
+def plan_segments(clip_len: int, n_frames: int) -> tuple[int, tuple[int, ...]]:
     """Tile ``clip_len`` samples into ``n_frames`` segments with half overlap.
 
-    Segment length is floor(2*T/(N+1)) so that N segments at hop L/2 cover the
-    clip; the final segment is anchored to end exactly at the clip end.
+    Returns ``(segment_len, starts)``. Segment length is floor(2*T/(N+1)) so
+    that N segments at hop L/2 cover the clip; the final segment is anchored
+    to end exactly at the clip end.
     """
     if n_frames < 1:
         raise DomainError("n_frames must be ≥ 1")
@@ -83,18 +67,10 @@ def plan_segments(clip_len: int, n_frames: int) -> SegmentPlan:
             f"clip of {clip_len} samples cannot supply {n_frames} segments of at least 1 sample"
         )
     if n_frames == 1:
-        seg_len = clip_len
-        starts = (0,)
-    else:
-        seg_len = (2 * clip_len) // (n_frames + 1)
-        hop = seg_len // 2
-        starts = tuple(i * hop for i in range(n_frames - 1)) + (clip_len - seg_len,)
-    return SegmentPlan(
-        n_segments=n_frames,
-        segment_len=seg_len,
-        hop=seg_len // 2,
-        starts=starts,
-    )
+        return clip_len, (0,)
+    seg_len = (2 * clip_len) // (n_frames + 1)
+    hop = seg_len // 2
+    return seg_len, tuple(i * hop for i in range(n_frames - 1)) + (clip_len - seg_len,)
 
 
 def _bit_reverse_indices(n: int) -> np.ndarray:
@@ -249,8 +225,8 @@ def frame_features(
     sample_rate: int,
     params: DspParams = DspParams(),
     filterbank: np.ndarray | None = None,
-) -> AudioFrameFeatures:
-    """Reduce one segment to MFCC (n_mfcc) ++ averaged log-mel (n_mels).
+) -> np.ndarray:
+    """Reduce one segment to the row [MFCC (n_mfcc) ++ averaged log-mel (n_mels)].
 
     Mel energies are the filterbank applied to the power spectrogram, floored
     at ``log_floor`` before 10*log10. Log-mel frames are averaged over time;
@@ -267,21 +243,26 @@ def frame_features(
     log_mel = 10.0 * np.log10(np.maximum(mel_energy, params.log_floor))
     mel_feature = log_mel.mean(axis=0)
     mfcc = dct_ortho_matrix(params.n_mels)[: params.n_mfcc] @ mel_feature
-    return AudioFrameFeatures(
-        mfcc=mfcc,
-        mel=mel_feature,
-        combined=np.concatenate([mfcc, mel_feature]),
-    )
+    return np.concatenate([mfcc, mel_feature])
 
 
 def extract_audio_track(clip: AudioClip, n_frames: int, params: DspParams = DspParams()) -> np.ndarray:
-    """Per-frame feature matrix [n_frames x (n_mfcc + n_mels)] for one clip."""
-    plan = plan_segments(clip.duration_samples, n_frames)
+    """Per-frame feature matrix [n_frames x (n_mfcc + n_mels)] for one clip.
+
+    NumericFaultError if any feature is not finite (a NaN or infinite sample).
+    """
+    segment_len, starts = plan_segments(clip.duration_samples, n_frames)
     filterbank = mel_filterbank(
         clip.sample_rate, params.n_fft, params.n_mels, params.fmin, params.fmax
     )
     rows = np.empty((n_frames, params.feature_dim()))
-    for i, start in enumerate(plan.starts):
-        segment = clip.samples[start : start + plan.segment_len]
-        rows[i] = frame_features(segment, clip.sample_rate, params, filterbank).combined
+    for i, start in enumerate(starts):
+        segment = clip.samples[start : start + segment_len]
+        rows[i] = frame_features(segment, clip.sample_rate, params, filterbank)
+    bad_frames = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad_frames.size:
+        raise NumericFaultError(
+            f"audio features of {bad_frames.size} of {n_frames} frames are not finite "
+            f"(first: frame {bad_frames[0]})"
+        )
     return rows

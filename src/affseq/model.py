@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from .dataset import SEQUENCE_LEN
 from .errors import ConfigError, DomainError, FileFormatError, NumericFaultError
 from .nn import (
     BatchNorm,
@@ -44,7 +45,6 @@ _HEAD_HIDDEN = 64
 class ModelConfig:
     variant: str = "fusion"
     cell: str = "gru"
-    sequence_len: int = 15
     dropout: float = 0.25
     audio_dim: int = 168
     expnet_dim: int = 2048
@@ -58,8 +58,6 @@ class ModelConfig:
             raise ConfigError(f"unknown cell type {self.cell!r} (want one of {CELLS})")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.sequence_len < 1:
-            raise ConfigError(f"sequence_len must be ≥ 1, got {self.sequence_len}")
         if self.width_scale < 1:
             raise ConfigError(f"width_scale must be ≥ 1, got {self.width_scale}")
         for name in BRANCH_ORDER:
@@ -100,10 +98,15 @@ class ModelConfig:
         """Rebuild a stored config; FileFormatError names a key or type that does not fit.
 
         Missing keys take their defaults; values of the right type but out of
-        range still raise ConfigError.
+        range still raise ConfigError. Older files carry ``sequence_len``, no
+        longer a setting: it is accepted only as ``SEQUENCE_LEN``.
         """
         if not isinstance(data, dict):
             raise FileFormatError(f"model config is a JSON {type(data).__name__}, not an object")
+        data = dict(data)
+        stored_len = data.pop("sequence_len", SEQUENCE_LEN)
+        if stored_len != SEQUENCE_LEN:
+            raise FileFormatError(f"model config sequence_len must be {SEQUENCE_LEN}, got {stored_len!r}")
         types = {f.name: type(f.default) for f in fields(cls)}
         for key, value in data.items():
             want = types.get(key)
@@ -122,7 +125,7 @@ class Model:
         self.config = config
         self.rng = np.random.default_rng(seed)
         # init=False leaves weight kernels uninitialized: only for a model whose
-        # every tensor load_state overwrites next. Dropout keeps the seeded rng.
+        # every tensor restore_model overwrites next. Dropout keeps the seeded rng.
         self._init_rng = self.rng if init else None
         self.branches: dict[str, list] = {}
         for modality in config.modalities():
@@ -190,7 +193,7 @@ class Model:
             if modality not in inputs:
                 raise DomainError(f"variant {cfg.variant!r} requires modality {modality!r}")
             x = inputs[modality]
-            want = (cfg.sequence_len, cfg.input_dim(modality))
+            want = (SEQUENCE_LEN, cfg.input_dim(modality))
             if x.ndim != 3 or x.shape[1:] != want:
                 raise DomainError(
                     f"{modality} input must be [batch x {want[0]} x {want[1]}], got {x.shape}"
@@ -229,7 +232,8 @@ class Model:
 
     # -- parameter plumbing -----------------------------------------------
 
-    def _leaf_layers(self) -> list:
+    def leaf_layers(self) -> list:
+        """Layers in network order (branches, then head), a Bidirectional as its two directions."""
         leaves = []
         for modality in self.config.modalities():
             for layer in self.branches[modality]:
@@ -241,15 +245,8 @@ class Model:
     def parameter_slots(self) -> list[tuple[str, object, str]]:
         """Deterministically ordered (qualified_name, layer, key) triples."""
         slots = []
-        for layer in self._leaf_layers():
+        for layer in self.leaf_layers():
             for key in layer.params:
-                slots.append((f"{layer.name}.{key}", layer, key))
-        return slots
-
-    def state_slots(self) -> list[tuple[str, object, str]]:
-        slots = []
-        for layer in self._leaf_layers():
-            for key in layer.state():
                 slots.append((f"{layer.name}.{key}", layer, key))
         return slots
 
@@ -257,10 +254,14 @@ class Model:
         return {name: layer.params[key] for name, layer, key in self.parameter_slots()}
 
     def named_state(self) -> dict[str, np.ndarray]:
-        return {name: getattr(layer, key) for name, layer, key in self.state_slots()}
+        return {
+            f"{layer.name}.{key}": value
+            for layer in self.leaf_layers()
+            for key, value in layer.state.items()
+        }
 
     def zero_grads(self) -> None:
-        for layer in self._leaf_layers():
+        for layer in self.leaf_layers():
             layer.zero_grads()
 
     def gradient_slots(self) -> list[tuple[str, np.ndarray, np.ndarray]]:
@@ -276,43 +277,10 @@ class Model:
     def parameter_table(self) -> list[tuple[str, int]]:
         """Per-layer parameter counts in network order."""
         table = []
-        for layer in self._leaf_layers():
+        for layer in self.leaf_layers():
             if layer.params:
                 table.append((layer.name, layer.param_count()))
         return table
-
-    def load_state(self, params: dict[str, np.ndarray], state: dict[str, np.ndarray]) -> None:
-        """Install named tensors from a checkpoint, validating names and shapes.
-
-        A float64 tensor is installed as it is, not copied, so the model then
-        shares it with the caller (``restore_model``: with the ``Checkpoint``);
-        other dtypes are converted. Gradient buffers are left as they are:
-        every layer allocates them at construction, and training zeroes them
-        before each backward pass.
-        """
-        own = {name: (layer, key) for name, layer, key in self.parameter_slots()}
-        if set(own) != set(params):
-            missing = sorted(set(own) - set(params))
-            extra = sorted(set(params) - set(own))
-            raise FileFormatError(
-                f"checkpoint parameters do not match model (missing {missing}, unexpected {extra})"
-            )
-        for name, (layer, key) in own.items():
-            value = params[name]
-            if value.shape != layer.params[key].shape:
-                raise FileFormatError(
-                    f"checkpoint tensor {name} has shape {value.shape}, "
-                    f"model expects {layer.params[key].shape}"
-                )
-            layer.params[key] = value.astype(np.float64, copy=False)
-        own_state = {name: (layer, key) for name, layer, key in self.state_slots()}
-        if set(own_state) != set(state):
-            raise FileFormatError("checkpoint state tensors do not match model")
-        for name, (layer, key) in own_state.items():
-            value = state[name]
-            if value.shape != getattr(layer, key).shape:
-                raise FileFormatError(f"checkpoint state tensor {name} has shape {value.shape}")
-            setattr(layer, key, value.astype(np.float64, copy=False))
 
 
 def build(config: ModelConfig, seed: int = 0) -> Model:

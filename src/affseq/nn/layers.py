@@ -2,10 +2,11 @@
 
 Every layer exposes ``forward(x, train=False)`` and ``backward(grad)``;
 parameters and their gradients live in the ``params`` / ``grads`` dicts under
-matching keys. Layers that can sit first in a branch (``Dense`` and the
-recurrent layers) also take ``backward(grad, need_dx=False)``, which
-accumulates the same parameter gradients, skips the input-gradient product
-and returns None. All math is float64.
+matching keys, and persistent non-trainable tensors (batch-norm running
+statistics) in the ``state`` dict. Layers that can sit first in a branch
+(``Dense`` and the recurrent layers) also take ``backward(grad,
+need_dx=False)``, which accumulates the same parameter gradients, skips the
+input-gradient product and returns None. All math is float64.
 """
 
 from __future__ import annotations
@@ -21,12 +22,17 @@ _BN_MOMENTUM = 0.9
 
 
 class Layer:
-    """Base class: named parameter tensors with same-shape gradient tensors."""
+    """Base class: named parameter tensors with same-shape gradient tensors.
+
+    ``state`` holds the tensors a checkpoint stores besides the parameters
+    (running statistics and the like); training never takes a gradient of them.
+    """
 
     def __init__(self, name: str):
         self.name = name
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
+        self.state: dict[str, np.ndarray] = {}
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
@@ -40,10 +46,6 @@ class Layer:
     def zero_grads(self) -> None:
         for key, param in self.params.items():
             self.grads[key] = np.zeros_like(param)
-
-    def state(self) -> dict[str, np.ndarray]:
-        """Persistent non-trainable tensors (running statistics and the like)."""
-        return {}
 
     def sublayers(self) -> list["Layer"]:
         return []
@@ -127,20 +129,19 @@ class BatchNorm(Layer):
 
     Train mode uses batch statistics (biased variance, eps=1e-5) and updates
     running statistics with momentum 0.9; inference mode uses the running
-    statistics. A 3-D [batch x time x features] input is treated as a
-    (batch*time) x features batch.
+    statistics, kept in ``state`` as ``running_mean`` and ``running_var`` and
+    rebound, not updated in place, at each train step. A 3-D
+    [batch x time x features] input is treated as a (batch*time) x features
+    batch.
     """
 
     def __init__(self, n_features: int, name: str):
         super().__init__(name)
         self.params["gamma"] = np.ones(n_features)
         self.params["beta"] = np.zeros(n_features)
-        self.running_mean = np.zeros(n_features)
-        self.running_var = np.ones(n_features)
+        self.state["running_mean"] = np.zeros(n_features)
+        self.state["running_var"] = np.ones(n_features)
         self.zero_grads()
-
-    def state(self):
-        return {"running_mean": self.running_mean, "running_var": self.running_var}
 
     def forward(self, x, train=False):
         n_features = self.params["gamma"].shape[0]
@@ -156,12 +157,13 @@ class BatchNorm(Layer):
                 raise DomainError(f"{self.name}: train-mode batch norm needs ≥ 2 rows, got {n}")
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)
-            self.running_mean = _BN_MOMENTUM * self.running_mean + (1 - _BN_MOMENTUM) * mean
-            self.running_var = _BN_MOMENTUM * self.running_var + (1 - _BN_MOMENTUM) * var
+            state = self.state
+            state["running_mean"] = _BN_MOMENTUM * state["running_mean"] + (1 - _BN_MOMENTUM) * mean
+            state["running_var"] = _BN_MOMENTUM * state["running_var"] + (1 - _BN_MOMENTUM) * var
             self._n = n
         else:
-            mean = self.running_mean
-            var = self.running_var
+            mean = self.state["running_mean"]
+            var = self.state["running_var"]
         self._inv_std = 1.0 / np.sqrt(var + _BN_EPS)
         self._xhat = (x - mean) * self._inv_std
         return self.params["gamma"] * self._xhat + self.params["beta"]

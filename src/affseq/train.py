@@ -21,14 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import (
-    NORM_PREFIX,
-    PARAM_PREFIX,
-    STATE_PREFIX,
-    Checkpoint,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .dataset import (
     FeatureTrack,
     LabelTrack,
@@ -42,7 +35,7 @@ from .dataset import (
     load_labels,
     merge_window_predictions,
 )
-from .errors import ConfigError, CoverageError, DomainError, NumericFaultError
+from .errors import ConfigError, CoverageError, DomainError, FileFormatError, NumericFaultError
 from .metrics import EvalReport, evaluate
 from .model import Model, ModelConfig, build
 from .nn import RMSprop, clip_global_norm, masked_mse
@@ -163,6 +156,32 @@ def _evaluate_rows(
     return evaluate(predictions, labels, ccc_mode=ccc_mode)
 
 
+# The tensor groups a checkpoint's model layout owns; a restore ignores any other
+# group (the ``optim/`` caches of older files).
+_LAYOUT_GROUPS = ("param/", "state/", "norm/")
+
+
+def _slots(model: Model, stats: NormalizationStats) -> dict[str, tuple[dict, str]]:
+    """The checkpoint layout: each stored tensor name -> the dict and key that hold it.
+
+    ``param/<layer>.<key>`` and ``state/<layer>.<key>`` are a leaf layer's
+    ``params`` and ``state`` entries, ``norm/<modality>/mean|std`` the
+    normalization statistics of each modality the model reads. A save reads
+    the tensors through this map and a restore installs them through it, so a
+    restore accepts exactly the names a save writes.
+    """
+    slots = {}
+    for layer in model.leaf_layers():
+        for key in layer.params:
+            slots[f"param/{layer.name}.{key}"] = (layer.params, key)
+        for key in layer.state:
+            slots[f"state/{layer.name}.{key}"] = (layer.state, key)
+    for modality in model.config.modalities():
+        slots[f"norm/{modality}/mean"] = (stats.mean, modality)
+        slots[f"norm/{modality}/std"] = (stats.std, modality)
+    return slots
+
+
 def _make_checkpoint(
     model: Model,
     stats: NormalizationStats,
@@ -170,14 +189,7 @@ def _make_checkpoint(
     best_val_score: float | None,
     seed: int,
 ) -> Checkpoint:
-    tensors: dict[str, np.ndarray] = {}
-    for name, param in model.named_parameters().items():
-        tensors[PARAM_PREFIX + name] = param
-    for name, value in model.named_state().items():
-        tensors[STATE_PREFIX + name] = value
-    for modality in stats.modalities():
-        tensors[f"{NORM_PREFIX}{modality}/mean"] = stats.mean[modality]
-        tensors[f"{NORM_PREFIX}{modality}/std"] = stats.std[modality]
+    tensors = {name: holder[key] for name, (holder, key) in _slots(model, stats).items()}
     config = {
         "model": model.config.to_dict(),
         "epoch": epoch,
@@ -190,19 +202,34 @@ def _make_checkpoint(
 def restore_model(ckpt: Checkpoint) -> tuple[Model, NormalizationStats]:
     """Rebuild the model and normalization statistics stored in a checkpoint.
 
-    Only the ``param/``, ``state/`` and ``norm/`` groups are read; any other
-    tensors (the ``optim/`` caches of older files) are ignored. The model is
-    built uninitialized, since ``load_state`` overwrites every tensor.
+    The stored ``param/``, ``state/`` and ``norm/`` names must equal the
+    layout of the configured model (``_slots``) and each shape must match, or
+    FileFormatError names the first tensor that does not fit; other groups
+    are ignored. The model is built uninitialized, since every tensor is
+    then installed from the checkpoint: a float64 tensor as it is, shared
+    with ``ckpt`` and not copied, other dtypes converted. Gradient buffers are
+    left as built; training zeroes them before each backward pass.
     """
-    model = Model(ckpt.model_config(), seed=ckpt.seed, init=False)
-    model.load_state(ckpt.group(PARAM_PREFIX), ckpt.group(STATE_PREFIX))
+    config = ckpt.model_config()
+    model = Model(config, seed=ckpt.seed, init=False)
     stats = NormalizationStats()
-    for name, value in ckpt.group(NORM_PREFIX).items():
-        modality, _, kind = name.partition("/")
-        if kind == "mean":
-            stats.mean[modality] = value
-        elif kind == "std":
-            stats.std[modality] = value
+    for modality in config.modalities():
+        stats.mean[modality] = stats.std[modality] = np.empty(config.input_dim(modality))
+    slots = _slots(model, stats)
+    stored = {name for name in ckpt.tensors if name.startswith(_LAYOUT_GROUPS)}
+    if stored != slots.keys():
+        missing = sorted(slots.keys() - stored)
+        extra = sorted(stored - slots.keys())
+        raise FileFormatError(
+            f"checkpoint tensors do not match the model (missing {missing}, unexpected {extra})"
+        )
+    for name, (holder, key) in slots.items():
+        value = ckpt.tensors[name]
+        if value.shape != holder[key].shape:
+            raise FileFormatError(
+                f"checkpoint tensor {name} has shape {value.shape}, model expects {holder[key].shape}"
+            )
+        holder[key] = value.astype(np.float64, copy=False)
     return model, stats
 
 

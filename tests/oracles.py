@@ -37,9 +37,9 @@ def ccc_direct(x, y) -> float:
 
 
 def segment_invariants(T: int, N: int, plan) -> None:
-    """Assert every stated property of a segmentation plan for clip length T."""
-    L = plan.segment_len
-    starts = list(plan.starts)
+    """Assert every stated property of a segmentation plan ``(segment_len, starts)`` for clip length T."""
+    L, starts = plan
+    starts = list(starts)
     assert len(starts) == N
     assert L >= 1
     assert starts[0] == 0

@@ -95,14 +95,6 @@ def test_scalar_and_high_rank_tensors(tmp_path):
     np.testing.assert_array_equal(loaded.tensors["param/w"], np.arange(24.0).reshape(2, 3, 4))
 
 
-def test_group_strips_prefix(rng):
-    ckpt = _sample(rng)
-    norm = ckpt.group("norm/")
-    assert set(norm) == {"audio/mean", "audio/std"}
-    params = ckpt.group("param/")
-    assert set(params) == {"audio.rnn1.w", "head.dense2.b"}
-
-
 def test_config_accessors(rng):
     ckpt = _sample(rng)
     assert ckpt.epoch == 3

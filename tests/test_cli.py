@@ -6,7 +6,7 @@ from affseq.cli import main
 from affseq.dataset import load_feature_track
 
 from conftest import make_corpus
-from oracles import pcm16_wav_bytes
+from oracles import float32_wav_bytes, pcm16_wav_bytes
 
 
 @pytest.fixture(autouse=True)
@@ -114,6 +114,19 @@ def test_extract_audio_rejects_zero_frames(tmp_path, capsys):
 def test_extract_audio_missing_wav(tmp_path, capsys):
     code = main(["extract-audio", "--wav", str(tmp_path / "no.wav"), "--frames", "4", "--out", str(tmp_path / "x")])
     assert code == 2
+
+
+def test_extract_audio_refuses_non_finite_features(tmp_path, capsys):
+    samples = 0.3 * np.sin(2 * np.pi * 440.0 * np.arange(16000) / 16000)
+    samples[8000] = np.nan  # a float WAV can carry NaN; clipping to [-1, 1] keeps it
+    wav = tmp_path / "nan.wav"
+    wav.write_bytes(float32_wav_bytes(samples, 16000))
+    out = tmp_path / "nan.feat"
+    code = main(["extract-audio", "--wav", str(wav), "--frames", "30", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("error:") and "audio features of 2 of 30 frames are not finite" in err
+    assert not out.exists()
 
 
 def test_extract_audio_garbage_wav(tmp_path, capsys):
@@ -335,9 +348,10 @@ def _set_model_key(key, value):
         (lambda c: {**c, "model": "fusion"}, 2, "not an object"),
         (_set_model_key("variant", "trimodal"), 3, "unknown model variant"),
         (lambda c: {**c, "seed": -1}, 2, "seed must be a non-negative integer"),
+        (_set_model_key("sequence_len", 10), 2, "model config sequence_len must be 15, got 10"),
     ],
     ids=["no-model", "unknown-key", "json-list", "str-width-scale", "model-not-object", "bad-variant",
-         "negative-seed"],
+         "negative-seed", "sequence-len-10"],
 )
 def test_predict_rejects_malformed_checkpoint_config(trained, tmp_path, capsys, edit, code, message):
     manifest, ckpt_path = trained
@@ -349,6 +363,34 @@ def test_predict_rejects_malformed_checkpoint_config(trained, tmp_path, capsys, 
                  "--out", str(tmp_path / "preds")]) == code
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+def _without(*names):
+    return lambda tensors: {k: v for k, v in tensors.items() if k not in names}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_without("norm/audio/std"), "missing ['norm/audio/std']"),
+        (_without("norm/expnet/mean", "norm/expnet/std"), "missing ['norm/expnet/mean', 'norm/expnet/std']"),
+        (lambda t: {**t, "norm/audio/mean": np.zeros(5)}, "norm/audio/mean has shape (5,), model expects (168,)"),
+        (lambda t: {**t, "norm/audio/median": np.zeros(168)}, "unexpected ['norm/audio/median']"),
+        (_without("param/head.dense2.b"), "missing ['param/head.dense2.b']"),
+    ],
+    ids=["no-audio-std", "no-expnet-norm", "audio-mean-width-5", "extra-audio-median", "no-head-bias"],
+)
+def test_predict_rejects_checkpoint_tensors_off_the_layout(trained, tmp_path, capsys, edit, message):
+    manifest, ckpt_path = trained
+    ckpt = load_checkpoint(ckpt_path)
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, Checkpoint(config=ckpt.config, tensors=edit(ckpt.tensors)))
+    capsys.readouterr()
+    assert main(["predict", "--manifest", str(manifest), "--checkpoint", str(bad),
+                 "--out", str(tmp_path / "preds")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
 
 
 # --- thread environment ----------------------------------------------------------

@@ -30,24 +30,18 @@ from oracles import (
 # --- segmentation -----------------------------------------------------------
 
 def test_plan_1000_3():
-    plan = plan_segments(1000, 3)
-    assert plan.segment_len == 500
-    assert plan.hop == 250
-    assert plan.starts == (0, 250, 500)
+    assert plan_segments(1000, 3) == (500, (0, 250, 500))  # hop 250
 
 
 def test_plan_1000_1():
-    plan = plan_segments(1000, 1)
-    assert plan.segment_len == 1000
-    assert plan.starts == (0,)
+    assert plan_segments(1000, 1) == (1000, (0,))
 
 
 def test_plan_1000_4():
-    plan = plan_segments(1000, 4)
-    assert plan.segment_len == 400
-    assert plan.hop == 200
-    assert plan.starts == (0, 200, 400, 600)
-    assert plan.starts[-1] + plan.segment_len == 1000
+    segment_len, starts = plan_segments(1000, 4)
+    assert segment_len == 400
+    assert starts == (0, 200, 400, 600)  # hop 200
+    assert starts[-1] + segment_len == 1000
 
 
 def test_plan_rejects_zero_frames():
@@ -198,17 +192,17 @@ def test_dct_round_trip(rng):
 # --- frame features -----------------------------------------------------------
 
 def test_silence_features():
-    feats = frame_features(np.zeros(4000), 16000)
-    np.testing.assert_allclose(feats.mel, -100.0, rtol=0, atol=1e-9)
-    assert abs(feats.mfcc[0] - (-100.0 * math.sqrt(128))) < 1e-9
-    np.testing.assert_allclose(feats.mfcc[1:], 0.0, rtol=0, atol=1e-9)
+    row = frame_features(np.zeros(4000), 16000)
+    np.testing.assert_allclose(row[40:], -100.0, rtol=0, atol=1e-9)
+    assert abs(row[0] - (-100.0 * math.sqrt(128))) < 1e-9
+    np.testing.assert_allclose(row[1:40], 0.0, rtol=0, atol=1e-9)
 
 
 def test_combined_layout(rng):
-    feats = frame_features(rng.normal(size=5000), 16000)
-    assert feats.combined.shape == (168,)
-    np.testing.assert_array_equal(feats.combined[:40], feats.mfcc)
-    np.testing.assert_array_equal(feats.combined[40:], feats.mel)
+    row = frame_features(rng.normal(size=5000), 16000)
+    assert row.shape == (168,)
+    # MFCCs first: the leading DCT-II coefficients of the log-mel part that follows
+    np.testing.assert_array_equal(row[:40], dct_ortho_matrix(128)[:40] @ row[40:])
 
 
 def _oracle_mel_vector(segment, sr, n_fft=2048, hop=512, n_mels=128):
@@ -233,14 +227,14 @@ def test_sine_440_matches_straight_line_oracle():
     sr = 16000
     t = np.arange(sr) / sr
     segment = 0.5 * np.sin(2 * np.pi * 440.0 * t)
-    feats = frame_features(segment, sr)
+    row = frame_features(segment, sr)
     oracle_mel = _oracle_mel_vector(segment, sr)
-    np.testing.assert_allclose(feats.mel, oracle_mel, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(row[40:], oracle_mel, rtol=1e-9, atol=1e-9)
 
     # peak filter is the one whose center frequency is nearest 440 Hz
     mel_pts = np.linspace(hz_to_mel(0.0), hz_to_mel(sr / 2), 130)
     centers = mel_to_hz(mel_pts[1:-1])
-    assert np.argmax(feats.mel) == np.argmin(np.abs(centers - 440.0))
+    assert np.argmax(row[40:]) == np.argmin(np.abs(centers - 440.0))
 
     # cepstral oracle: explicit cosine sums over the oracle mel vector
     n = 128
@@ -251,7 +245,7 @@ def test_sine_440_matches_straight_line_oracle():
             for k in range(40)
         ]
     )
-    np.testing.assert_allclose(feats.mfcc, mfcc_oracle, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(row[:40], mfcc_oracle, rtol=1e-9, atol=1e-9)
 
 
 def test_empty_segment_rejected():
@@ -261,9 +255,9 @@ def test_empty_segment_rejected():
 
 def test_short_segment_zero_pads_to_single_frame(rng):
     segment = rng.normal(size=300)
-    feats = frame_features(segment, 16000)
+    row = frame_features(segment, 16000)
     oracle = _oracle_mel_vector(segment, 16000)
-    np.testing.assert_allclose(feats.mel, oracle, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(row[40:], oracle, rtol=1e-9, atol=1e-9)
 
 
 # --- track extraction -----------------------------------------------------------
@@ -283,7 +277,7 @@ def test_extract_rows_use_planned_segments(rng):
     track = extract_audio_track(clip, 3)
     assert track.shape == (3, 168)
     for i, (start, stop) in enumerate([(0, 500), (250, 750), (500, 1000)]):
-        expected = frame_features(samples[start:stop], 16000).combined
+        expected = frame_features(samples[start:stop], 16000)
         np.testing.assert_array_equal(track[i], expected)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from affseq import Model, ModelConfig, build
+from affseq import SEQUENCE_LEN, Model, ModelConfig, build
 from affseq.errors import ConfigError, DomainError, FileFormatError, NumericFaultError
 
 from oracles import num_grad, rel_err
@@ -9,7 +9,7 @@ from oracles import num_grad, rel_err
 
 def _inputs(rng, config, batch=2):
     return {
-        m: rng.normal(size=(batch, config.sequence_len, config.input_dim(m)))
+        m: rng.normal(size=(batch, SEQUENCE_LEN, config.input_dim(m)))
         for m in config.modalities()
     }
 
@@ -43,6 +43,15 @@ def test_config_bilstm_needs_even_scaled_widths():
 def test_config_round_trips_through_dict():
     cfg = ModelConfig(variant="audio_only", cell="bilstm", dropout=0.1, width_scale=2)
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+
+@pytest.mark.parametrize("stored", [10, "15"])
+def test_config_accepts_a_stored_sequence_len_only_as_the_window_length(stored):
+    data = ModelConfig().to_dict()
+    assert "sequence_len" not in data
+    assert ModelConfig.from_dict({**data, "sequence_len": 15}) == ModelConfig()
+    with pytest.raises(FileFormatError, match="sequence_len must be 15"):
+        ModelConfig.from_dict({**data, "sequence_len": stored})
 
 
 def test_config_modalities_per_variant():
@@ -244,7 +253,7 @@ def test_full_model_gradients_match_finite_differences(rng):
 def test_backward_without_input_grads_keeps_parameter_grads(rng, variant, cell):
     config = ModelConfig(variant=variant, cell=cell, **SMALL)
     inputs = _inputs(rng, config, batch=3)
-    proj = rng.normal(size=(3, config.sequence_len, 2))
+    proj = rng.normal(size=(3, SEQUENCE_LEN, 2))
     grads = []
     for input_grads in (True, False):
         model = build(config, seed=5)  # same seed: same weights and dropout masks
@@ -254,32 +263,3 @@ def test_backward_without_input_grads_keeps_parameter_grads(rng, variant, cell):
         grads.append(model.gradient_slots())
     for (name, _, with_dx), (_, _, without_dx) in zip(*grads):
         np.testing.assert_array_equal(without_dx, with_dx, err_msg=name)
-
-
-def test_load_state_rejects_name_mismatch(rng):
-    model = build(ModelConfig(**SMALL), seed=1)
-    params = model.named_parameters()
-    params = {("x" + k): v for k, v in params.items()}
-    with pytest.raises(FileFormatError):
-        model.load_state(params, model.named_state())
-
-
-def test_load_state_rejects_shape_mismatch(rng):
-    model = build(ModelConfig(**SMALL), seed=1)
-    params = {k: v.copy() for k, v in model.named_parameters().items()}
-    first = next(iter(params))
-    params[first] = np.zeros((1, 1))
-    with pytest.raises(FileFormatError):
-        model.load_state(params, model.named_state())
-
-
-def test_load_state_round_trip_changes_nothing(rng):
-    config = ModelConfig(**SMALL)
-    model = build(config, seed=1)
-    inputs = _inputs(rng, config)
-    before = model.forward(inputs, train=False)
-    model.load_state(
-        {k: v.copy() for k, v in model.named_parameters().items()},
-        {k: v.copy() for k, v in model.named_state().items()},
-    )
-    np.testing.assert_array_equal(model.forward(inputs, train=False), before)

@@ -124,8 +124,8 @@ def test_batchnorm_running_stats_momentum(rng):
     layer = BatchNorm(2, "bn")
     x = rng.normal(size=(100, 2)) + 4
     layer.forward(x, train=True)
-    np.testing.assert_allclose(layer.running_mean, 0.9 * 0.0 + 0.1 * x.mean(axis=0), atol=1e-12)
-    np.testing.assert_allclose(layer.running_var, 0.9 * 1.0 + 0.1 * x.var(axis=0), atol=1e-12)
+    np.testing.assert_allclose(layer.state["running_mean"], 0.9 * 0.0 + 0.1 * x.mean(axis=0), atol=1e-12)
+    np.testing.assert_allclose(layer.state["running_var"], 0.9 * 1.0 + 0.1 * x.var(axis=0), atol=1e-12)
 
 
 def test_batchnorm_inference_uses_running_stats(rng):

@@ -1,6 +1,8 @@
 import importlib
+import re
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +10,10 @@ import pytest
 import affseq.nn.layers
 import affseq.nn.recurrent
 from affseq.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from affseq.dataset import load_manifest
-from affseq.errors import ConfigError, CoverageError, DomainError, NumericFaultError
-from affseq.model import ModelConfig
+from affseq.cli import main
+from affseq.dataset import SEQUENCE_LEN, NormalizationStats, load_manifest
+from affseq.errors import ConfigError, CoverageError, DomainError, FileFormatError, NumericFaultError
+from affseq.model import ModelConfig, build
 from affseq.train import (
     HISTORY_HEADER,
     TrainConfig,
@@ -246,7 +249,8 @@ def test_checkpoint_with_optimizer_caches_restores_identically(tmp_path, rng):
     rows = _corpus(tmp_path, rng)
     ckpt, _ = train(rows, TrainConfig(epochs=1, seed=4, model=_small_model()), tmp_path / "run")
     tensors = dict(ckpt.tensors)
-    for name, value in ckpt.group("param/").items():
+    params = {name[len("param/") :]: v for name, v in ckpt.tensors.items() if name.startswith("param/")}
+    for name, value in params.items():
         tensors[f"optim/{name}"] = rng.random(value.shape)
     save_checkpoint(tmp_path / "legacy.ckpt", Checkpoint(config=ckpt.config, tensors=tensors))
     legacy = load_checkpoint(tmp_path / "legacy.ckpt")
@@ -396,3 +400,101 @@ def test_predict_video_keeps_batch_size_third_and_takes_stats_by_keyword(tmp_pat
     assert frames.shape == (rows[1].n_frames, 2)
     with pytest.raises(TypeError, match="stats"):
         train_module.predict_video(model, video, 32)
+
+
+# --- checkpoint layout -------------------------------------------------------------
+
+TINY_DIMS = dict(audio_dim=6, expnet_dim=8, facepose_dim=5)
+# Written before the layout moved into one function: its model config still
+# carries sequence_len, and every parameter has an optim/ cache beside it.
+LEGACY_CKPT = Path(__file__).parent / "data" / "legacy_fusion_gru.ckpt"
+
+
+def _model_checkpoint(config, seed=1):
+    """A seeded model after one train-mode forward (so batch-norm state has moved),
+    random normalization stats, and the checkpoint a save makes of them."""
+    rng = np.random.default_rng(seed)
+    model = build(config, seed=seed)
+    model.forward(
+        {m: rng.normal(size=(4, SEQUENCE_LEN, config.input_dim(m))) for m in config.modalities()},
+        train=True,
+    )
+    stats = NormalizationStats()
+    for m in config.modalities():
+        stats.mean[m] = rng.normal(size=config.input_dim(m))
+        stats.std[m] = rng.random(config.input_dim(m)) + 0.5
+    ckpt = train_module._make_checkpoint(model, stats, epoch=0, best_val_score=None, seed=seed)
+    return model, stats, ckpt
+
+
+def _installed(model, stats):
+    """Every tensor a restored model holds, under the name a checkpoint stores it by."""
+    tensors = {f"param/{n}": v for n, v in model.named_parameters().items()}
+    tensors |= {f"state/{n}": v for n, v in model.named_state().items()}
+    for m in model.config.modalities():
+        tensors[f"norm/{m}/mean"] = stats.mean[m]
+        tensors[f"norm/{m}/std"] = stats.std[m]
+    return tensors
+
+
+@pytest.mark.parametrize("cell", ["gru", "bilstm"])
+@pytest.mark.parametrize("variant", ["fusion", "audio_only", "video_only"])
+def test_save_load_restore_installs_every_stored_tensor(tmp_path, variant, cell):
+    config = ModelConfig(variant=variant, cell=cell, width_scale=32, **TINY_DIMS)
+    model, stats, ckpt = _model_checkpoint(config)
+    save_checkpoint(tmp_path / "a.ckpt", ckpt)
+    loaded = load_checkpoint(tmp_path / "a.ckpt")
+    assert set(loaded.tensors) == set(_installed(model, stats))
+    assert any(name.startswith("state/") for name in loaded.tensors) == (variant == "fusion")
+    restored, restored_stats = restore_model(loaded)
+    installed = _installed(restored, restored_stats)
+    assert set(installed) == set(loaded.tensors)
+    for name, value in installed.items():
+        assert np.array_equal(value, loaded.tensors[name]), name
+    resaved = train_module._make_checkpoint(restored, restored_stats, epoch=0, best_val_score=None, seed=1)
+    save_checkpoint(tmp_path / "b.ckpt", resaved)
+    assert (tmp_path / "b.ckpt").read_bytes() == (tmp_path / "a.ckpt").read_bytes()
+
+
+def test_restore_rejects_name_mismatch():
+    _, _, ckpt = _model_checkpoint(ModelConfig(width_scale=32, **TINY_DIMS))
+    renamed = {
+        (f"param/x{name[len('param/') :]}" if name.startswith("param/") else name): value
+        for name, value in ckpt.tensors.items()
+    }
+    with pytest.raises(FileFormatError, match=r"missing \['param/audio\..*unexpected \['param/xaudio\."):
+        restore_model(Checkpoint(config=ckpt.config, tensors=renamed))
+
+
+def test_restore_rejects_shape_mismatch():
+    _, _, ckpt = _model_checkpoint(ModelConfig(width_scale=32, **TINY_DIMS))
+    first = min(name for name in ckpt.tensors if name.startswith("param/"))
+    tensors = {**ckpt.tensors, first: np.zeros((1, 1))}
+    with pytest.raises(FileFormatError, match=rf"checkpoint tensor {re.escape(first)} has shape \(1, 1\)"):
+        restore_model(Checkpoint(config=ckpt.config, tensors=tensors))
+
+
+def test_restore_round_trip_changes_nothing(rng):
+    config = ModelConfig(width_scale=32, **TINY_DIMS)
+    model, _, ckpt = _model_checkpoint(config)
+    inputs = {m: rng.normal(size=(2, SEQUENCE_LEN, config.input_dim(m))) for m in config.modalities()}
+    before = model.forward(inputs, train=False)
+    copied = Checkpoint(config=ckpt.config, tensors={k: v.copy() for k, v in ckpt.tensors.items()})
+    restored, _ = restore_model(copied)
+    np.testing.assert_array_equal(restored.forward(inputs, train=False), before)
+
+
+def test_legacy_checkpoint_restores_unchanged_and_predicts(tmp_path, rng, capsys):
+    ckpt = load_checkpoint(LEGACY_CKPT)
+    assert ckpt.config["model"]["sequence_len"] == 15
+    assert any(name.startswith("optim/") for name in ckpt.tensors)
+    model, stats = restore_model(ckpt)
+    assert model.config == ModelConfig(width_scale=64)
+    installed = _installed(model, stats)
+    assert set(installed) == {name for name in ckpt.tensors if not name.startswith("optim/")}
+    for name, value in installed.items():
+        assert value is ckpt.tensors[name], name
+    manifest = make_corpus(tmp_path / "corpus", [("a", "val", 20), ("b", "val", 7)], rng)
+    out = tmp_path / "preds"
+    assert main(["predict", "--manifest", str(manifest), "--checkpoint", str(LEGACY_CKPT), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["a.csv", "b.csv"]
