@@ -12,6 +12,11 @@ The unimodal variants keep their branch stack (without batch norm) and attach
 a Dense(64->64)+PReLU -> Dense(64->2) -> tanh head. ``cell="bilstm"`` swaps
 every GRU slot for a bidirectional LSTM at half width per direction, so layer
 output widths are unchanged.
+
+In inference each branch may instead read a [frames x dim] block plus the
+[B x 15] window rows into it; the first layer projects each block frame once
+and gathers the window rows, and every later layer sees [B x 15 x width] as
+above.
 """
 
 from __future__ import annotations
@@ -177,23 +182,47 @@ class Model:
 
     # -- execution --------------------------------------------------------
 
-    def _run_stack(self, layers: list, x: np.ndarray, train: bool) -> np.ndarray:
+    def _run_stack(
+        self, layers: list, x: np.ndarray, train: bool, rows: np.ndarray | None = None
+    ) -> np.ndarray:
         for layer in layers:
-            x = layer.forward(x, train)
+            x = layer.forward(x, train) if rows is None else layer.forward(x, train, rows=rows)
+            rows = None  # only the first layer reads the frame block
             if not np.all(np.isfinite(x)):
                 raise NumericFaultError(f"non-finite output from layer {layer.name}")
         return x
 
-    def forward(self, inputs: dict[str, np.ndarray], train: bool = False) -> np.ndarray:
-        """Map per-modality [B x T x dim] inputs to [B x T x 2] predictions in (-1, 1)."""
+    def forward(
+        self, inputs: dict[str, np.ndarray], train: bool = False, rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Map per-modality [B x T x dim] inputs to [B x T x 2] predictions in (-1, 1).
+
+        With ``rows``, an integer [B x T] array, each input is instead a
+        [frames x dim] block and window ``i`` reads block rows ``rows[i]``; the
+        result equals ``forward({m: block[rows]})`` bit for bit, but each
+        branch's first layer projects every block row once. The first layers
+        refuse ``rows`` with ``train=True``: they keep no input for backward.
+        """
         cfg = self.config
         needed = cfg.modalities()
         batch = None
+        if rows is not None:
+            rows = self._check_rows(rows)
+            batch = rows.shape[0]
         for modality in needed:
             if modality not in inputs:
                 raise DomainError(f"variant {cfg.variant!r} requires modality {modality!r}")
             x = inputs[modality]
-            want = (SEQUENCE_LEN, cfg.input_dim(modality))
+            width = cfg.input_dim(modality)
+            if rows is not None:
+                if x.ndim != 2 or x.shape[1] != width:
+                    raise DomainError(f"{modality} frame block must be [frames x {width}], got {x.shape}")
+                if rows.size and rows.max() >= x.shape[0]:
+                    raise DomainError(
+                        f"window rows reach {rows.max()}, {modality} block has {x.shape[0]} frames"
+                    )
+                continue
+            want = (SEQUENCE_LEN, width)
             if x.ndim != 3 or x.shape[1:] != want:
                 raise DomainError(
                     f"{modality} input must be [batch x {want[0]} x {want[1]}], got {x.shape}"
@@ -204,10 +233,21 @@ class Model:
                 raise DomainError("modality inputs disagree on batch size")
 
         branch_outs = [
-            self._run_stack(self.branches[m], np.asarray(inputs[m], dtype=np.float64), train)
+            self._run_stack(self.branches[m], np.asarray(inputs[m], dtype=np.float64), train, rows)
             for m in needed
         ]
         return self._run_stack(self.head, np.concatenate(branch_outs, axis=-1), train)
+
+    @staticmethod
+    def _check_rows(rows) -> np.ndarray:
+        rows = np.asarray(rows)
+        if rows.ndim != 2 or rows.shape[1] != SEQUENCE_LEN or not np.issubdtype(rows.dtype, np.integer):
+            raise DomainError(
+                f"window rows must be integer [batch x {SEQUENCE_LEN}], got {rows.dtype} {rows.shape}"
+            )
+        if rows.size and rows.min() < 0:
+            raise DomainError(f"window rows must be ≥ 0, got {rows.min()}")
+        return rows
 
     def backward(self, d_pred: np.ndarray, input_grads: bool = True) -> dict[str, np.ndarray] | None:
         """Accumulate parameter gradients; returns gradients w.r.t. each input.

@@ -3,10 +3,22 @@
 Every layer exposes ``forward(x, train=False)`` and ``backward(grad)``;
 parameters and their gradients live in the ``params`` / ``grads`` dicts under
 matching keys, and persistent non-trainable tensors (batch-norm running
-statistics) in the ``state`` dict. Layers that can sit first in a branch
-(``Dense`` and the recurrent layers) also take ``backward(grad,
-need_dx=False)``, which accumulates the same parameter gradients, skips the
-input-gradient product and returns None. All math is float64.
+statistics) in the ``state`` dict. All math is float64.
+
+Layers that can sit first in a branch (``Dense`` and the recurrent layers)
+take two more arguments:
+
+* ``backward(grad, need_dx=False)`` accumulates the same parameter gradients,
+  skips the input-gradient product and returns None;
+* ``forward(frames, train=False, rows=r)`` reads a [n x in] frame block and
+  integer window rows ``r`` [batch x T] into it, and equals
+  ``forward(frames[r])`` bit for bit. It projects each block row once and
+  gathers the windows' rows from the product, so frames shared by
+  overlapping windows are projected once, not once per window. Each row of
+  a GEMM is computed on its own, so the gathered rows match the window
+  product's as long as BLAS picks the same kernel for both row counts; the
+  caller's block has at least one window's rows (see ``train.predict_video``).
+  This path is for inference only and keeps no input for a backward pass.
 """
 
 from __future__ import annotations
@@ -19,6 +31,14 @@ from .initializers import glorot_uniform
 _PRELU_ALPHA_INIT = 0.25
 _BN_EPS = 1e-5
 _BN_MOMENTUM = 0.9
+
+
+def check_frame_block(layer: "Layer", frames: np.ndarray, in_dim: int, train: bool) -> None:
+    """Raise DomainError unless ``frames`` is a [n x in_dim] block read in inference mode."""
+    if train:
+        raise DomainError(f"{layer.name}: a frame block with window rows is for inference only")
+    if frames.ndim != 2 or frames.shape[1] != in_dim:
+        raise DomainError(f"{layer.name}: expected a [frames x {in_dim}] block, got {frames.shape}")
 
 
 class Layer:
@@ -55,7 +75,8 @@ class Dense(Layer):
     """Affine map y = xW + b over the last axis.
 
     Accepts [batch x in] or [batch x time x in]; on 3-D input the same kernel
-    applies at every timestep (time-distributed behaviour).
+    applies at every timestep (time-distributed behaviour). With ``rows`` it
+    maps a [frames x in] block and returns the rows' [batch x time x out].
     """
 
     def __init__(self, in_dim: int, out_dim: int, name: str, rng: np.random.Generator):
@@ -66,7 +87,11 @@ class Dense(Layer):
         self.params["b"] = np.zeros(out_dim)
         self.zero_grads()
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, rows=None):
+        if rows is not None:
+            check_frame_block(self, x, self.in_dim, train)
+            self._x2d = None
+            return (x @ self.params["W"] + self.params["b"])[rows]
         if x.shape[-1] != self.in_dim:
             raise DomainError(
                 f"{self.name}: input width {x.shape[-1]} does not match {self.in_dim}"

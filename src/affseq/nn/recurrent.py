@@ -21,6 +21,18 @@ Input projections for the whole sequence run as one 2-D matmul per gate on
 the input-gradient terms in backward; the recurrent part walks timesteps.
 Per-gate products are summed one by one in gate order, never folded into one
 wider matmul, whose different rounding would move low bits.
+
+In inference a layer that sits first in a branch may take a frame block
+instead: ``forward(frames, rows=r)`` projects each row of the [n x in] block
+once per gate and gathers the pre-activations of window ``i``, step ``t``
+from block row ``r[i, t]``. The input projection is per frame and the
+recurrence restarts at every window, so this gives ``forward(frames[r])``
+bit for bit while overlapping windows share their frames' projections (the
+input-GEMM hoist of Appleyard et al., arXiv:1604.01946, carried across
+windows). ``Bidirectional`` hands its reversed direction ``r[:, ::-1]``, so
+no reversed copy of the input is made. The block path keeps no input for
+backward and refuses ``train=True``.
+
 The sigmoid takes exp(-|x|), which never overflows and needs no branch.
 """
 
@@ -30,7 +42,7 @@ import numpy as np
 
 from ..errors import DomainError
 from .initializers import glorot_uniform, orthogonal
-from .layers import Layer
+from .layers import Layer, check_frame_block
 
 
 def _sigmoid(x):
@@ -55,11 +67,15 @@ class _Gated(Layer):
             self.params[f"b_{gate}"] = np.full(hidden_dim, self._BIAS_INIT.get(gate, 0.0))
         self.zero_grads()
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, rows=None):
+        p = self.params
+        if rows is not None:
+            check_frame_block(self, x, self.in_dim, train)
+            self._x = None
+            return self._scan(tuple((x @ p[f"W_{g}"] + p[f"b_{g}"])[rows] for g in self._GATES))
         if x.ndim != 3 or x.shape[-1] != self.in_dim:
             raise DomainError(f"{self.name}: expected [batch x T x {self.in_dim}], got {x.shape}")
         batch, steps, _ = x.shape
-        p = self.params
         self._x = x
         x2d = x.reshape(-1, self.in_dim)
         pre = tuple(
@@ -204,11 +220,16 @@ class Bidirectional(Layer):
         self.fwd.zero_grads()
         self.bwd.zero_grads()
 
-    def forward(self, x, train=False):
-        out_f = self.fwd.forward(x, train)
-        # one contiguous reversed copy, which the layer's forward and backward
-        # reshape as views instead of copying the strided x[:, ::-1] each time
-        out_b = self.bwd.forward(np.ascontiguousarray(x[:, ::-1]), train)[:, ::-1]
+    def forward(self, x, train=False, rows=None):
+        if rows is None:
+            out_f = self.fwd.forward(x, train)
+            # one contiguous reversed copy, which the layer's forward and backward
+            # reshape as views instead of copying the strided x[:, ::-1] each time
+            out_b = self.bwd.forward(np.ascontiguousarray(x[:, ::-1]), train)[:, ::-1]
+        else:
+            # a frame block is read through its rows, so reversing the rows reverses time
+            out_f = self.fwd.forward(x, train, rows=rows)
+            out_b = self.bwd.forward(x, train, rows=rows[:, ::-1])[:, ::-1]
         self._split = out_f.shape[-1]
         return np.concatenate([out_f, out_b], axis=-1)
 

@@ -6,7 +6,10 @@ backprop, applies RMSprop, then scores the validation split from
 overlap-merged frame predictions. The checkpoint with the best mean CCC is
 kept. Validation, evaluation and prediction stream the manifest one video at
 a time (load, predict, drop), so their memory does not grow with its length.
-With a fixed seed and one thread the whole trajectory is bit-for-bit
+They hand the model one z-scored frame block per batch and modality instead
+of gathered windows, at least ``SEQUENCE_LEN`` frames long, so each branch's
+first layer projects a frame once (see ``predict_video``). With a fixed seed
+and a fixed BLAS thread count the whole trajectory is bit-for-bit
 reproducible; worker threads only load videos ahead, never run the optimizer
 step.
 """
@@ -23,6 +26,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .dataset import (
+    SEQUENCE_LEN,
     FeatureTrack,
     LabelTrack,
     ManifestRow,
@@ -34,6 +38,7 @@ from .dataset import (
     load_feature_track,
     load_labels,
     merge_window_predictions,
+    normalize,
 )
 from .errors import ConfigError, CoverageError, DomainError, FileFormatError, NumericFaultError
 from .metrics import EvalReport, evaluate
@@ -134,14 +139,26 @@ def predict_video(
 ) -> np.ndarray:
     """Frame-level [n_frames x 2] predictions via windowing and overlap merge.
 
-    ``video`` holds the tracks as loaded; each batch is z-scored with ``stats``.
+    ``video`` holds the tracks as loaded. Each batch of windows reads one
+    frame block per modality, z-scored with ``stats``: the frames from the
+    batch's first row to its last, and never fewer than ``SEQUENCE_LEN``
+    (clamped to the last frame, as window rows are). ``Model.forward`` takes
+    the block and the windows' rows into it, so each branch's first layer
+    projects a frame once however many windows hold it. The floor keeps
+    each first-layer GEMM at or above one window's row count, the least a
+    per-window product has; with fewer rows BLAS may pick another kernel and
+    move low bits. A video shorter than a window gets its single window as
+    the block.
     """
     windows = build_windows(video.features)
-    modalities = model.config.modalities()
+    last = video.row.n_frames - 1
     pred = []
     for i in range(0, len(windows), batch_size):
-        chunk = windows.select(slice(i, i + batch_size))
-        pred.append(model.forward({m: gather_windows(chunk, m, stats) for m in modalities}, train=False))
+        rows = windows.rows[i : i + batch_size]
+        lo, hi = rows.min(), rows.max()
+        block = np.minimum(np.arange(lo, lo + max(hi - lo + 1, SEQUENCE_LEN)), last)
+        frames = {m: normalize(video.features[m].data[block], m, stats) for m in model.config.modalities()}
+        pred.append(model.forward(frames, train=False, rows=rows - lo))
     return merge_window_predictions(windows.rows, np.concatenate(pred), video.row.n_frames)
 
 
@@ -360,9 +377,10 @@ def predict(
     Rows stream one at a time: each video is loaded, predicted, written and
     dropped before the next, so memory does not grow with the manifest.
     """
+    model, stats = restore_model(ckpt)
+    # only after the restore, so a checkpoint that does not fit leaves no empty directory
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model, stats = restore_model(ckpt)
     modalities = model.config.modalities()
     written: dict[str, Path] = {}
     for video in _stream_videos(manifest_rows, modalities, need_labels=False, threads=threads):

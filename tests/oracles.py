@@ -4,7 +4,10 @@ Everything here is written from the defining formulas, deliberately not
 sharing code paths with the package: naive DFT, direct-formula CCC, a
 covering-set windowing oracle, slice-and-pad window cutting, a per-window
 overlap merge, a pointwise mel filterbank, a sign-split sigmoid and a single GRU step, and central
-finite-difference gradient helpers.
+finite-difference gradient helpers. The one exception is the per-window
+inference path, which is built from the package's own windowing, gather and
+merge: it is the reference the frame-block path of ``predict_video`` must
+match bit for bit.
 """
 
 from __future__ import annotations
@@ -251,3 +254,21 @@ def check_layer_gradients(layer, x: np.ndarray, rng: np.random.Generator, train:
             gp = num_grad(loss, leaf.params[key], eps)
             err = rel_err(leaf.grads[key], gp)
             assert err < tol, f"{leaf.name}.{key} grad rel err {err:.3e}"
+
+
+def predict_video_per_window(model, video, batch_size: int, stats) -> np.ndarray:
+    """Frame predictions with every window gathered and run whole: no frame block.
+
+    Each batch of windows becomes one z-scored [B x 15 x width] tensor per
+    modality (``gather_windows``), runs through ``Model.forward`` in
+    inference mode, and the window predictions merge back to frames.
+    """
+    from affseq.dataset import build_windows, gather_windows, merge_window_predictions
+
+    windows = build_windows(video.features)
+    modalities = model.config.modalities()
+    pred = []
+    for i in range(0, len(windows), batch_size):
+        chunk = windows.select(slice(i, i + batch_size))
+        pred.append(model.forward({m: gather_windows(chunk, m, stats) for m in modalities}, train=False))
+    return merge_window_predictions(windows.rows, np.concatenate(pred), video.row.n_frames)

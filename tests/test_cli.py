@@ -393,6 +393,35 @@ def test_predict_rejects_checkpoint_tensors_off_the_layout(trained, tmp_path, ca
     assert "Traceback" not in err
 
 
+
+def _flip_last_byte(path):
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        _flip_last_byte,
+        lambda path: save_checkpoint(path, Checkpoint(
+            config=load_checkpoint(path).config,
+            tensors=_without("param/head.dense2.b")(load_checkpoint(path).tensors))),
+    ],
+    ids=["corrupt", "mismatched"],
+)
+def test_predict_on_bad_checkpoint_leaves_no_out_dir(trained, tmp_path, capsys, spoil):
+    manifest, ckpt_path = trained
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(ckpt_path.read_bytes())
+    spoil(bad)
+    out = tmp_path / "preds" / "nested"
+    capsys.readouterr()
+    assert main(["predict", "--manifest", str(manifest), "--checkpoint", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "preds").exists()
+
 # --- thread environment ----------------------------------------------------------
 
 def test_threads_env_must_be_integer(monkeypatch, trained, capsys):
