@@ -6,6 +6,12 @@ DCT-II coefficients of the time-averaged log-mel spectrum (MFCC) concatenated
 with the 128-dim averaged log-mel spectrum itself. The STFT runs a radix-2
 FFT with a periodic Hann window; the filterbank uses the Slaney mel scale
 with triangle-area normalization.
+
+Frames are transformed in row-bounded chunks: each pass takes as many whole
+segments as fit in ``_CHUNK_ROWS`` STFT rows (always at least one), runs one
+FFT down axis 0 over all of those rows, and then one mel GEMM per segment.
+Memory is set by the chunk, not by the clip, and the feature bytes are those
+of a segment-at-a-time loop. ``frame_features`` is the one-segment case.
 """
 
 from __future__ import annotations
@@ -73,6 +79,7 @@ def plan_segments(clip_len: int, n_frames: int) -> tuple[int, tuple[int, ...]]:
     return seg_len, tuple(i * hop for i in range(n_frames - 1)) + (clip_len - seg_len,)
 
 
+@lru_cache(maxsize=8)
 def _bit_reverse_indices(n: int) -> np.ndarray:
     bits = n.bit_length() - 1
     idx = np.arange(n)
@@ -80,29 +87,44 @@ def _bit_reverse_indices(n: int) -> np.ndarray:
     for _ in range(bits):
         rev = (rev << 1) | (idx & 1)
         idx >>= 1
+    rev.flags.writeable = False
     return rev
 
 
-def _fft_last_axis(a: np.ndarray, inverse: bool) -> np.ndarray:
-    """Radix-2 FFT over the last axis of a complex array (length power of two)."""
-    n = a.shape[-1]
-    out = np.ascontiguousarray(a[..., _bit_reverse_indices(n)], dtype=np.complex128)
-    if n == 1:
-        return out
-    flat = out.reshape(-1, n)
+@lru_cache(maxsize=8)
+def _twiddles(n: int, inverse: bool) -> tuple[np.ndarray, ...]:
+    """Twiddle columns [size/2 x 1] of each butterfly stage, size = 2, 4, ..., n."""
     sign = 1.0 if inverse else -1.0
+    stages = []
     size = 2
     while size <= n:
+        twiddle = np.exp(sign * 2j * np.pi * np.arange(size // 2) / size)[:, None]
+        twiddle.flags.writeable = False
+        stages.append(twiddle)
+        size *= 2
+    return tuple(stages)
+
+
+def _fft_columns(x: np.ndarray, inverse: bool) -> np.ndarray:
+    """In-place radix-2 FFT down axis 0 of a complex [n x cols] array already in bit-reversed order.
+
+    Each column is one transform; the columns are contiguous along axis 1, so
+    every butterfly is one vectorised pass over all of them.
+    """
+    n, cols = x.shape
+    buf = np.empty(n // 2 * cols, dtype=np.complex128)
+    size = 2
+    for twiddle in _twiddles(n, inverse):
         half = size // 2
-        twiddle = np.exp(sign * 2j * np.pi * np.arange(half) / size)
-        blocks = flat.reshape(-1, size)
-        t = blocks[:, half:] * twiddle
-        blocks[:, half:] = blocks[:, :half] - t
-        blocks[:, :half] += t
+        blocks = x.reshape(n // size, size, cols)
+        lo, hi = blocks[:, :half], blocks[:, half:]
+        t = np.multiply(hi, twiddle, out=buf.reshape(hi.shape))
+        np.subtract(lo, t, out=hi)
+        lo += t
         size *= 2
     if inverse:
-        flat /= n
-    return out
+        x /= n
+    return x
 
 
 def fft(signal, inverse: bool = False) -> np.ndarray:
@@ -116,7 +138,7 @@ def fft(signal, inverse: bool = False) -> np.ndarray:
     n = x.shape[0]
     if n == 0 or n & (n - 1):
         raise DomainError(f"fft length must be a power of two, got {n}")
-    return _fft_last_axis(x, inverse)
+    return _fft_columns(x[_bit_reverse_indices(n), None], inverse)[:, 0]
 
 
 # Slaney mel scale: linear below 1 kHz, logarithmic above.
@@ -201,23 +223,71 @@ def dct_ortho_matrix(n: int) -> np.ndarray:
     return mat
 
 
+@lru_cache(maxsize=8)
 def _hann_periodic(n: int) -> np.ndarray:
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    window.flags.writeable = False
+    return window
 
 
-def _stft_power(segment: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
-    """Power spectrogram [frames x (n_fft//2 + 1)]; short segments zero-pad to one frame."""
-    length = len(segment)
-    if length < n_fft:
-        padded = np.zeros(n_fft)
-        padded[:length] = segment
-        frames = padded[None, :]
-    else:
-        n_steps = 1 + (length - n_fft) // hop
-        offsets = np.arange(n_steps) * hop
-        frames = segment[offsets[:, None] + np.arange(n_fft)[None, :]]
-    spectrum = _fft_last_axis(frames * _hann_periodic(n_fft), inverse=False)
-    return np.abs(spectrum[:, : n_fft // 2 + 1]) ** 2
+def _windowed_columns(samples: np.ndarray, offsets: np.ndarray, length: int, n_fft: int) -> np.ndarray:
+    """Hann-windowed STFT rows as bit-reversed complex columns [n_fft x len(offsets)].
+
+    Column j holds ``samples[offsets[j] : offsets[j] + n_fft]``; when the
+    segment ``length`` is shorter than ``n_fft`` it holds the ``length``
+    samples zero-padded to ``n_fft``.
+    """
+    rev = _bit_reverse_indices(n_fft)
+    window = _hann_periodic(n_fft)
+    if length >= n_fft:
+        return (samples[rev[:, None] + offsets] * window[rev, None]).astype(np.complex128)
+    inside = rev < length
+    taps = rev[inside]
+    columns = np.zeros((n_fft, len(offsets)), dtype=np.complex128)
+    columns[inside] = samples[taps[:, None] + offsets] * window[taps, None]
+    return columns
+
+
+def _power_rows(samples: np.ndarray, offsets: np.ndarray, length: int, n_fft: int) -> np.ndarray:
+    """C-contiguous power spectra [len(offsets) x (n_fft//2 + 1)] of the STFT rows at ``offsets``."""
+    spectrum = _fft_columns(_windowed_columns(samples, offsets, length, n_fft), inverse=False)
+    # C order matters: an F-ordered power array takes another GEMM kernel in the mel product
+    return np.ascontiguousarray(np.abs(spectrum[: n_fft // 2 + 1]).T) ** 2
+
+
+# STFT rows transformed per pass. A chunk holds as many whole segments as fit
+# in this many rows, and always at least one segment.
+_CHUNK_ROWS = 32
+
+
+def _segment_features(
+    samples: np.ndarray, starts, length: int, params: DspParams, filterbank: np.ndarray
+) -> np.ndarray:
+    """Rows [MFCC ++ averaged log-mel] of the ``length``-sample segments at ``starts``.
+
+    Segments go through the chain a chunk at a time: one FFT pass over the
+    chunk's STFT rows, then one mel GEMM per segment over its C-contiguous
+    [steps x bins] power block, the log, the mean over steps and the DCT.
+    """
+    n_fft, n_mfcc = params.n_fft, params.n_mfcc
+    # a segment shorter than n_fft is one zero-padded step; a hop longer than
+    # the segment also leaves one step, and min() keeps the offsets integers
+    step_offsets = np.arange(0, max(length - n_fft, 0) + 1, min(params.stft_hop, length))
+    n_steps = len(step_offsets)
+    per_chunk = max(1, _CHUNK_ROWS // n_steps)
+    dct = dct_ortho_matrix(params.n_mels)[:n_mfcc]
+    starts = np.asarray(starts)
+    rows = np.empty((len(starts), params.feature_dim()))
+    for lo in range(0, len(starts), per_chunk):
+        chunk = starts[lo : lo + per_chunk]
+        offsets = (chunk[:, None] + step_offsets).ravel()
+        power = _power_rows(samples, offsets, length, n_fft).reshape(len(chunk), n_steps, -1)
+        mel_energy = power @ filterbank.T
+        log_mel = 10.0 * np.log10(np.maximum(mel_energy, params.log_floor))
+        mel_feature = log_mel.mean(axis=1)
+        rows[lo : lo + len(chunk), :n_mfcc] = (dct @ mel_feature[:, :, None])[:, :, 0]
+        rows[lo : lo + len(chunk), n_mfcc:] = mel_feature
+    return rows
 
 
 def frame_features(
@@ -231,34 +301,33 @@ def frame_features(
     Mel energies are the filterbank applied to the power spectrogram, floored
     at ``log_floor`` before 10*log10. Log-mel frames are averaged over time;
     MFCCs are the leading orthonormal DCT-II coefficients of that average.
+    This is the one-segment case of ``extract_audio_track``: same bytes.
     """
     segment = np.asarray(segment, dtype=np.float64)
     if segment.size == 0:
         raise DomainError("cannot extract features from an empty segment")
     if filterbank is None:
         filterbank = mel_filterbank(sample_rate, params.n_fft, params.n_mels, params.fmin, params.fmax)
-
-    power = _stft_power(segment, params.n_fft, params.stft_hop)
-    mel_energy = power @ filterbank.T
-    log_mel = 10.0 * np.log10(np.maximum(mel_energy, params.log_floor))
-    mel_feature = log_mel.mean(axis=0)
-    mfcc = dct_ortho_matrix(params.n_mels)[: params.n_mfcc] @ mel_feature
-    return np.concatenate([mfcc, mel_feature])
+    return _segment_features(segment, (0,), len(segment), params, filterbank)[0]
 
 
 def extract_audio_track(clip: AudioClip, n_frames: int, params: DspParams = DspParams()) -> np.ndarray:
     """Per-frame feature matrix [n_frames x (n_mfcc + n_mels)] for one clip.
 
+    ConfigError if a mel filter captures no FFT bin at this sample rate;
     NumericFaultError if any feature is not finite (a NaN or infinite sample).
     """
     segment_len, starts = plan_segments(clip.duration_samples, n_frames)
-    filterbank = mel_filterbank(
-        clip.sample_rate, params.n_fft, params.n_mels, params.fmin, params.fmax
-    )
-    rows = np.empty((n_frames, params.feature_dim()))
-    for i, start in enumerate(starts):
-        segment = clip.samples[start : start + segment_len]
-        rows[i] = frame_features(segment, clip.sample_rate, params, filterbank)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegenerateFilterWarning)
+        try:
+            filterbank = mel_filterbank(
+                clip.sample_rate, params.n_fft, params.n_mels, params.fmin, params.fmax
+            )
+        except DegenerateFilterWarning as exc:
+            # an empty filter would be a constant log_floor column in every row
+            raise ConfigError(f"{exc}; use fewer mels, a larger n_fft or a wider fmin..fmax") from None
+    rows = _segment_features(clip.samples, starts, segment_len, params, filterbank)
     bad_frames = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad_frames.size:
         raise NumericFaultError(

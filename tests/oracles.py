@@ -4,10 +4,12 @@ Everything here is written from the defining formulas, deliberately not
 sharing code paths with the package: naive DFT, direct-formula CCC, a
 covering-set windowing oracle, slice-and-pad window cutting, a per-window
 overlap merge, a pointwise mel filterbank, a sign-split sigmoid and a single GRU step, and central
-finite-difference gradient helpers. The one exception is the per-window
-inference path, which is built from the package's own windowing, gather and
-merge: it is the reference the frame-block path of ``predict_video`` must
-match bit for bit.
+finite-difference gradient helpers. Two exceptions are bitwise references
+built partly from the package's own pieces: the per-window inference path
+(the package's windowing, gather and merge), which the frame-block path of
+``predict_video`` must match, and the per-segment audio feature path (the
+package's segment plan, filterbank and DCT around a segment-at-a-time STFT),
+which the chunked ``extract_audio_track`` must match.
 """
 
 from __future__ import annotations
@@ -272,3 +274,73 @@ def predict_video_per_window(model, video, batch_size: int, stats) -> np.ndarray
         chunk = windows.select(slice(i, i + batch_size))
         pred.append(model.forward({m: gather_windows(chunk, m, stats) for m in modalities}, train=False))
     return merge_window_predictions(windows.rows, np.concatenate(pred), video.row.n_frames)
+
+
+def _bit_reverse_indices_per_call(n: int) -> np.ndarray:
+    bits = n.bit_length() - 1
+    idx = np.arange(n)
+    rev = np.zeros(n, dtype=np.intp)
+    for _ in range(bits):
+        rev = (rev << 1) | (idx & 1)
+        idx >>= 1
+    return rev
+
+
+def _fft_last_axis(a: np.ndarray, inverse: bool) -> np.ndarray:
+    """Radix-2 FFT over the last axis of a complex array (length power of two)."""
+    n = a.shape[-1]
+    out = np.ascontiguousarray(a[..., _bit_reverse_indices_per_call(n)], dtype=np.complex128)
+    if n == 1:
+        return out
+    flat = out.reshape(-1, n)
+    sign = 1.0 if inverse else -1.0
+    size = 2
+    while size <= n:
+        half = size // 2
+        twiddle = np.exp(sign * 2j * np.pi * np.arange(half) / size)
+        blocks = flat.reshape(-1, size)
+        t = blocks[:, half:] * twiddle
+        blocks[:, half:] = blocks[:, :half] - t
+        blocks[:, :half] += t
+        size *= 2
+    if inverse:
+        flat /= n
+    return out
+
+
+def _stft_power(segment: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
+    """Power spectrogram [frames x (n_fft//2 + 1)]; short segments zero-pad to one frame."""
+    length = len(segment)
+    if length < n_fft:
+        padded = np.zeros(n_fft)
+        padded[:length] = segment
+        frames = padded[None, :]
+    else:
+        n_steps = 1 + (length - n_fft) // hop
+        offsets = np.arange(n_steps) * hop
+        frames = segment[offsets[:, None] + np.arange(n_fft)[None, :]]
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft)
+    spectrum = _fft_last_axis(frames * window, inverse=False)
+    return np.abs(spectrum[:, : n_fft // 2 + 1]) ** 2
+
+
+def extract_audio_per_segment(clip, n_frames: int, params) -> np.ndarray:
+    """Feature rows [n_frames x (n_mfcc + n_mels)], one segment per Python iteration.
+
+    Each segment runs its own last-axis STFT, a [steps x bins] @ filterbank.T
+    GEMM, the floored log, the mean over steps and the DCT. No finite check.
+    """
+    from affseq.dsp import dct_ortho_matrix, mel_filterbank, plan_segments
+
+    segment_len, starts = plan_segments(clip.duration_samples, n_frames)
+    filterbank = mel_filterbank(clip.sample_rate, params.n_fft, params.n_mels, params.fmin, params.fmax)
+    rows = np.empty((n_frames, params.feature_dim()))
+    for i, start in enumerate(starts):
+        segment = clip.samples[start : start + segment_len]
+        power = _stft_power(segment, params.n_fft, params.stft_hop)
+        mel_energy = power @ filterbank.T
+        log_mel = 10.0 * np.log10(np.maximum(mel_energy, params.log_floor))
+        mel_feature = log_mel.mean(axis=0)
+        mfcc = dct_ortho_matrix(params.n_mels)[: params.n_mfcc] @ mel_feature
+        rows[i] = np.concatenate([mfcc, mel_feature])
+    return rows

@@ -1,5 +1,10 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from affseq.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from affseq.cli import main
@@ -160,6 +165,71 @@ def test_extract_audio_rejects_invalid_dsp_params(tmp_path, capsys, flag, value,
     assert code == 3
     assert err.startswith("error:") and message in err
     assert not out.exists()
+
+
+def test_extract_audio_rejects_empty_mel_filters(tmp_path, capsys):
+    wav = _wav(tmp_path / "a.wav", n_samples=44100, rate=44100)
+    out = tmp_path / "a.feat"
+    code = main(["extract-audio", "--wav", str(wav), "--frames", "30", "--out", str(out), "--n-mels", "4000"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: 2307 of 4000 mel filters capture no FFT bin (n_fft=2048, sr=44100)")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+# Boundary values every numeric extract-audio key is driven through. Huge
+# n_fft and n_mels are left out: a valid one makes the filterbank really
+# allocate [n_mels x (n_fft/2 + 1)] floats.
+_BOUNDARY = ("0", "-1", "nan", "inf", "-inf", "1.5", "1e308")
+_HUGE = "100000000000000000000"
+_EXTRACT_VALUES = {
+    "frames": ("1", "4", "30", _HUGE),
+    "n_fft": ("2", "64", "256", "2048"),
+    "stft_hop": ("1", "64", "512", _HUGE),
+    "n_mels": ("1", "8", "40", "128"),
+    "n_mfcc": ("1", "13", "40", _HUGE),
+    "fmin": ("0", "100", "7999.5", _HUGE),
+    "fmax": ("none", "4000", "8000", _HUGE),
+    "log_floor": ("1e-10", "1e-3", "1e300", _HUGE),
+}
+
+
+@pytest.fixture(scope="module")
+def half_silent_wav(tmp_path_factory):
+    tone = np.sin(2 * np.pi * 440.0 * np.arange(2000) / 16000)
+    tone[:1000] = 0.0
+    path = tmp_path_factory.mktemp("exit_codes") / "half_silent.wav"
+    path.write_bytes(pcm16_wav_bytes(np.round(tone * 20000).astype(np.int64), 16000))
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.fixed_dictionaries(
+        {key: st.none() | st.sampled_from(values + _BOUNDARY) for key, values in _EXTRACT_VALUES.items()}
+    )
+)
+def test_extract_audio_exit_codes_property(half_silent_wav, options):
+    """Any mix of boundary option values ends in 0/2/3/4 with one error: line, no traceback."""
+    out = half_silent_wav.with_suffix(".feat")
+    out.unlink(missing_ok=True)
+    argv = ["extract-audio", "--wav", str(half_silent_wav), "--out", str(out), "--frames", options["frames"] or "4"]
+    for key, value in options.items():
+        if key != "frames" and value is not None:
+            argv += ["--" + key.replace("_", "-"), value]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    err = stderr.getvalue()
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        assert out.exists() and "rows=" in stdout.getvalue()
+    else:
+        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+        assert not out.exists()
 
 
 # --- train -----------------------------------------------------------------

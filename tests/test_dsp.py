@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affseq import DspParams, fft, mel_filterbank, plan_segments
 from affseq.audio_io import AudioClip
 from affseq.dsp import (
+    _CHUNK_ROWS,
     DegenerateFilterWarning,
     dct_ortho_matrix,
     extract_audio_track,
@@ -16,9 +18,10 @@ from affseq.dsp import (
     hz_to_mel,
     mel_to_hz,
 )
-from affseq.errors import DomainError
+from affseq.errors import ConfigError, DomainError
 
 from oracles import (
+    extract_audio_per_segment,
     hz_to_mel_slaney,
     mel_to_hz_slaney,
     mel_weights_direct,
@@ -272,13 +275,95 @@ def test_extract_single_frame(rng):
 
 
 def test_extract_rows_use_planned_segments(rng):
-    samples = rng.normal(size=1000)
-    clip = _clip(samples)
+    clip = _clip(rng.normal(size=1000))
     track = extract_audio_track(clip, 3)
     assert track.shape == (3, 168)
+    assert track.tobytes() == extract_audio_per_segment(clip, 3, DspParams()).tobytes()
+
+
+def test_frame_features_is_the_one_segment_case(rng):
+    samples = rng.normal(size=1000)
+    oracle = extract_audio_per_segment(_clip(samples), 3, DspParams())
     for i, (start, stop) in enumerate([(0, 500), (250, 750), (500, 1000)]):
-        expected = frame_features(samples[start:stop], 16000)
-        np.testing.assert_array_equal(track[i], expected)
+        assert frame_features(samples[start:stop], 16000).tobytes() == oracle[i].tobytes()
+
+
+_PARAM_SETS = {
+    "default": DspParams(),
+    "512/128/40/13": DspParams(n_fft=512, stft_hop=128, n_mels=40, n_mfcc=13),
+    "256/64/32/13": DspParams(n_fft=256, stft_hop=64, n_mels=32, n_mfcc=13),
+}
+
+
+def _clip_for_steps(sample_rate, n_frames, params, steps, extra, seed, silence):
+    """A clip whose planned segments take ``steps`` STFT steps (0: shorter than n_fft, one padded step)."""
+    if steps == 0:
+        segment_len = 2 + extra % (params.n_fft - 2)
+    else:
+        segment_len = params.n_fft + (steps - 1) * params.stft_hop + extra % params.stft_hop
+    clip_len = segment_len if n_frames == 1 else (segment_len * (n_frames + 1) + 1) // 2
+    assert plan_segments(clip_len, n_frames)[0] == segment_len
+    gen = np.random.default_rng(seed)
+    samples = gen.uniform(-1.0, 1.0, clip_len) * gen.uniform(0.0, 1.0)
+    lo, hi = sorted(int(clip_len * f) for f in silence)
+    samples[lo:hi] = 0.0
+    return _clip(samples, sample_rate)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sample_rate=st.sampled_from([8000, 16000, 44100, 48000]),
+    n_frames=st.integers(1, 40),
+    params=st.sampled_from(sorted(_PARAM_SETS)),
+    steps=st.sampled_from([0, 1, 2, 3, 4, 9]),
+    extra=st.integers(0, 10**6),
+    seed=st.integers(0, 2**32 - 1),
+    silence=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+)
+@example(sample_rate=8000, n_frames=1, params="default", steps=0, extra=0, seed=1, silence=(0.0, 0.5))
+@example(sample_rate=16000, n_frames=2, params="512/128/40/13", steps=2, extra=5, seed=2, silence=(0.2, 0.9))
+@example(sample_rate=44100, n_frames=3, params="256/64/32/13", steps=3, extra=77, seed=3, silence=(0.0, 1.0))
+@example(sample_rate=48000, n_frames=15, params="default", steps=4, extra=300, seed=4, silence=(0.5, 0.6))
+@example(sample_rate=44100, n_frames=15, params="default", steps=1, extra=1, seed=5, silence=(0.0, 0.0))
+def test_extract_matches_per_segment_oracle_bitwise(sample_rate, n_frames, params, steps, extra, seed, silence):
+    """Chunked extraction is byte-equal to the one-segment-per-iteration path."""
+    dsp = _PARAM_SETS[params]
+    clip = _clip_for_steps(sample_rate, n_frames, dsp, steps, extra, seed, silence)
+    track = extract_audio_track(clip, n_frames, dsp)
+    oracle = extract_audio_per_segment(clip, n_frames, dsp)
+    assert track.tobytes() == oracle.tobytes(), np.max(np.abs(track - oracle))
+
+
+def _extract_extra_bytes(n_frames, params):
+    """Traced peak bytes of one extraction beyond its output (the samples exist before tracing)."""
+    frame_len = 8000 // 25
+    samples = np.random.default_rng(n_frames).uniform(-1.0, 1.0, n_frames * frame_len)
+    tracemalloc.start()
+    try:
+        track = extract_audio_track(_clip(samples, 8000), n_frames, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - track.nbytes
+
+
+def test_extract_memory_is_bounded_by_a_chunk():
+    """A chunk's index, samples, complex columns and butterfly buffer take a few
+    chunks' complex bytes. Only the planned starts and the finite check grow
+    with the clip, by tens of bytes a frame."""
+    params = _PARAM_SETS["256/64/32/13"]
+    chunk_bytes = _CHUNK_ROWS * params.n_fft * np.dtype(np.complex128).itemsize
+    _extract_extra_bytes(30, params)  # fills the caches: window, bit-reverse index, twiddles, DCT
+    short = _extract_extra_bytes(300, params)
+    long = _extract_extra_bytes(3000, params)
+    assert short < 6 * chunk_bytes
+    assert long < 6 * chunk_bytes
+    assert long - short < 2 * chunk_bytes
+
+
+def test_extract_rejects_empty_mel_filters():
+    with pytest.raises(ConfigError, match="2307 of 4000 mel filters capture no FFT bin"):
+        extract_audio_track(_clip(np.zeros(4410), 44100), 4, DspParams(n_mels=4000))
 
 
 def test_extract_silence_rows_identical():
