@@ -352,9 +352,12 @@ def concat_windows(parts: list[WindowIndex]) -> WindowIndex:
 def compute_stats(tracks: list[FeatureTrack]) -> NormalizationStats:
     """Column mean/std per modality over the concatenated rows of ``tracks``.
 
-    Standard deviations are population (1/N) and floored at 1e-8. Rows are
-    widened to float64 one modality at a time, in track order, so float32
-    tracks give the bits their float64 copies would.
+    Standard deviations are population (1/N) and floored at 1e-8. The result
+    has the bits of ``stacked.mean(0)`` and ``stacked.std(0)`` over the rows
+    widened to float64 and stacked in track order, but no stacked copy is
+    made: two passes over the rows (the sum, then the squared deviations from
+    the mean, as ``np.std`` does) each widen ``_STATS_CHUNK_ROWS`` rows at a
+    time (see ``_sum_rows``).
     """
     if not tracks:
         raise DomainError("cannot compute normalization statistics from zero tracks")
@@ -363,11 +366,44 @@ def compute_stats(tracks: list[FeatureTrack]) -> NormalizationStats:
     for track in tracks:
         by_modality.setdefault(track.modality, []).append(track.data)
     for modality, blocks in by_modality.items():
-        stacked = np.concatenate(blocks, axis=0, dtype=np.float64)
-        stats.mean[modality] = stacked.mean(axis=0)
-        stats.std[modality] = np.maximum(stacked.std(axis=0), _STD_FLOOR)
-        del stacked  # free before the next modality's rows are widened
+        n = sum(len(block) for block in blocks)
+        if n == 0:
+            raise DomainError(f"cannot compute {modality} normalization statistics from zero rows")
+        mean = _sum_rows(blocks, np.copyto) / n
+
+        def squared_deviations(out, rows):
+            np.subtract(rows, mean, out=out)
+            np.square(out, out=out)
+
+        stats.mean[modality] = mean
+        stats.std[modality] = np.maximum(np.sqrt(_sum_rows(blocks, squared_deviations) / n), _STD_FLOOR)
     return stats
+
+
+_STATS_CHUNK_ROWS = 64
+
+
+def _sum_rows(blocks: list[np.ndarray], put) -> np.ndarray:
+    """Column sums of ``put(out, rows)`` over the blocks' rows, in chunks of at most 64 rows.
+
+    NumPy reduces a C-contiguous [rows x width] array over axis 0 by adding
+    whole rows in order; its pairwise summation runs only along the
+    contiguous axis. So the running sum, carried in as row 0 above the next
+    chunk, continues the very additions of one ``sum(axis=0)`` over every
+    row stacked, for any width above 1 (every modality's).
+    """
+    buf = np.empty((_STATS_CHUNK_ROWS + 1, blocks[0].shape[1]))
+    total = None
+    for block in blocks:
+        for start in range(0, len(block), _STATS_CHUNK_ROWS):
+            rows = block[start : start + _STATS_CHUNK_ROWS]
+            put(buf[1 : len(rows) + 1], rows)
+            if total is None:
+                total = np.add.reduce(buf[1 : len(rows) + 1], axis=0)
+            else:
+                buf[0] = total
+                total = np.add.reduce(buf[: len(rows) + 1], axis=0)
+    return total
 
 
 def normalize(data: np.ndarray, modality: str, stats: NormalizationStats) -> np.ndarray:

@@ -19,6 +19,14 @@ take two more arguments:
   product's as long as BLAS picks the same kernel for both row counts; the
   caller's block has at least one window's rows (see ``train.predict_video``).
   This path is for inference only and keeps no input for a backward pass.
+
+Only ``forward(x, train=True)`` keeps what ``backward`` reads, in the one
+attribute ``_saved``; an inference forward keeps nothing, so a restored model
+holds its parameters and one batch. ``backward`` takes the state and drops
+it, and raises DomainError after an inference forward. ``BatchNorm`` is the
+exception: its inference-mode backward is defined and exact, so it keeps its
+normalized input in both modes. Gradient buffers are built with ``np.zeros``,
+whose calloc'd pages cost no memory until a backward pass writes them.
 """
 
 from __future__ import annotations
@@ -48,6 +56,8 @@ class Layer:
     (running statistics and the like); training never takes a gradient of them.
     """
 
+    _saved = None  # what backward reads; kept by a train-mode forward only
+
     def __init__(self, name: str):
         self.name = name
         self.params: dict[str, np.ndarray] = {}
@@ -67,6 +77,20 @@ class Layer:
         for key, param in self.params.items():
             self.grads[key] = np.zeros_like(param)
 
+    def _build_grads(self) -> None:
+        # np.zeros, not zeros_like: a model that never trains never touches these pages
+        self.grads = {key: np.zeros(param.shape) for key, param in self.params.items()}
+
+    def _take_saved(self):
+        """Return the state the last train-mode forward kept, and drop it."""
+        saved, self._saved = self._saved, None
+        if saved is None:
+            raise DomainError(
+                f"{self.name}: backward needs a forward(train=True) first; "
+                "an inference forward keeps no backward state"
+            )
+        return saved
+
     def sublayers(self) -> list["Layer"]:
         return []
 
@@ -85,29 +109,30 @@ class Dense(Layer):
         self.out_dim = out_dim
         self.params["W"] = glorot_uniform(rng, in_dim, out_dim)
         self.params["b"] = np.zeros(out_dim)
-        self.zero_grads()
+        self._build_grads()
 
     def forward(self, x, train=False, rows=None):
         if rows is not None:
             check_frame_block(self, x, self.in_dim, train)
-            self._x2d = None
+            self._saved = None
             return (x @ self.params["W"] + self.params["b"])[rows]
         if x.shape[-1] != self.in_dim:
             raise DomainError(
                 f"{self.name}: input width {x.shape[-1]} does not match {self.in_dim}"
             )
-        self._x_shape = x.shape
-        self._x2d = x.reshape(-1, self.in_dim)
-        out = self._x2d @ self.params["W"] + self.params["b"]
+        x2d = x.reshape(-1, self.in_dim)
+        self._saved = (x2d, x.shape) if train else None
+        out = x2d @ self.params["W"] + self.params["b"]
         return out.reshape(*x.shape[:-1], self.out_dim)
 
     def backward(self, grad, need_dx=True):
+        x2d, x_shape = self._take_saved()
         g2d = grad.reshape(-1, self.out_dim)
-        self.grads["W"] += self._x2d.T @ g2d
+        self.grads["W"] += x2d.T @ g2d
         self.grads["b"] += g2d.sum(axis=0)
         if not need_dx:
             return None
-        return (g2d @ self.params["W"].T).reshape(self._x_shape)
+        return (g2d @ self.params["W"].T).reshape(x_shape)
 
 
 class PReLU(Layer):
@@ -116,7 +141,7 @@ class PReLU(Layer):
     def __init__(self, n_features: int, name: str):
         super().__init__(name)
         self.params["alpha"] = np.full(n_features, _PRELU_ALPHA_INIT)
-        self.zero_grads()
+        self._build_grads()
 
     def forward(self, x, train=False):
         if x.shape[-1] != self.params["alpha"].shape[0]:
@@ -124,15 +149,15 @@ class PReLU(Layer):
                 f"{self.name}: feature width {x.shape[-1]} does not match "
                 f"{self.params['alpha'].shape[0]}"
             )
-        self._x = x
-        self._pos = x > 0
-        return np.where(self._pos, x, self.params["alpha"] * x)
+        pos = x > 0
+        self._saved = (x, pos) if train else None
+        return np.where(pos, x, self.params["alpha"] * x)
 
     def backward(self, grad):
-        neg = ~self._pos
+        x, pos = self._take_saved()
         axes = tuple(range(grad.ndim - 1))
-        self.grads["alpha"] += np.sum(grad * self._x * neg, axis=axes)
-        return np.where(self._pos, grad, self.params["alpha"] * grad)
+        self.grads["alpha"] += np.sum(grad * x * ~pos, axis=axes)
+        return np.where(pos, grad, self.params["alpha"] * grad)
 
 
 class Tanh(Layer):
@@ -142,11 +167,13 @@ class Tanh(Layer):
         super().__init__(name)
 
     def forward(self, x, train=False):
-        self._y = np.tanh(x)
-        return self._y
+        y = np.tanh(x)
+        self._saved = y if train else None
+        return y
 
     def backward(self, grad):
-        return grad * (1.0 - self._y**2)
+        y = self._take_saved()
+        return grad * (1.0 - y**2)
 
 
 class BatchNorm(Layer):
@@ -166,7 +193,7 @@ class BatchNorm(Layer):
         self.params["beta"] = np.zeros(n_features)
         self.state["running_mean"] = np.zeros(n_features)
         self.state["running_var"] = np.ones(n_features)
-        self.zero_grads()
+        self._build_grads()
 
     def forward(self, x, train=False):
         n_features = self.params["gamma"].shape[0]
@@ -174,7 +201,6 @@ class BatchNorm(Layer):
             raise DomainError(
                 f"{self.name}: feature width {x.shape[-1]} does not match {n_features}"
             )
-        self._train = train
         axes = tuple(range(x.ndim - 1))
         if train:
             n = int(np.prod(x.shape[:-1]))
@@ -185,30 +211,32 @@ class BatchNorm(Layer):
             state = self.state
             state["running_mean"] = _BN_MOMENTUM * state["running_mean"] + (1 - _BN_MOMENTUM) * mean
             state["running_var"] = _BN_MOMENTUM * state["running_var"] + (1 - _BN_MOMENTUM) * var
-            self._n = n
         else:
+            n = None
             mean = self.state["running_mean"]
             var = self.state["running_var"]
-        self._inv_std = 1.0 / np.sqrt(var + _BN_EPS)
-        self._xhat = (x - mean) * self._inv_std
-        return self.params["gamma"] * self._xhat + self.params["beta"]
+        inv_std = 1.0 / np.sqrt(var + _BN_EPS)
+        xhat = (x - mean) * inv_std
+        # kept in inference too: the inference-mode backward is defined (see module doc)
+        self._saved = (xhat, inv_std, n)
+        return self.params["gamma"] * xhat + self.params["beta"]
 
     def backward(self, grad):
+        xhat, inv_std, n = self._take_saved()
         axes = tuple(range(grad.ndim - 1))
-        self.grads["gamma"] += np.sum(grad * self._xhat, axis=axes)
+        self.grads["gamma"] += np.sum(grad * xhat, axis=axes)
         self.grads["beta"] += np.sum(grad, axis=axes)
         dxhat = grad * self.params["gamma"]
-        if not self._train:
-            return dxhat * self._inv_std
-        n = self._n
+        if n is None:
+            return dxhat * inv_std
         # standard batch-norm input gradient with batch statistics
         return (
-            self._inv_std
+            inv_std
             / n
             * (
                 n * dxhat
                 - np.sum(dxhat, axis=axes)
-                - self._xhat * np.sum(dxhat * self._xhat, axis=axes)
+                - xhat * np.sum(dxhat * xhat, axis=axes)
             )
         )
 
@@ -231,6 +259,7 @@ class Dropout(Layer):
         return x * self._mask
 
     def backward(self, grad):
-        if self._mask is None:
+        mask, self._mask = self._mask, None
+        if mask is None:
             return grad
-        return grad * self._mask
+        return grad * mask

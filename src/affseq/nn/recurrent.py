@@ -10,9 +10,11 @@ Gate conventions:
 Both cells share one scaffold, ``_Gated``: it owns the per-gate parameters
 ``W_g, U_g, b_g`` (drawn in gate order), the input shape check, the input
 projections and, in backward, the ``W``/``b``/input gradients. A cell adds
-only its timestep walk: ``_scan(pre)`` maps the per-gate input projections
-to the output sequence, and ``_scan_back(d_out)`` returns the per-gate
-pre-activation gradients, accumulating the ``U`` gradients on the way.
+only its timestep walk: ``_scan(pre, cache)`` maps the per-gate input
+projections to the output sequence, appending each step's gate values to
+``cache`` unless it is None, and ``_scan_back(d_out, cache)`` returns the
+per-gate pre-activation gradients, accumulating the ``U`` gradients on the
+way. Only a train-mode forward keeps the input and that step cache.
 Every layer returns the whole hidden-state sequence.
 
 Input kernels are Glorot-uniform, recurrent kernels orthogonal, biases zero.
@@ -65,28 +67,30 @@ class _Gated(Layer):
             self.params[f"W_{gate}"] = glorot_uniform(rng, in_dim, hidden_dim)
             self.params[f"U_{gate}"] = orthogonal(rng, hidden_dim, hidden_dim)
             self.params[f"b_{gate}"] = np.full(hidden_dim, self._BIAS_INIT.get(gate, 0.0))
-        self.zero_grads()
+        self._build_grads()
 
     def forward(self, x, train=False, rows=None):
         p = self.params
         if rows is not None:
             check_frame_block(self, x, self.in_dim, train)
-            self._x = None
-            return self._scan(tuple((x @ p[f"W_{g}"] + p[f"b_{g}"])[rows] for g in self._GATES))
+            self._saved = None
+            return self._scan(tuple((x @ p[f"W_{g}"] + p[f"b_{g}"])[rows] for g in self._GATES), None)
         if x.ndim != 3 or x.shape[-1] != self.in_dim:
             raise DomainError(f"{self.name}: expected [batch x T x {self.in_dim}], got {x.shape}")
         batch, steps, _ = x.shape
-        self._x = x
         x2d = x.reshape(-1, self.in_dim)
         pre = tuple(
             (x2d @ p[f"W_{g}"] + p[f"b_{g}"]).reshape(batch, steps, self.hidden_dim)
             for g in self._GATES
         )
-        return self._scan(pre)
+        cache = [] if train else None
+        self._saved = (x, cache) if train else None
+        return self._scan(pre, cache)
 
     def backward(self, grad, need_dx=True):
-        dpre = self._scan_back(grad)
-        x2d = self._x.reshape(-1, self.in_dim)
+        x, cache = self._take_saved()
+        dpre = self._scan_back(grad, cache)
+        x2d = x.reshape(-1, self.in_dim)
         dx = np.zeros_like(x2d) if need_dx else None
         for gate, dgate in zip(self._GATES, dpre):
             g2d = dgate.reshape(-1, self.hidden_dim)
@@ -94,36 +98,36 @@ class _Gated(Layer):
             self.grads[f"b_{gate}"] += g2d.sum(axis=0)
             if need_dx:
                 dx += g2d @ self.params[f"W_{gate}"].T
-        return dx.reshape(self._x.shape) if need_dx else None
+        return dx.reshape(x.shape) if need_dx else None
 
 
 class GRULayer(_Gated):
     _GATES = ("z", "r", "h")
 
-    def _scan(self, pre):
+    def _scan(self, pre, cache):
         xz, xr, xh = pre
         batch, steps, _ = xz.shape
         p = self.params
         h = np.zeros((batch, self.hidden_dim))
         outputs = np.empty((batch, steps, self.hidden_dim))
-        self._cache = []
         for t in range(steps):
             z = _sigmoid(xz[:, t] + h @ p["U_z"])
             r = _sigmoid(xr[:, t] + h @ p["U_r"])
             rh = r * h
             hh = np.tanh(xh[:, t] + rh @ p["U_h"])
-            self._cache.append((z, r, hh, h, rh))
+            if cache is not None:
+                cache.append((z, r, hh, h, rh))
             h = z * h + (1.0 - z) * hh
             outputs[:, t] = h
         return outputs
 
-    def _scan_back(self, d_out):
+    def _scan_back(self, d_out, cache):
         p = self.params
         batch, steps, _ = d_out.shape
         dxz, dxr, dxh = (np.empty(d_out.shape) for _ in self._GATES)
         dh_next = np.zeros((batch, self.hidden_dim))
         for t in reversed(range(steps)):
-            z, r, hh, h_prev, rh = self._cache[t]
+            z, r, hh, h_prev, rh = cache[t]
             dh = d_out[:, t] + dh_next
             dz = dh * (h_prev - hh)
             dhh = dh * (1.0 - z)
@@ -151,14 +155,13 @@ class LSTMLayer(_Gated):
     _GATES = ("i", "f", "o", "g")
     _BIAS_INIT = {"f": 1.0}  # forget bias
 
-    def _scan(self, pre):
+    def _scan(self, pre, cache):
         pre_i, pre_f, pre_o, pre_g = pre
         batch, steps, _ = pre_i.shape
         p = self.params
         h = np.zeros((batch, self.hidden_dim))
         c = np.zeros((batch, self.hidden_dim))
         outputs = np.empty((batch, steps, self.hidden_dim))
-        self._cache = []
         for t in range(steps):
             i = _sigmoid(pre_i[:, t] + h @ p["U_i"])
             f = _sigmoid(pre_f[:, t] + h @ p["U_f"])
@@ -166,20 +169,21 @@ class LSTMLayer(_Gated):
             g = np.tanh(pre_g[:, t] + h @ p["U_g"])
             c_new = f * c + i * g
             tanh_c = np.tanh(c_new)
-            self._cache.append((i, f, o, g, h, c, tanh_c))
+            if cache is not None:
+                cache.append((i, f, o, g, h, c, tanh_c))
             h = o * tanh_c
             c = c_new
             outputs[:, t] = h
         return outputs
 
-    def _scan_back(self, d_out):
+    def _scan_back(self, d_out, cache):
         p = self.params
         batch, steps, _ = d_out.shape
         dpre = tuple(np.empty(d_out.shape) for _ in self._GATES)
         dh_next = np.zeros((batch, self.hidden_dim))
         dc_next = np.zeros((batch, self.hidden_dim))
         for t in reversed(range(steps)):
-            i, f, o, g, h_prev, c_prev, tanh_c = self._cache[t]
+            i, f, o, g, h_prev, c_prev, tanh_c = cache[t]
             dh = d_out[:, t] + dh_next
             do = dh * tanh_c
             dc = dh * o * (1.0 - tanh_c**2) + dc_next

@@ -225,7 +225,8 @@ def restore_model(ckpt: Checkpoint) -> tuple[Model, NormalizationStats]:
     are ignored. The model is built uninitialized, since every tensor is
     then installed from the checkpoint: a float64 tensor as it is, shared
     with ``ckpt`` and not copied, other dtypes converted. Gradient buffers are
-    left as built; training zeroes them before each backward pass.
+    left as built, untouched zero pages that cost no memory unless the model
+    trains.
     """
     config = ckpt.model_config()
     model = Model(config, seed=ckpt.seed, init=False)
@@ -335,6 +336,7 @@ def _fit(train_rows, val_rows, config: TrainConfig, out_dir: Path) -> list[str]:
                 count = int(batch.mask.sum()) * 2
                 total_sq += loss * count
                 total_count += count
+                del batch, inputs, pred, d_pred  # free before the next batch is gathered
             train_loss = total_sq / total_count
             report = _evaluate_rows(model, stats, val_rows, config.ccc_mode, config.batch_size, threads)
             line = _history_line(epoch, train_loss, report)
@@ -350,6 +352,13 @@ def _fit(train_rows, val_rows, config: TrainConfig, out_dir: Path) -> list[str]:
     return history
 
 
+def _check_inference_options(threads: int, batch_size: int) -> None:
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be ≥ 1, got {batch_size}")
+    if threads < 1:
+        raise ConfigError(f"threads must be ≥ 1, got {threads}")
+
+
 def evaluate_checkpoint(
     manifest_rows: list[ManifestRow],
     ckpt: Checkpoint,
@@ -358,6 +367,7 @@ def evaluate_checkpoint(
     batch_size: int = 32,
 ) -> EvalReport:
     """Score the manifest's validation split with a stored model."""
+    _check_inference_options(threads, batch_size)
     val_rows = [r for r in manifest_rows if r.split == "val"]
     if not val_rows:
         raise ConfigError("manifest has no val rows to evaluate")
@@ -377,6 +387,7 @@ def predict(
     Rows stream one at a time: each video is loaded, predicted, written and
     dropped before the next, so memory does not grow with the manifest.
     """
+    _check_inference_options(threads, batch_size)
     model, stats = restore_model(ckpt)
     # only after the restore, so a checkpoint that does not fit leaves no empty directory
     out_dir = Path(out_dir)

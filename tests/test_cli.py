@@ -1,5 +1,6 @@
 import contextlib
 import io
+import shutil
 
 import numpy as np
 import pytest
@@ -491,6 +492,52 @@ def test_predict_on_bad_checkpoint_leaves_no_out_dir(trained, tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "preds").exists()
+
+# Boundary values of the inference keys, plus valid ones.
+_INFERENCE_VALUES = ("0", "-1", "1.5", _HUGE, "1", "2", "7")
+
+
+@pytest.fixture(scope="module")
+def trained_once(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inference_exit_codes")
+    manifest = make_corpus(root / "corpus", [("tr0", "train", 25), ("va0", "val", 20)], np.random.default_rng(5))
+    assert main(_train_args(manifest, root / "run", "--seed", "3")) == 0
+    return manifest, root / "run" / "best.ckpt"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(("predict", "evaluate")),
+    options=st.fixed_dictionaries(
+        {key: st.none() | st.sampled_from(_INFERENCE_VALUES) for key in ("batch_size", "threads")}
+    ),
+)
+def test_inference_exit_codes_property(trained_once, command, options):
+    """Any batch size or thread count ends in 0 or 3, with one error: line and no --out on failure."""
+    manifest, ckpt = trained_once
+    out = ckpt.parent / "preds"
+    shutil.rmtree(out, ignore_errors=True)
+    argv = [command, "--manifest", str(manifest), "--checkpoint", str(ckpt)]
+    if command == "predict":
+        argv += ["--out", str(out)]
+    for key, value in options.items():
+        if value is not None:
+            argv += ["--" + key.replace("_", "-"), value]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    err = stderr.getvalue()
+    event(f"exit {code}")
+    valid = all(value in (None, "1", "2", "7", _HUGE) for value in options.values())
+    assert code == (0 if valid else 3), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+        assert command == "evaluate" or (out / "va0.csv").exists()
+    else:
+        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+        assert not out.exists()
+
 
 # --- thread environment ----------------------------------------------------------
 

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from affseq.errors import (
     WidthMismatchError,
 )
 
-from affseq.dataset import concat_windows, gather_windows, window_rows
+from affseq.dataset import MODALITY_DIMS, concat_windows, gather_windows, window_rows
 from oracles import merge_windows_loop, slice_and_pad_windows, window_starts_oracle
 
 
@@ -353,6 +354,43 @@ def test_compute_stats_of_float32_tracks_equals_widened_copies(rng):
     for modality in ("audio", "facepose"):
         _same_bits(got.mean[modality], want.mean[modality])
         _same_bits(got.std[modality], want.std[modality])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    modality=st.sampled_from(sorted(MODALITY_DIMS)),
+    lengths=st.lists(st.integers(1, 150), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(modality="expnet", lengths=[64], seed=0)
+@example(modality="audio", lengths=[1, 63, 1, 64, 65], seed=1)
+def test_compute_stats_equals_the_stacked_reduction_bitwise(modality, lengths, seed):
+    """Chunked stats give the bits of mean/std over all rows stacked, at every modality width."""
+    rng = np.random.default_rng(seed)
+    width = MODALITY_DIMS[modality]
+    blocks = [(rng.normal(size=(n, width)) * rng.uniform(0.1, 50) + rng.uniform(-20, 20)).astype(np.float32)
+              for n in lengths]
+    stats = compute_stats([FeatureTrack(f"v{i}", modality, b) for i, b in enumerate(blocks)])
+    stacked = np.concatenate(blocks, axis=0, dtype=np.float64)
+    _same_bits(stats.mean[modality], stacked.mean(axis=0))
+    _same_bits(stats.std[modality], np.maximum(stacked.std(axis=0), 1e-8))
+
+
+def test_compute_stats_memory_is_set_by_a_chunk_not_the_split(rng):
+    tracks = [FeatureTrack(f"v{i}", "expnet", rng.normal(size=(300, 2048)).astype(np.float32)) for i in range(8)]
+    tracemalloc.start()
+    try:
+        compute_stats(tracks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one [65 x 2048] float64 chunk buffer and a few row vectors; the split widened is 37.5 MiB
+    assert peak < 2 * 2**20, peak
+
+
+def test_compute_stats_rejects_zero_rows():
+    with pytest.raises(DomainError, match="zero rows"):
+        compute_stats([FeatureTrack("v", "audio", np.zeros((0, 168), dtype=np.float32))])
 
 
 def test_window_rows_clamp_to_the_last_frame():

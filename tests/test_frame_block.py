@@ -7,6 +7,8 @@ run on the installed BLAS at one thread count; CI also runs this file with
 two BLAS threads.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,12 @@ from affseq.dataset import (
     FeatureTrack,
     ManifestRow,
     NormalizationStats,
+    build_windows,
     window_rows,
 )
 from affseq.errors import DomainError
 from affseq.model import ModelConfig, build
-from affseq.nn import Bidirectional, Dense, GRULayer, LSTMLayer
+from affseq.nn import BatchNorm, Bidirectional, Dense, GRULayer, LSTMLayer
 from affseq.train import VideoData, predict_video
 
 from oracles import predict_video_per_window
@@ -128,6 +131,39 @@ def test_model_rejects_a_block_of_the_wrong_shape(rng):
         model.forward(blocks, train=False, rows=window_rows(20))
 
 
+# --- no backward state in inference ------------------------------------------------
+
+def _held(model, skip=(BatchNorm,)):
+    """{leaf name: private attributes it holds}, for every leaf that holds any."""
+    held = {}
+    for leaf in model.leaf_layers():
+        names = sorted(k for k, v in vars(leaf).items() if k.startswith("_") and v is not None)
+        if names and not isinstance(leaf, skip):
+            held[leaf.name] = names
+    return held
+
+
+@pytest.mark.parametrize("cell", ["gru", "bilstm"])
+def test_inference_forward_leaves_no_backward_state(rng, cell):
+    config, model = _small_fusion(cell)
+    blocks = {m: rng.normal(size=(33, config.input_dim(m))) for m in config.modalities()}
+    rows = window_rows(33)
+    windows = {m: b[rows] for m, b in blocks.items()}
+    out = model.forward(windows, train=True)
+    assert _held(model)  # a train forward keeps what backward reads
+    model.forward(windows, train=False)
+    assert _held(model) == {}
+    model.forward(windows, train=True)
+    model.forward(blocks, train=False, rows=rows)
+    assert _held(model) == {}
+    # BatchNorm keeps its (small) inference state: its inference backward is defined
+    assert set(_held(model, skip=())) == {f"{m}.norm" for m in config.modalities()}
+    # and a train step drops everything once backward has read it
+    model.forward(windows, train=True)
+    model.backward(np.ones_like(out), input_grads=False)
+    assert _held(model, skip=()) == {}
+
+
 # --- predict_video against the per-window path ------------------------------------
 
 @pytest.fixture(scope="module", params=["gru", "bilstm"])
@@ -158,3 +194,25 @@ def test_predict_video_equals_per_window_path_bitwise(full_width_model, stats, n
         got = predict_video(full_width_model, video, batch_size, stats=stats)
         want = predict_video_per_window(full_width_model, video, batch_size, stats)
         np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=f"batch_size {batch_size}")
+
+
+def test_predict_video_keeps_nothing_allocated_after_it_returns(full_width_model, stats):
+    rng = np.random.default_rng(3)
+    n_frames = 300
+    features = {
+        m: FeatureTrack("v", m, rng.normal(size=(n_frames, dim)).astype(np.float32))
+        for m, dim in MODALITY_DIMS.items()
+    }
+    video = VideoData(ManifestRow("v", "test", None, None, None, None, n_frames), features, None)
+    n_windows = len(build_windows(features))
+    assert n_windows <= 32  # one batch
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pred = predict_video(full_width_model, video, 32, stats=stats)
+        kept = tracemalloc.get_traced_memory()[0] - before - pred.nbytes
+    finally:
+        tracemalloc.stop()
+    # only each branch's BatchNorm inference state: a [windows x 15 x 64] float64 array
+    bn_state = len(MODALITY_DIMS) * n_windows * SEQUENCE_LEN * 64 * 8
+    assert kept < bn_state + 64 * 1024, (kept, bn_state)

@@ -188,3 +188,47 @@ def test_dropout_rejects_rate_one(rng):
     with pytest.raises(DomainError):
         Dropout(-0.1, "dr", rng)
 
+
+
+# --- backward state ------------------------------------------------------------
+
+INFERENCE_FREE = {
+    "dense": lambda rng: Dense(4, 3, "d", rng),
+    "prelu": lambda rng: PReLU(4, "p"),
+    "tanh": lambda rng: Tanh("t"),
+}
+
+
+@pytest.mark.parametrize("kind", INFERENCE_FREE)
+def test_backward_after_inference_forward_names_the_layer(rng, kind):
+    layer = INFERENCE_FREE[kind](rng)
+    out = layer.forward(rng.normal(size=(2, 5, 4)))
+    assert layer._saved is None
+    with pytest.raises(DomainError, match=f"^{layer.name}: backward needs a forward\\(train=True\\)"):
+        layer.backward(np.ones_like(out))
+
+
+@pytest.mark.parametrize("kind", INFERENCE_FREE)
+def test_backward_drops_the_state_it_read(rng, kind):
+    layer = INFERENCE_FREE[kind](rng)
+    out = layer.forward(rng.normal(size=(2, 5, 4)), train=True)
+    layer.backward(np.ones_like(out))
+    assert layer._saved is None
+    with pytest.raises(DomainError, match=layer.name):
+        layer.backward(np.ones_like(out))
+
+
+def test_batchnorm_keeps_its_inference_state_until_backward(rng):
+    layer = BatchNorm(3, "bn")
+    out = layer.forward(rng.normal(size=(5, 3)), train=False)
+    layer.backward(np.ones_like(out))
+    with pytest.raises(DomainError, match="bn: backward needs"):
+        layer.backward(np.ones_like(out))
+
+
+def test_gradient_buffers_start_at_zero(rng):
+    for layer in (*(make(rng) for make in INFERENCE_FREE.values()), BatchNorm(3, "bn")):
+        assert layer.grads.keys() == layer.params.keys()
+        for key, grad in layer.grads.items():
+            assert grad.shape == layer.params[key].shape and grad.dtype == np.float64
+            assert not grad.any()

@@ -74,7 +74,7 @@ def test_gru_cell_three_step_bptt_matches_finite_differences(rng):
     def loss():
         return float(np.sum(layer.forward(x) ** 2))
 
-    out = layer.forward(x)
+    out = layer.forward(x, train=True)
     layer.zero_grads()
     layer.backward(2.0 * out)
     for key in layer.params:
@@ -197,7 +197,9 @@ def test_bidirectional_equals_layers_on_explicit_reversed_copies(rng):
     grad = rng.normal(size=(3, 6, 8))
 
     out = layer.forward(x, train=True)
-    want = np.concatenate([fwd.forward(x.copy()), bwd.forward(x[:, ::-1].copy())[:, ::-1]], axis=-1)
+    want = np.concatenate(
+        [fwd.forward(x.copy(), train=True), bwd.forward(x[:, ::-1].copy(), train=True)[:, ::-1]], axis=-1
+    )
     np.testing.assert_array_equal(out, want)
 
     dx = layer.backward(grad)
@@ -213,7 +215,7 @@ def test_bidirectional_equals_layers_on_explicit_reversed_copies(rng):
 def test_backward_input_grad_has_input_shape(rng, cell):
     layer = cell(5, 3, "rnn", rng)
     x = rng.normal(size=(4, 6, 5))
-    out = layer.forward(x)
+    out = layer.forward(x, train=True)
     dx = layer.backward(np.ones_like(out))
     assert dx.shape == x.shape
 
@@ -223,3 +225,35 @@ def test_seeded_initialization_reproducible():
     b = GRULayer(5, 4, "g", np.random.default_rng(11))
     for key in a.params:
         np.testing.assert_array_equal(a.params[key], b.params[key])
+
+
+# --- backward state ------------------------------------------------------------
+
+RECURRENT = {
+    "gru": lambda rng: GRULayer(5, 3, "rnn", rng),
+    "lstm": lambda rng: LSTMLayer(5, 3, "rnn", rng),
+    "bilstm": lambda rng: Bidirectional(lambda name: LSTMLayer(5, 2, name, rng), "bi"),
+}
+
+
+@pytest.mark.parametrize("kind", RECURRENT)
+def test_backward_after_inference_forward_names_the_layer(rng, kind):
+    layer = RECURRENT[kind](rng)
+    x = rng.normal(size=(4, 15, 5))
+    for out in (layer.forward(x), layer.forward(x[0], rows=np.arange(15)[None] % 4)):
+        assert all(leaf._saved is None for leaf in layer.sublayers() or [layer])
+        with pytest.raises(DomainError, match="^(rnn|bi.fwd): backward needs a forward\\(train=True\\)"):
+            layer.backward(np.ones_like(out))
+
+
+@pytest.mark.parametrize("kind", RECURRENT)
+def test_backward_drops_the_state_it_read(rng, kind):
+    layer = RECURRENT[kind](rng)
+    x = rng.normal(size=(4, 6, 5))
+    out = layer.forward(x, train=True)
+    layer.forward(x)  # an inference forward drops what a train forward kept
+    with pytest.raises(DomainError):
+        layer.backward(np.ones_like(out))
+    layer.forward(x, train=True)
+    layer.backward(np.ones_like(out), need_dx=False)
+    assert all(leaf._saved is None for leaf in layer.sublayers() or [layer])
