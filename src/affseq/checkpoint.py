@@ -15,7 +15,8 @@ target's directory, fsynced and then renamed over the target, so a failed
 write leaves the previous file intact.
 
 This module knows the container, not the names in it: which tensors a model
-stores, and under what names, is the checkpoint layout of ``train._slots``.
+stores, and under what names, is the checkpoint layout of ``train._slots``,
+the model's registry (``Model.slots``) plus the normalization statistics.
 """
 
 from __future__ import annotations

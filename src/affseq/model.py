@@ -21,6 +21,7 @@ above.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -36,6 +37,7 @@ from .nn import (
     LSTMLayer,
     PReLU,
     Tanh,
+    arena_views,
 )
 
 VARIANTS = ("fusion", "audio_only", "video_only")
@@ -136,6 +138,24 @@ class Model:
         for modality in config.modalities():
             self.branches[modality] = self._build_branch(modality)
         self.head = self._build_head()
+        # The registry, in network order with a Bidirectional as its two directions:
+        # ``slots`` holds each leaf's param/ then state/ entries as (stored name, dict,
+        # key), ``params`` the param/ entries under their bare names.
+        self.slots: list[tuple[str, dict, str]] = []
+        self.params: list[tuple[str, dict, str]] = []
+        grads = []
+        for layer in (*itertools.chain(*self.branches.values()), *self.head):
+            for leaf in layer.sublayers() or [layer]:
+                for key in leaf.params:
+                    self.slots.append((f"param/{leaf.name}.{key}", leaf.params, key))
+                    self.params.append((f"{leaf.name}.{key}", leaf.params, key))
+                    grads.append((leaf.grads, key))
+                self.slots += [(f"state/{leaf.name}.{key}", leaf.state, key) for key in leaf.state]
+        # one np.zeros arena, whose pages only a train step touches; layers write views of it
+        self.grad_arena = np.zeros(self.parameter_count())
+        self.grads = arena_views(self.grad_arena, [holder[key].shape for holder, key in grads])
+        for (holder, key), view in zip(grads, self.grads):
+            holder[key] = view
 
     # -- construction -----------------------------------------------------
 
@@ -270,57 +290,11 @@ class Model:
             out[modality] = first.backward(grad, need_dx=input_grads)
         return out if input_grads else None
 
-    # -- parameter plumbing -----------------------------------------------
-
-    def leaf_layers(self) -> list:
-        """Layers in network order (branches, then head), a Bidirectional as its two directions."""
-        leaves = []
-        for modality in self.config.modalities():
-            for layer in self.branches[modality]:
-                leaves.extend(layer.sublayers() or [layer])
-        for layer in self.head:
-            leaves.extend(layer.sublayers() or [layer])
-        return leaves
-
-    def parameter_slots(self) -> list[tuple[str, object, str]]:
-        """Deterministically ordered (qualified_name, layer, key) triples."""
-        slots = []
-        for layer in self.leaf_layers():
-            for key in layer.params:
-                slots.append((f"{layer.name}.{key}", layer, key))
-        return slots
-
-    def named_parameters(self) -> dict[str, np.ndarray]:
-        return {name: layer.params[key] for name, layer, key in self.parameter_slots()}
-
-    def named_state(self) -> dict[str, np.ndarray]:
-        return {
-            f"{layer.name}.{key}": value
-            for layer in self.leaf_layers()
-            for key, value in layer.state.items()
-        }
-
     def zero_grads(self) -> None:
-        for layer in self.leaf_layers():
-            layer.zero_grads()
-
-    def gradient_slots(self) -> list[tuple[str, np.ndarray, np.ndarray]]:
-        """(name, param, grad) triples in the same order as parameter_slots."""
-        return [
-            (name, layer.params[key], layer.grads[key])
-            for name, layer, key in self.parameter_slots()
-        ]
+        self.grad_arena.fill(0.0)
 
     def parameter_count(self) -> int:
-        return sum(layer.params[key].size for _, layer, key in self.parameter_slots())
-
-    def parameter_table(self) -> list[tuple[str, int]]:
-        """Per-layer parameter counts in network order."""
-        table = []
-        for layer in self.leaf_layers():
-            if layer.params:
-                table.append((layer.name, layer.param_count()))
-        return table
+        return sum(holder[key].size for _, holder, key in self.params)
 
 
 def build(config: ModelConfig, seed: int = 0) -> Model:

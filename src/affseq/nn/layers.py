@@ -23,13 +23,14 @@ take two more arguments:
 Only ``forward(x, train=True)`` keeps what ``backward`` reads, in the one
 attribute ``_saved``; an inference forward keeps nothing, so a restored model
 holds its parameters and one batch. ``backward`` takes the state and drops
-it, and raises DomainError after an inference forward. ``BatchNorm`` is the
-exception: its inference-mode backward is defined and exact, so it keeps its
-normalized input in both modes. Gradient buffers are built with ``np.zeros``,
-whose calloc'd pages cost no memory until a backward pass writes them.
+it, and raises DomainError after an inference forward. A layer built on its
+own owns its gradient buffers; in a ``Model`` they are views of one gradient
+arena (``arena_views``), which only a train step writes.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -39,6 +40,12 @@ from .initializers import glorot_uniform
 _PRELU_ALPHA_INIT = 0.25
 _BN_EPS = 1e-5
 _BN_MOMENTUM = 0.9
+
+
+def arena_views(arena: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive reshaped views of the flat ``arena``, one per shape, in order."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    return [arena[end - math.prod(shape) : end].reshape(shape) for end, shape in zip(ends, shapes)]
 
 
 def check_frame_block(layer: "Layer", frames: np.ndarray, in_dim: int, train: bool) -> None:
@@ -69,13 +76,6 @@ class Layer:
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def param_count(self) -> int:
-        return int(sum(p.size for p in self.params.values()))
-
-    def zero_grads(self) -> None:
-        for key, param in self.params.items():
-            self.grads[key] = np.zeros_like(param)
 
     def _build_grads(self) -> None:
         # np.zeros, not zeros_like: a model that never trains never touches these pages
@@ -212,13 +212,11 @@ class BatchNorm(Layer):
             state["running_mean"] = _BN_MOMENTUM * state["running_mean"] + (1 - _BN_MOMENTUM) * mean
             state["running_var"] = _BN_MOMENTUM * state["running_var"] + (1 - _BN_MOMENTUM) * var
         else:
-            n = None
             mean = self.state["running_mean"]
             var = self.state["running_var"]
         inv_std = 1.0 / np.sqrt(var + _BN_EPS)
         xhat = (x - mean) * inv_std
-        # kept in inference too: the inference-mode backward is defined (see module doc)
-        self._saved = (xhat, inv_std, n)
+        self._saved = (xhat, inv_std, n) if train else None
         return self.params["gamma"] * xhat + self.params["beta"]
 
     def backward(self, grad):
@@ -227,8 +225,6 @@ class BatchNorm(Layer):
         self.grads["gamma"] += np.sum(grad * xhat, axis=axes)
         self.grads["beta"] += np.sum(grad, axis=axes)
         dxhat = grad * self.params["gamma"]
-        if n is None:
-            return dxhat * inv_std
         # standard batch-norm input gradient with batch statistics
         return (
             inv_std
@@ -253,13 +249,11 @@ class Dropout(Layer):
 
     def forward(self, x, train=False):
         if not train or self.rate == 0.0:
-            self._mask = None
+            # rate 0 draws nothing and keeps the mask 1.0: an identity backward
+            self._saved = 1.0 if train else None
             return x
-        self._mask = (self.rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
-        return x * self._mask
+        self._saved = (self.rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
+        return x * self._saved
 
     def backward(self, grad):
-        mask, self._mask = self._mask, None
-        if mask is None:
-            return grad
-        return grad * mask
+        return grad * self._take_saved()

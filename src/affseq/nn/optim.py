@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from ..errors import NumericFaultError
+from .layers import arena_views
 
 _RHO = 0.9
 _EPS = 1e-7
@@ -15,33 +16,31 @@ _EPS = 1e-7
 class RMSprop:
     """cache <- rho*cache + (1-rho)*g^2;  w <- w - lr*g/(sqrt(cache) + eps), rho 0.9, eps 1e-7.
 
-    Plain RMSprop: no momentum, no centering. Updates happen in place on the
-    parameter arrays handed in, keyed by qualified name.
+    Plain RMSprop. ``params`` holds a (name, dict, key) entry per tensor, updated
+    in place, and ``grads`` the flat arena of their gradients in that order;
+    the caches are a second ``np.zeros`` arena of the same layout. A step with a
+    non-finite gradient raises before it writes anything.
     """
 
-    def __init__(self, lr: float = 1e-4):
+    def __init__(self, params: list[tuple[str, dict, str]], grads: np.ndarray, lr: float = 1e-4):
         self.lr = lr
-        self.cache: dict[str, np.ndarray] = {}
+        self.grads = grads
+        self.cache = np.zeros(grads.size)
+        shapes = [holder[key].shape for _, holder, key in params]
+        self._slots = list(zip(params, arena_views(grads, shapes), arena_views(self.cache, shapes)))
 
-    def step(self, slots: list[tuple[str, np.ndarray, np.ndarray]]) -> None:
-        """Apply one update per (name, param, grad) slot."""
-        for name, param, grad in slots:
-            if not np.all(np.isfinite(grad)):
-                raise NumericFaultError(f"non-finite gradient for {name}")
-            cache = self.cache.get(name)
-            if cache is None:
-                cache = np.zeros_like(param)
-                self.cache[name] = cache
+    def step(self) -> None:
+        if not np.all(np.isfinite(self.grads)):
+            name = next(n for (n, _, _), g, _ in self._slots if not np.all(np.isfinite(g)))
+            raise NumericFaultError(f"non-finite gradient for {name}")
+        for (_, holder, key), grad, cache in self._slots:
             cache *= _RHO
             cache += (1.0 - _RHO) * grad**2
-            param -= self.lr * grad / (np.sqrt(cache) + _EPS)
+            holder[key] -= self.lr * grad / (np.sqrt(cache) + _EPS)
 
 
 def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> float:
-    """Scale all gradients in place so their joint L2 norm is at most ``max_norm``.
-
-    Returns the pre-clip global norm.
-    """
+    """Scale ``grads`` in place to a joint L2 norm of at most ``max_norm``; returns the norm before."""
     total = math.sqrt(sum(float(np.sum(g**2)) for g in grads))
     if max_norm > 0 and total > max_norm:
         scale = max_norm / total

@@ -217,13 +217,6 @@ class Bidirectional(Layer):
     def sublayers(self):
         return [self.fwd, self.bwd]
 
-    def param_count(self):
-        return self.fwd.param_count() + self.bwd.param_count()
-
-    def zero_grads(self):
-        self.fwd.zero_grads()
-        self.bwd.zero_grads()
-
     def forward(self, x, train=False, rows=None):
         if rows is None:
             out_f = self.fwd.forward(x, train)

@@ -17,6 +17,7 @@ step.
 from __future__ import annotations
 
 import math
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -118,8 +119,10 @@ def _stream_videos(rows, modalities, need_labels: bool, threads: int):
     """Yield each row's VideoData in row order.
 
     With ``threads`` > 1, worker threads load at most ``threads`` videos ahead
-    of the one the caller holds, so memory stays bounded by a few videos.
+    of the one the caller holds, and never more than the machine has cores
+    (``os.cpu_count()``), so memory stays bounded by a few videos.
     """
+    threads = min(threads, os.cpu_count() or 1)
     if threads == 1 or len(rows) < 2:
         for row in rows:
             yield _load_video(row, modalities, need_labels)
@@ -178,24 +181,19 @@ def _evaluate_rows(
 _LAYOUT_GROUPS = ("param/", "state/", "norm/")
 
 
-def _slots(model: Model, stats: NormalizationStats) -> dict[str, tuple[dict, str]]:
-    """The checkpoint layout: each stored tensor name -> the dict and key that hold it.
+def _slots(model: Model, stats: NormalizationStats) -> list[tuple[str, dict, str]]:
+    """The checkpoint layout: (stored name, dict, key) for each tensor it holds.
 
-    ``param/<layer>.<key>`` and ``state/<layer>.<key>`` are a leaf layer's
-    ``params`` and ``state`` entries, ``norm/<modality>/mean|std`` the
-    normalization statistics of each modality the model reads. A save reads
-    the tensors through this map and a restore installs them through it, so a
-    restore accepts exactly the names a save writes.
+    ``param/`` and ``state/`` entries are the model's registry (``Model.slots``),
+    ``norm/<modality>/mean|std`` the normalization statistics of each modality
+    the model reads. A save reads the tensors through these entries and a
+    restore installs them through them, so a restore accepts exactly the
+    names a save writes.
     """
-    slots = {}
-    for layer in model.leaf_layers():
-        for key in layer.params:
-            slots[f"param/{layer.name}.{key}"] = (layer.params, key)
-        for key in layer.state:
-            slots[f"state/{layer.name}.{key}"] = (layer.state, key)
+    slots = list(model.slots)
     for modality in model.config.modalities():
-        slots[f"norm/{modality}/mean"] = (stats.mean, modality)
-        slots[f"norm/{modality}/std"] = (stats.std, modality)
+        slots.append((f"norm/{modality}/mean", stats.mean, modality))
+        slots.append((f"norm/{modality}/std", stats.std, modality))
     return slots
 
 
@@ -206,7 +204,7 @@ def _make_checkpoint(
     best_val_score: float | None,
     seed: int,
 ) -> Checkpoint:
-    tensors = {name: holder[key] for name, (holder, key) in _slots(model, stats).items()}
+    tensors = {name: holder[key] for name, holder, key in _slots(model, stats)}
     config = {
         "model": model.config.to_dict(),
         "epoch": epoch,
@@ -224,9 +222,9 @@ def restore_model(ckpt: Checkpoint) -> tuple[Model, NormalizationStats]:
     FileFormatError names the first tensor that does not fit; other groups
     are ignored. The model is built uninitialized, since every tensor is
     then installed from the checkpoint: a float64 tensor as it is, shared
-    with ``ckpt`` and not copied, other dtypes converted. Gradient buffers are
-    left as built, untouched zero pages that cost no memory unless the model
-    trains.
+    with ``ckpt`` and not copied, other dtypes converted. The gradient arena
+    is left as built, untouched zero pages that cost no memory unless the
+    model trains.
     """
     config = ckpt.model_config()
     model = Model(config, seed=ckpt.seed, init=False)
@@ -234,14 +232,14 @@ def restore_model(ckpt: Checkpoint) -> tuple[Model, NormalizationStats]:
     for modality in config.modalities():
         stats.mean[modality] = stats.std[modality] = np.empty(config.input_dim(modality))
     slots = _slots(model, stats)
+    names = {name for name, _, _ in slots}
     stored = {name for name in ckpt.tensors if name.startswith(_LAYOUT_GROUPS)}
-    if stored != slots.keys():
-        missing = sorted(slots.keys() - stored)
-        extra = sorted(stored - slots.keys())
+    if stored != names:
         raise FileFormatError(
-            f"checkpoint tensors do not match the model (missing {missing}, unexpected {extra})"
+            "checkpoint tensors do not match the model "
+            f"(missing {sorted(names - stored)}, unexpected {sorted(stored - names)})"
         )
-    for name, (holder, key) in slots.items():
+    for name, holder, key in slots:
         value = ckpt.tensors[name]
         if value.shape != holder[key].shape:
             raise FileFormatError(
@@ -301,7 +299,7 @@ def _fit(train_rows, val_rows, config: TrainConfig, out_dir: Path) -> list[str]:
     root_rng = np.random.default_rng(config.seed)
     model_seed = int(root_rng.integers(2**63))
     model = build(config.model, seed=model_seed)
-    optimizer = RMSprop(lr=config.learning_rate)
+    optimizer = RMSprop(model.params, model.grad_arena, lr=config.learning_rate)
 
     best_score = -math.inf
     best_path = out_dir / "best.ckpt"
@@ -329,8 +327,8 @@ def _fit(train_rows, val_rows, config: TrainConfig, out_dir: Path) -> list[str]:
                     loss, d_pred = masked_mse(pred, batch.targets, batch.mask)
                     model.backward(d_pred, input_grads=False)
                     if config.clip_norm > 0:
-                        clip_global_norm([g for _, _, g in model.gradient_slots()], config.clip_norm)
-                    optimizer.step(model.gradient_slots())
+                        clip_global_norm(model.grads, config.clip_norm)
+                    optimizer.step()
                 except NumericFaultError as exc:
                     raise NumericFaultError(f"epoch {epoch} batch {batch_no}: {exc}") from exc
                 count = int(batch.mask.sum()) * 2

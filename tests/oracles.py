@@ -3,8 +3,8 @@
 Everything here is written from the defining formulas, deliberately not
 sharing code paths with the package: naive DFT, direct-formula CCC, a
 covering-set windowing oracle, slice-and-pad window cutting, a per-window
-overlap merge, a pointwise mel filterbank, a sign-split sigmoid and a single GRU step, and central
-finite-difference gradient helpers. Two exceptions are bitwise references
+overlap merge, a pointwise mel filterbank, a sign-split sigmoid, a single GRU step, a
+per-tensor RMSprop step, and central finite-difference gradient helpers. Two exceptions are bitwise references
 built partly from the package's own pieces: the per-window inference path
 (the package's windowing, gather and merge), which the frame-block path of
 ``predict_video`` must match, and the per-segment audio feature path (the
@@ -237,16 +237,18 @@ def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric))) / scale
 
 
-def check_layer_gradients(layer, x: np.ndarray, rng: np.random.Generator, train: bool = True,
+def check_layer_gradients(layer, x: np.ndarray, rng: np.random.Generator,
                           eps: float = 1e-6, tol: float = 1e-5) -> None:
-    """FD-check a layer's input and parameter gradients against backward()."""
-    out = layer.forward(x, train=train)
+    """FD-check a train-mode layer's input and parameter gradients against backward()."""
+    out = layer.forward(x, train=True)
     proj = rng.normal(size=out.shape)
-    layer.zero_grads()
+    for leaf in layer.sublayers() or [layer]:
+        for grad in leaf.grads.values():
+            grad.fill(0.0)
     dx = layer.backward(proj)
 
     def loss() -> float:
-        return float(np.sum(layer.forward(x, train=train) * proj))
+        return float(np.sum(layer.forward(x, train=True) * proj))
 
     gx = num_grad(loss, x, eps)
     err = rel_err(dx, gx)
@@ -256,6 +258,29 @@ def check_layer_gradients(layer, x: np.ndarray, rng: np.random.Generator, train:
             gp = num_grad(loss, leaf.params[key], eps)
             err = rel_err(leaf.grads[key], gp)
             assert err < tol, f"{leaf.name}.{key} grad rel err {err:.3e}"
+
+
+class RMSpropReference:
+    """Per-tensor RMSprop (rho 0.9, eps 1e-7) with a name-keyed cache made on first use.
+
+    ``step`` checks and updates one (name, param, grad) slot at a time, so a
+    non-finite gradient in slot k raises after slots 0..k-1 have moved.
+    """
+
+    def __init__(self, lr: float):
+        self.lr = lr
+        self.cache: dict[str, np.ndarray] = {}
+
+    def step(self, slots) -> None:
+        for name, param, grad in slots:
+            if not np.all(np.isfinite(grad)):
+                raise ValueError(f"non-finite gradient for {name}")
+            cache = self.cache.get(name)
+            if cache is None:
+                cache = self.cache[name] = np.zeros_like(param)
+            cache *= 0.9
+            cache += (1.0 - 0.9) * grad**2
+            param -= self.lr * grad / (np.sqrt(cache) + 1e-7)
 
 
 def predict_video_per_window(model, video, batch_size: int, stats) -> np.ndarray:

@@ -60,7 +60,7 @@ def _embed(rng, latent, dim):
 
 def _fit(model, inputs, targets, epochs, batch_size, seed, eval_every=0):
     """Shared mini training loop at the mandated learning rate."""
-    optimizer = RMSprop(lr=1e-4)
+    optimizer = RMSprop(model.params, model.grad_arena, lr=1e-4)
     rng = np.random.default_rng(seed)
     mask = np.ones(targets.shape[:2], dtype=bool)
     n_seq = targets.shape[0]
@@ -72,8 +72,8 @@ def _fit(model, inputs, targets, epochs, batch_size, seed, eval_every=0):
             pred = model.forward({m: v[idx] for m, v in inputs.items()}, train=True)
             _, d_pred = masked_mse(pred, targets[idx], mask[idx])
             model.backward(d_pred)
-            clip_global_norm([g for _, _, g in model.gradient_slots()], 5.0)
-            optimizer.step(model.gradient_slots())
+            clip_global_norm(model.grads, 5.0)
+            optimizer.step()
         if eval_every and epoch % eval_every == 0:
             pred = model.forward(inputs, train=False)
             mse = float(np.mean((pred - targets) ** 2))
@@ -180,8 +180,8 @@ def test_criterion_03_full_model_gradients():
         return float(np.sum(model.forward(inputs, train=True) * proj))
 
     worst = 0.0
-    for _, param, grad in model.gradient_slots():
-        worst = max(worst, rel_err(grad, num_grad(loss, param)))
+    for (_, holder, key), grad in zip(model.params, model.grads):
+        worst = max(worst, rel_err(grad, num_grad(loss, holder[key])))
     for modality in config.modalities():
         worst = max(worst, rel_err(input_grads[modality], num_grad(loss, inputs[modality])))
     _verdict(3, "full fusion model gradient check", worst < 1e-4, f"max rel err {worst:.2e}")

@@ -23,7 +23,7 @@ from affseq.dataset import (
 )
 from affseq.errors import DomainError
 from affseq.model import ModelConfig, build
-from affseq.nn import BatchNorm, Bidirectional, Dense, GRULayer, LSTMLayer
+from affseq.nn import Bidirectional, Dense, GRULayer, LSTMLayer
 from affseq.train import VideoData, predict_video
 
 from oracles import predict_video_per_window
@@ -133,13 +133,14 @@ def test_model_rejects_a_block_of_the_wrong_shape(rng):
 
 # --- no backward state in inference ------------------------------------------------
 
-def _held(model, skip=(BatchNorm,)):
+def _held(model):
     """{leaf name: private attributes it holds}, for every leaf that holds any."""
     held = {}
-    for leaf in model.leaf_layers():
-        names = sorted(k for k, v in vars(leaf).items() if k.startswith("_") and v is not None)
-        if names and not isinstance(leaf, skip):
-            held[leaf.name] = names
+    for layer in [*(l for m in model.config.modalities() for l in model.branches[m]), *model.head]:
+        for leaf in layer.sublayers() or [layer]:
+            names = sorted(k for k, v in vars(leaf).items() if k.startswith("_") and v is not None)
+            if names:
+                held[leaf.name] = names
     return held
 
 
@@ -156,12 +157,10 @@ def test_inference_forward_leaves_no_backward_state(rng, cell):
     model.forward(windows, train=True)
     model.forward(blocks, train=False, rows=rows)
     assert _held(model) == {}
-    # BatchNorm keeps its (small) inference state: its inference backward is defined
-    assert set(_held(model, skip=())) == {f"{m}.norm" for m in config.modalities()}
     # and a train step drops everything once backward has read it
     model.forward(windows, train=True)
     model.backward(np.ones_like(out), input_grads=False)
-    assert _held(model, skip=()) == {}
+    assert _held(model) == {}
 
 
 # --- predict_video against the per-window path ------------------------------------
@@ -213,6 +212,5 @@ def test_predict_video_keeps_nothing_allocated_after_it_returns(full_width_model
         kept = tracemalloc.get_traced_memory()[0] - before - pred.nbytes
     finally:
         tracemalloc.stop()
-    # only each branch's BatchNorm inference state: a [windows x 15 x 64] float64 array
-    bn_state = len(MODALITY_DIMS) * n_windows * SEQUENCE_LEN * 64 * 8
-    assert kept < bn_state + 64 * 1024, (kept, bn_state)
+    # no layer keeps backward state after an inference forward
+    assert kept < 64 * 1024, kept

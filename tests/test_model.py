@@ -17,6 +17,20 @@ def _inputs(rng, config, batch=2):
 SMALL = dict(audio_dim=6, expnet_dim=8, facepose_dim=5, width_scale=32)
 
 
+def _layer_counts(model):
+    """{leaf layer name: parameter count}, read from the registry."""
+    counts = {}
+    for name, holder, key in model.params:
+        layer = name[: -len(key) - 1]
+        counts[layer] = counts.get(layer, 0) + holder[key].size
+    return counts
+
+
+def _leaves(model):
+    for layer in [*(l for m in model.config.modalities() for l in model.branches[m]), *model.head]:
+        yield from layer.sublayers() or [layer]
+
+
 # --- config -------------------------------------------------------------------
 
 def test_config_rejects_unknown_variant():
@@ -64,7 +78,7 @@ def test_config_modalities_per_variant():
 
 def test_fusion_parameter_counts_match_analytic():
     model = build(ModelConfig(), seed=0)
-    table = dict(model.parameter_table())
+    table = _layer_counts(model)
     assert table["audio.rnn1"] == 114048  # 3 * (168*128 + 128*128 + 128)
     assert table["expnet.rnn1"] == 1770240  # 3 * (2048*256 + 256*256 + 256)
     assert table["head.dense1"] == 192 * 64 + 64  # 12352
@@ -92,7 +106,7 @@ def test_output_shape_and_open_interval(rng):
 def test_unimodal_head_is_two_dense_layers(rng):
     config = ModelConfig(variant="audio_only", width_scale=8, audio_dim=12)
     model = build(config, seed=3)
-    table = dict(model.parameter_table())
+    table = _layer_counts(model)
     hidden = 64 // 8
     assert table["head.dense1"] == hidden * hidden + hidden  # Dense(8 -> 8)
     assert table["head.dense2"] == hidden * 2 + 2
@@ -104,7 +118,7 @@ def test_unimodal_head_is_two_dense_layers(rng):
 def test_video_only_uses_expnet_branch(rng):
     config = ModelConfig(variant="video_only", width_scale=8, expnet_dim=16)
     model = build(config, seed=4)
-    names = [name for name, _ in model.parameter_table()]
+    names = list(_layer_counts(model))
     assert any(name.startswith("expnet.rnn3") for name in names)  # three recurrent layers
     assert not any(name.startswith("audio") for name in names)
     out = model.forward({"expnet": rng.normal(size=(2, 15, 16))}, train=False)
@@ -125,11 +139,10 @@ def test_bilstm_variant_keeps_slot_widths(rng):
 def test_seeded_build_reproducible():
     a = build(ModelConfig(**SMALL), seed=9)
     b = build(ModelConfig(**SMALL), seed=9)
-    for (name_a, pa), (name_b, pb) in zip(
-        sorted(a.named_parameters().items()), sorted(b.named_parameters().items())
-    ):
+    assert len(a.slots) == len(b.slots)
+    for (name_a, holder_a, key_a), (name_b, holder_b, key_b) in zip(a.slots, b.slots):
         assert name_a == name_b
-        np.testing.assert_array_equal(pa, pb)
+        np.testing.assert_array_equal(holder_a[key_a], holder_b[key_b])
 
 
 def _gated(layer, gates):
@@ -142,23 +155,48 @@ def _rnn(layer, cell):
     return _gated(f"{layer}.fwd", "ifog") + _gated(f"{layer}.bwd", "ifog")
 
 
+def _param(*names):
+    return [f"param/{name}" for name in names]
+
+
+def _norm(branch):
+    return [
+        *_param(f"{branch}.norm.gamma", f"{branch}.norm.beta"),
+        f"state/{branch}.norm.running_mean", f"state/{branch}.norm.running_var",
+    ]
+
+
 @pytest.mark.parametrize("cell", ["gru", "bilstm"])
 def test_parameter_slot_order_is_pinned(cell):
-    """Seeded init draws and clip_global_norm sums in this order."""
+    """Seeded init draws, stored names and clip_global_norm sums follow this table."""
     model = Model(ModelConfig(cell=cell), init=False)
     want = [
-        *_rnn("audio.rnn1", cell), "audio.act1.alpha",
-        *_rnn("audio.rnn2", cell), "audio.act2.alpha",
-        "audio.norm.gamma", "audio.norm.beta",
-        *_rnn("expnet.rnn1", cell), "expnet.act1.alpha",
-        *_rnn("expnet.rnn2", cell), "expnet.act2.alpha",
-        *_rnn("expnet.rnn3", cell), "expnet.act3.alpha",
-        "expnet.norm.gamma", "expnet.norm.beta",
-        "facepose.td1.W", "facepose.td1.b", "facepose.td2.W", "facepose.td2.b",
-        "facepose.norm.gamma", "facepose.norm.beta",
-        "head.dense1.W", "head.dense1.b", "head.act.alpha", "head.dense2.W", "head.dense2.b",
+        *_param(*_rnn("audio.rnn1", cell), "audio.act1.alpha"),
+        *_param(*_rnn("audio.rnn2", cell), "audio.act2.alpha"),
+        *_norm("audio"),
+        *_param(*_rnn("expnet.rnn1", cell), "expnet.act1.alpha"),
+        *_param(*_rnn("expnet.rnn2", cell), "expnet.act2.alpha"),
+        *_param(*_rnn("expnet.rnn3", cell), "expnet.act3.alpha"),
+        *_norm("expnet"),
+        *_param("facepose.td1.W", "facepose.td1.b", "facepose.td2.W", "facepose.td2.b"),
+        *_norm("facepose"),
+        *_param("head.dense1.W", "head.dense1.b", "head.act.alpha", "head.dense2.W", "head.dense2.b"),
     ]
-    assert [name for name, _, _ in model.parameter_slots()] == want
+    assert [name for name, _, _ in model.slots] == want
+    assert [f"param/{name}" for name, _, _ in model.params] == [n for n in want if n.startswith("param/")]
+
+
+@pytest.mark.parametrize("cell", ["gru", "bilstm"])
+def test_gradients_are_views_of_one_arena_in_table_order(cell):
+    model = build(ModelConfig(cell=cell, **SMALL), seed=1)
+    assert model.parameter_count() == model.grad_arena.size
+    model.grad_arena[:] = np.arange(model.grad_arena.size)
+    grads = [leaf.grads[key] for leaf in _leaves(model) for key in leaf.params]
+    assert [g.shape for g in grads] == [holder[key].shape for _, holder, key in model.params]
+    assert all(a is b for a, b in zip(grads, model.grads))
+    np.testing.assert_array_equal(np.concatenate([g.ravel() for g in grads]), model.grad_arena)
+    model.zero_grads()
+    assert not any(g.any() for g in grads)
 
 
 # --- forward validation ---------------------------------------------------------------
@@ -238,8 +276,8 @@ def test_full_model_gradients_match_finite_differences(rng):
     def loss():
         return float(np.sum(model.forward(inputs, train=True) * proj))
 
-    for name, param, grad in model.gradient_slots():
-        numeric = num_grad(loss, param)
+    for (name, holder, key), grad in zip(model.params, model.grads):
+        numeric = num_grad(loss, holder[key])
         err = rel_err(grad, numeric)
         assert err < 1e-4, f"{name}: rel err {err:.2e}"
     for modality in config.modalities():
@@ -260,6 +298,6 @@ def test_backward_without_input_grads_keeps_parameter_grads(rng, variant, cell):
         model.forward(inputs, train=True)
         returned = model.backward(proj, input_grads=input_grads)
         assert (returned is None) == (not input_grads)
-        grads.append(model.gradient_slots())
-    for (name, _, with_dx), (_, _, without_dx) in zip(*grads):
+        grads.append(list(zip(model.params, model.grads)))
+    for ((name, _, _), with_dx), (_, without_dx) in zip(*grads):
         np.testing.assert_array_equal(without_dx, with_dx, err_msg=name)

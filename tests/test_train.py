@@ -28,6 +28,11 @@ from conftest import make_corpus
 train_module = importlib.import_module("affseq.train")  # the package rebinds affseq.train to the function
 
 
+def _tensors(model):
+    """The model's param/ and state/ tensors under their stored names."""
+    return {name: holder[key] for name, holder, key in model.slots}
+
+
 def _small_model(**kw):
     # canonical input widths (the loader enforces them); narrow layers for speed
     return ModelConfig(width_scale=32, **kw)
@@ -202,8 +207,7 @@ def test_best_checkpoint_holds_only_what_restore_reads(tmp_path, rng):
     rows = _corpus(tmp_path, rng)
     ckpt, _ = train(rows, TrainConfig(epochs=1, seed=2, model=_small_model()), tmp_path / "run")
     model, _ = restore_model(ckpt)
-    want = {f"param/{n}" for n in model.named_parameters()}
-    want |= {f"state/{n}" for n in model.named_state()}
+    want = {name for name, _, _ in model.slots}
     want |= {f"norm/{m}/{k}" for m in model.config.modalities() for k in ("mean", "std")}
     assert set(load_checkpoint(tmp_path / "run" / "best.ckpt").tensors) == want
 
@@ -235,10 +239,8 @@ def test_restore_skips_seeded_init_and_installs_stored_tensors(tmp_path, rng, mo
     # no initializer drew from the generator dropout uses
     fresh = np.random.default_rng(ckpt.config["seed"])
     assert model.rng.bit_generator.state == fresh.bit_generator.state
-    for name, value in model.named_parameters().items():
-        np.testing.assert_array_equal(value, ckpt.tensors[f"param/{name}"])
-    for name, value in model.named_state().items():
-        np.testing.assert_array_equal(value, ckpt.tensors[f"state/{name}"])
+    for name, holder, key in model.slots:
+        np.testing.assert_array_equal(holder[key], ckpt.tensors[name])
     for modality in config.model.modalities():
         np.testing.assert_array_equal(stats.mean[modality], ckpt.tensors[f"norm/{modality}/mean"])
         np.testing.assert_array_equal(stats.std[modality], ckpt.tensors[f"norm/{modality}/std"])
@@ -258,8 +260,7 @@ def test_checkpoint_with_optimizer_caches_restores_identically(tmp_path, rng):
     model_a, stats_a = restore_model(ckpt)
     model_b, stats_b = restore_model(legacy)
     for got, want in (
-        (model_b.named_parameters(), model_a.named_parameters()),
-        (model_b.named_state(), model_a.named_state()),
+        (_tensors(model_b), _tensors(model_a)),
         (stats_b.mean, stats_a.mean),
         (stats_b.std, stats_a.std),
     ):
@@ -316,17 +317,15 @@ def test_restore_installs_checkpoint_tensors_without_copies(tmp_path, rng):
     rows = _corpus(tmp_path, rng)
     ckpt, _ = train(rows, TrainConfig(epochs=1, seed=4, model=_small_model()), tmp_path / "run")
     model, _ = restore_model(ckpt)
-    for name, value in model.named_parameters().items():
-        assert value is ckpt.tensors[f"param/{name}"]
-    for name, value in model.named_state().items():
-        assert value is ckpt.tensors[f"state/{name}"]
-    assert not any(grad.any() for _, _, grad in model.gradient_slots())
+    for name, holder, key in model.slots:
+        assert holder[key] is ckpt.tensors[name]
+    assert not model.grad_arena.any()
     # float32 tensors (exact: the file stores float32) are converted and predict the same bytes
     narrow = Checkpoint(config=ckpt.config, tensors={k: v.astype(np.float32) for k, v in ckpt.tensors.items()})
     model_b, _ = restore_model(narrow)
-    for name, value in model_b.named_parameters().items():
-        assert value.dtype == np.float64
-        np.testing.assert_array_equal(value, ckpt.tensors[f"param/{name}"])
+    for name, holder, key in model_b.slots:
+        assert holder[key].dtype == np.float64
+        np.testing.assert_array_equal(holder[key], ckpt.tensors[name])
     written_a = predict(rows, ckpt, tmp_path / "pred_a")
     written_b = predict(rows, narrow, tmp_path / "pred_b")
     for vid, path in written_a.items():
@@ -357,9 +356,15 @@ def test_predict_peak_memory_does_not_grow_with_the_manifest(tmp_path, rng):
     assert long - short < one_video // 4, (short, long)
 
 
-@pytest.mark.parametrize("threads", [2, 3])
-def test_threaded_loading_holds_at_most_threads_videos_ahead(tmp_path, rng, monkeypatch, threads):
+@pytest.mark.parametrize(
+    "threads, cpus", [(2, None), (3, None), (64, 2)], ids=["2", "3", "64-on-2-cpus"]
+)
+def test_threaded_loading_holds_at_most_threads_videos_ahead(tmp_path, rng, monkeypatch, threads, cpus):
+    """At most ``threads`` videos load ahead, and never more than the machine's cores."""
     rows, ckpt = _scoring_corpus(tmp_path, rng, n_val=7)
+    if cpus is not None:
+        monkeypatch.setattr(train_module.os, "cpu_count", lambda: cpus)
+    limit = min(threads, cpus or threads)
     lock = threading.Lock()
     started, done, ahead = [], [], []
     real_load, real_predict = train_module._load_video, train_module.predict_video
@@ -381,11 +386,11 @@ def test_threaded_loading_holds_at_most_threads_videos_ahead(tmp_path, rng, monk
     written = predict(rows, ckpt, tmp_path / "threaded", threads=threads)
     assert done == [r.video_id for r in rows]
     assert sorted(started) == sorted(done)
-    assert 1 <= max(ahead) <= threads
+    assert 1 <= max(ahead) <= limit
     for seen in (started, done, ahead):
         seen.clear()
     evaluate_checkpoint(rows, ckpt, threads=threads)
-    assert max(ahead) <= threads
+    assert max(ahead) <= limit
     monkeypatch.undo()
     serial = predict(rows, ckpt, tmp_path / "serial")
     for vid, path in serial.items():
@@ -429,8 +434,7 @@ def _model_checkpoint(config, seed=1):
 
 def _installed(model, stats):
     """Every tensor a restored model holds, under the name a checkpoint stores it by."""
-    tensors = {f"param/{n}": v for n, v in model.named_parameters().items()}
-    tensors |= {f"state/{n}": v for n, v in model.named_state().items()}
+    tensors = _tensors(model)
     for m in model.config.modalities():
         tensors[f"norm/{m}/mean"] = stats.mean[m]
         tensors[f"norm/{m}/std"] = stats.std[m]
