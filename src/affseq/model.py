@@ -150,7 +150,8 @@ class Model:
                     self.slots.append((f"param/{leaf.name}.{key}", leaf.params, key))
                     self.params.append((f"{leaf.name}.{key}", leaf.params, key))
                     grads.append((leaf.grads, key))
-                self.slots += [(f"state/{leaf.name}.{key}", leaf.state, key) for key in leaf.state]
+                for key in leaf.state:
+                    self.slots.append((f"state/{leaf.name}.{key}", leaf.state, key))
         # one np.zeros arena, whose pages only a train step touches; layers write views of it
         self.grad_arena = np.zeros(self.parameter_count())
         self.grads = arena_views(self.grad_arena, [holder[key].shape for holder, key in grads])

@@ -78,7 +78,8 @@ class Layer:
         raise NotImplementedError
 
     def _build_grads(self) -> None:
-        # np.zeros, not zeros_like: a model that never trains never touches these pages
+        # np.zeros, not zeros_like: a layer that never trains never touches these pages;
+        # a Model rebinds them to views of its gradient arena
         self.grads = {key: np.zeros(param.shape) for key, param in self.params.items()}
 
     def _take_saved(self):
