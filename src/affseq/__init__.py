@@ -5,9 +5,12 @@ The pipeline: extract log-mel + cepstral audio features aligned to video
 frames, window all modalities into length-15 sequences, run recurrent
 branches fused by a dense head, and score frame predictions with the
 concordance correlation coefficient.
+
+``affseq.train`` is the training submodule; run training with
+``affseq.train.train``, which the package does not re-export.
 """
 
-from .audio_io import AudioClip, read_wav, write_wav
+from .audio_io import AudioClip, read_wav
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .dataset import (
     MODALITY_DIMS,
@@ -27,7 +30,7 @@ from .dataset import (
     window_starts,
     write_feature_file,
 )
-from .dsp import DspParams, extract_audio_track, fft, frame_features, mel_filterbank, plan_segments
+from .dsp import DspParams, extract_audio_track, fft, mel_filterbank, plan_segments
 from .errors import (
     AffseqError,
     ChecksumError,
@@ -40,14 +43,13 @@ from .errors import (
 )
 from .metrics import EvalReport, ccc, evaluate
 from .model import Model, ModelConfig, build
-from .train import TrainConfig, evaluate_checkpoint, predict, restore_model, train
+from .train import TrainConfig, evaluate_checkpoint, predict, restore_model
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AudioClip",
     "read_wav",
-    "write_wav",
     "Checkpoint",
     "load_checkpoint",
     "save_checkpoint",
@@ -70,7 +72,6 @@ __all__ = [
     "DspParams",
     "extract_audio_track",
     "fft",
-    "frame_features",
     "mel_filterbank",
     "plan_segments",
     "AffseqError",
@@ -91,6 +92,5 @@ __all__ = [
     "evaluate_checkpoint",
     "predict",
     "restore_model",
-    "train",
     "__version__",
 ]

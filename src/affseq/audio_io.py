@@ -1,10 +1,12 @@
-"""WAV decoding into normalized mono sample buffers.
+"""WAV decoding into normalized mono sample buffers; the package writes no WAV.
 
 Reads RIFF/WAVE files holding PCM-16/24/32 or IEEE float-32 samples with one
 or two channels. Integer samples are normalized by 2**(bits-1); stereo is
 downmixed by the per-sample mean of the two channels. No resampling happens
 here: the sample rate is carried through as data. Non-essential RIFF chunks
-(LIST, INFO, fact, ...) are skipped.
+(LIST, INFO, fact, ...) are skipped. The RIFF size and the fmt chunk's
+``byte_rate`` and ``block_align`` are read but not checked: sample layout
+comes from the format code, channel count and bit depth alone.
 """
 
 from __future__ import annotations
@@ -136,29 +138,3 @@ def _decode(payload: bytes, fmt: _Fmt, path) -> AudioClip:
     if fmt.channels == 2:
         flat = flat.reshape(-1, 2).mean(axis=1)
     return AudioClip(samples=flat, sample_rate=fmt.sample_rate)
-
-
-def write_wav(path, samples, sample_rate: int) -> None:
-    """Write mono float samples as a PCM-16 WAV file (values clamped to [-1, 1])."""
-    samples = np.asarray(samples, dtype=np.float64)
-    ints = np.clip(np.rint(samples * 2**15), -(2**15), 2**15 - 1).astype("<i2")
-    payload = ints.tobytes()
-    header = struct.pack(
-        "<4sI4s4sIHHIIHH4sI",
-        b"RIFF",
-        36 + len(payload),
-        b"WAVE",
-        b"fmt ",
-        16,
-        _FORMAT_PCM,
-        1,
-        sample_rate,
-        sample_rate * 2,
-        2,
-        16,
-        b"data",
-        len(payload),
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)

@@ -22,6 +22,7 @@ the model's registry (``Model.slots``) plus the normalization statistics.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -159,12 +160,15 @@ def load_checkpoint(path) -> Checkpoint:
         offset = need(offset, 2, "tensor name length")
         (name_len,) = struct.unpack_from("<H", blob, offset - 2)
         offset = need(offset, name_len, "tensor name")
-        name = blob[offset - name_len : offset].decode("utf-8")
+        try:
+            name = blob[offset - name_len : offset].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"{path}: tensor name is not valid UTF-8 ({exc})") from None
         offset = need(offset, 1, "tensor rank")
         rank = blob[offset - 1]
         offset = need(offset, 4 * rank, "tensor dims")
         dims = struct.unpack_from(f"<{rank}I", blob, offset - 4 * rank)
-        count = int(np.prod(dims)) if rank else 1
+        count = math.prod(dims)  # exact: np.prod wraps at 2**64, and a wrapped 0 passes need()
         offset = need(offset, 4 * count, f"tensor {name!r} payload")
         payload = view[offset - 4 * count : offset]
         offset = need(offset, 4, "tensor checksum")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -22,6 +22,7 @@ from .checkpoint import load_checkpoint
 from .dataset import load_manifest, write_feature_file
 from .dsp import DspParams, extract_audio_track
 from .errors import EXIT_DOMAIN, EXIT_IO, EXIT_OK, AffseqError, ConfigError, exit_code_for
+from .metrics import CCC_MODES
 from .model import CELLS, VARIANTS, ModelConfig
 from .train import TrainConfig, evaluate_checkpoint, predict, train
 from .audio_io import read_wav
@@ -140,7 +141,7 @@ def _train_keys() -> list[Key]:
         Key("learning_rate", _parse_float, cfg_defaults.learning_rate, help="RMSprop learning rate"),
         Key("seed", _parse_int, cfg_defaults.seed, help="seed for weights, dropout and shuffling"),
         Key("shuffle", _parse_bool, cfg_defaults.shuffle, help="shuffle windows every epoch"),
-        Key("ccc_mode", _choice(("concat", "per-video-mean")), cfg_defaults.ccc_mode, help="validation CCC pooling"),
+        Key("ccc_mode", _choice(CCC_MODES), cfg_defaults.ccc_mode, help="validation CCC pooling"),
         Key("clip_norm", _parse_float, cfg_defaults.clip_norm, help="global gradient-norm cap; 0 disables"),
         Key("threads", _parse_int, None, help="worker threads for data loading (default AFFSEQ_THREADS or 1)"),
         *_model_keys(),
@@ -151,7 +152,7 @@ def _evaluate_keys() -> list[Key]:
     return [
         Key("manifest", _parse_path, required=True, help="corpus manifest CSV"),
         Key("checkpoint", _parse_path, required=True, help="trained model checkpoint"),
-        Key("ccc_mode", _choice(("concat", "per-video-mean")), "concat", help="CCC pooling over videos"),
+        Key("ccc_mode", _choice(CCC_MODES), "concat", help="CCC pooling over videos"),
         Key("report", _parse_path, None, help="also write the report as CSV here"),
         Key("threads", _parse_int, None, help="worker threads for data loading (default AFFSEQ_THREADS or 1)"),
         Key("batch_size", _parse_int, 32, help="windows per forward pass"),
@@ -213,16 +214,14 @@ def _resolve(keys: list[Key], args: argparse.Namespace) -> dict[str, object]:
     return opts
 
 
+def _from_opts(cls, opts: dict, prefix: str = "", **extra):
+    """A ``cls`` config whose fields are set from the ``opts`` keys named ``prefix`` + field name."""
+    values = {f.name: opts[prefix + f.name] for f in fields(cls) if prefix + f.name in opts}
+    return cls(**values, **extra)
+
+
 def _cmd_extract_audio(opts: dict) -> int:
-    params = DspParams(
-        n_fft=opts["n_fft"],
-        stft_hop=opts["stft_hop"],
-        n_mels=opts["n_mels"],
-        n_mfcc=opts["n_mfcc"],
-        fmin=opts["fmin"],
-        fmax=opts["fmax"],
-        log_floor=opts["log_floor"],
-    )
+    params = _from_opts(DspParams, opts)
     clip = read_wav(opts["wav"])
     features = extract_audio_track(clip, opts["frames"], params)
     write_feature_file(opts["out"], features)
@@ -230,28 +229,9 @@ def _cmd_extract_audio(opts: dict) -> int:
     return EXIT_OK
 
 
-def _model_config(opts: dict) -> ModelConfig:
-    return ModelConfig(
-        variant=opts["model.variant"],
-        cell=opts["model.cell"],
-        dropout=opts["model.dropout"],
-        width_scale=opts["model.width_scale"],
-    )
-
-
 def _cmd_train(opts: dict) -> int:
     rows = load_manifest(opts["manifest"])
-    config = TrainConfig(
-        epochs=opts["epochs"],
-        batch_size=opts["batch_size"],
-        learning_rate=opts["learning_rate"],
-        seed=opts["seed"],
-        shuffle=opts["shuffle"],
-        ccc_mode=opts["ccc_mode"],
-        clip_norm=opts["clip_norm"],
-        threads=opts["threads"],
-        model=_model_config(opts),
-    )
+    config = _from_opts(TrainConfig, opts, model=_from_opts(ModelConfig, opts, "model."))
     ckpt, history = train(rows, config, opts["out"])
     out_dir = Path(opts["out"])
     best = ckpt.best_val_score

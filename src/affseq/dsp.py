@@ -11,13 +11,13 @@ Frames are transformed in row-bounded chunks: each pass takes as many whole
 segments as fit in ``_CHUNK_ROWS`` STFT rows (always at least one), runs one
 FFT down axis 0 over all of those rows, and then one mel GEMM per segment.
 Memory is set by the chunk, not by the clip, and the feature bytes are those
-of a segment-at-a-time loop. ``frame_features`` is the one-segment case.
+of a segment-at-a-time loop. ``extract_audio_track`` is the one entry point;
+a single segment is a one-frame clip.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,10 +55,6 @@ class DspParams:
         return self.n_mfcc + self.n_mels
 
 
-class DegenerateFilterWarning(RuntimeWarning):
-    """A mel filter has no FFT bin inside its triangle."""
-
-
 def plan_segments(clip_len: int, n_frames: int) -> tuple[int, tuple[int, ...]]:
     """Tile ``clip_len`` samples into ``n_frames`` segments with half overlap.
 
@@ -92,20 +88,19 @@ def _bit_reverse_indices(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _twiddles(n: int, inverse: bool) -> tuple[np.ndarray, ...]:
+def _twiddles(n: int) -> tuple[np.ndarray, ...]:
     """Twiddle columns [size/2 x 1] of each butterfly stage, size = 2, 4, ..., n."""
-    sign = 1.0 if inverse else -1.0
     stages = []
     size = 2
     while size <= n:
-        twiddle = np.exp(sign * 2j * np.pi * np.arange(size // 2) / size)[:, None]
+        twiddle = np.exp(-2j * np.pi * np.arange(size // 2) / size)[:, None]
         twiddle.flags.writeable = False
         stages.append(twiddle)
         size *= 2
     return tuple(stages)
 
 
-def _fft_columns(x: np.ndarray, inverse: bool) -> np.ndarray:
+def _fft_columns(x: np.ndarray) -> np.ndarray:
     """In-place radix-2 FFT down axis 0 of a complex [n x cols] array already in bit-reversed order.
 
     Each column is one transform; the columns are contiguous along axis 1, so
@@ -114,7 +109,7 @@ def _fft_columns(x: np.ndarray, inverse: bool) -> np.ndarray:
     n, cols = x.shape
     buf = np.empty(n // 2 * cols, dtype=np.complex128)
     size = 2
-    for twiddle in _twiddles(n, inverse):
+    for twiddle in _twiddles(n):
         half = size // 2
         blocks = x.reshape(n // size, size, cols)
         lo, hi = blocks[:, :half], blocks[:, half:]
@@ -122,13 +117,11 @@ def _fft_columns(x: np.ndarray, inverse: bool) -> np.ndarray:
         np.subtract(lo, t, out=hi)
         lo += t
         size *= 2
-    if inverse:
-        x /= n
     return x
 
 
-def fft(signal, inverse: bool = False) -> np.ndarray:
-    """Radix-2 DFT: X[k] = sum_n x[n] e^(-2*pi*i*k*n/N); inverse applies 1/N.
+def fft(signal) -> np.ndarray:
+    """Radix-2 DFT: X[k] = sum_n x[n] e^(-2*pi*i*k*n/N).
 
     The input length must be a power of two (callers zero-pad).
     """
@@ -138,7 +131,7 @@ def fft(signal, inverse: bool = False) -> np.ndarray:
     n = x.shape[0]
     if n == 0 or n & (n - 1):
         raise DomainError(f"fft length must be a power of two, got {n}")
-    return _fft_columns(x[_bit_reverse_indices(n), None], inverse)[:, 0]
+    return _fft_columns(x[_bit_reverse_indices(n), None])[:, 0]
 
 
 # Slaney mel scale: linear below 1 kHz, logarithmic above.
@@ -169,9 +162,9 @@ def mel_filterbank(
     """Read-only [n_mels x (n_fft//2 + 1)] mel filter weights.
 
     Row ``m`` is a triangle; the centers are equally spaced on the mel axis.
-    Rows carry Slaney area normalization 2/(f_upper - f_lower). A filter whose
-    triangle captures no FFT bin comes out as an all-zero row and triggers a
-    DegenerateFilterWarning.
+    Rows carry Slaney area normalization 2/(f_upper - f_lower). ConfigError
+    if a filter's triangle captures no FFT bin: its all-zero row would be a
+    constant ``log_floor`` feature in every frame.
     """
     nyquist = sample_rate / 2.0
     if fmax is None:
@@ -201,11 +194,9 @@ def mel_filterbank(
 
     empty = ~np.any(weights > 0.0, axis=1)
     if np.any(empty):
-        warnings.warn(
+        raise ConfigError(
             f"{int(empty.sum())} of {n_mels} mel filters capture no FFT bin "
-            f"(n_fft={n_fft}, sr={sample_rate})",
-            DegenerateFilterWarning,
-            stacklevel=2,
+            f"(n_fft={n_fft}, sr={sample_rate}); use fewer mels, a larger n_fft or a wider fmin..fmax"
         )
     weights.flags.writeable = False
     return weights
@@ -250,7 +241,7 @@ def _windowed_columns(samples: np.ndarray, offsets: np.ndarray, length: int, n_f
 
 def _power_rows(samples: np.ndarray, offsets: np.ndarray, length: int, n_fft: int) -> np.ndarray:
     """C-contiguous power spectra [len(offsets) x (n_fft//2 + 1)] of the STFT rows at ``offsets``."""
-    spectrum = _fft_columns(_windowed_columns(samples, offsets, length, n_fft), inverse=False)
+    spectrum = _fft_columns(_windowed_columns(samples, offsets, length, n_fft))
     # C order matters: an F-ordered power array takes another GEMM kernel in the mel product
     return np.ascontiguousarray(np.abs(spectrum[: n_fft // 2 + 1]).T) ** 2
 
@@ -290,27 +281,6 @@ def _segment_features(
     return rows
 
 
-def frame_features(
-    segment: np.ndarray,
-    sample_rate: int,
-    params: DspParams = DspParams(),
-    filterbank: np.ndarray | None = None,
-) -> np.ndarray:
-    """Reduce one segment to the row [MFCC (n_mfcc) ++ averaged log-mel (n_mels)].
-
-    Mel energies are the filterbank applied to the power spectrogram, floored
-    at ``log_floor`` before 10*log10. Log-mel frames are averaged over time;
-    MFCCs are the leading orthonormal DCT-II coefficients of that average.
-    This is the one-segment case of ``extract_audio_track``: same bytes.
-    """
-    segment = np.asarray(segment, dtype=np.float64)
-    if segment.size == 0:
-        raise DomainError("cannot extract features from an empty segment")
-    if filterbank is None:
-        filterbank = mel_filterbank(sample_rate, params.n_fft, params.n_mels, params.fmin, params.fmax)
-    return _segment_features(segment, (0,), len(segment), params, filterbank)[0]
-
-
 def extract_audio_track(clip: AudioClip, n_frames: int, params: DspParams = DspParams()) -> np.ndarray:
     """Per-frame feature matrix [n_frames x (n_mfcc + n_mels)] for one clip.
 
@@ -318,15 +288,7 @@ def extract_audio_track(clip: AudioClip, n_frames: int, params: DspParams = DspP
     NumericFaultError if any feature is not finite (a NaN or infinite sample).
     """
     segment_len, starts = plan_segments(clip.duration_samples, n_frames)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DegenerateFilterWarning)
-        try:
-            filterbank = mel_filterbank(
-                clip.sample_rate, params.n_fft, params.n_mels, params.fmin, params.fmax
-            )
-        except DegenerateFilterWarning as exc:
-            # an empty filter would be a constant log_floor column in every row
-            raise ConfigError(f"{exc}; use fewer mels, a larger n_fft or a wider fmin..fmax") from None
+    filterbank = mel_filterbank(clip.sample_rate, params.n_fft, params.n_mels, params.fmin, params.fmax)
     rows = _segment_features(clip.samples, starts, segment_len, params, filterbank)
     bad_frames = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad_frames.size:

@@ -16,6 +16,9 @@ import numpy as np
 from .dataset import LabelTrack
 from .errors import CoverageError, DomainError
 
+# How ``evaluate`` pools the CCC over videos: one score over all frames, or the mean of per-video scores.
+CCC_MODES = ("concat", "per-video-mean")
+
 
 class DegenerateInputWarning(UserWarning):
     """Both sequences are constant with equal means; CCC is undefined."""
@@ -88,7 +91,7 @@ def evaluate(
     frames of all videos and scores once; ``"per-video-mean"`` scores each
     video separately and averages.
     """
-    if ccc_mode not in ("concat", "per-video-mean"):
+    if ccc_mode not in CCC_MODES:
         raise DomainError(f"unknown ccc_mode {ccc_mode!r}")
     if not labels:
         raise DomainError("no labeled videos to evaluate")

@@ -42,7 +42,7 @@ from .dataset import (
     normalize,
 )
 from .errors import ConfigError, CoverageError, DomainError, FileFormatError, NumericFaultError
-from .metrics import EvalReport, evaluate
+from .metrics import CCC_MODES, EvalReport, evaluate
 from .model import Model, ModelConfig, build
 from .nn import RMSprop, clip_global_norm, masked_mse
 
@@ -74,7 +74,7 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be ≥ 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be ≥ 0, got {self.epochs}")
-        if self.ccc_mode not in ("concat", "per-video-mean"):
+        if self.ccc_mode not in CCC_MODES:
             raise ConfigError(f"unknown ccc_mode {self.ccc_mode!r}")
         if self.threads < 1:
             raise ConfigError(f"threads must be ≥ 1, got {self.threads}")

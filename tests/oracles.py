@@ -311,25 +311,22 @@ def _bit_reverse_indices_per_call(n: int) -> np.ndarray:
     return rev
 
 
-def _fft_last_axis(a: np.ndarray, inverse: bool) -> np.ndarray:
-    """Radix-2 FFT over the last axis of a complex array (length power of two)."""
+def _fft_last_axis(a: np.ndarray) -> np.ndarray:
+    """Radix-2 forward FFT over the last axis of a complex array (length power of two)."""
     n = a.shape[-1]
     out = np.ascontiguousarray(a[..., _bit_reverse_indices_per_call(n)], dtype=np.complex128)
     if n == 1:
         return out
     flat = out.reshape(-1, n)
-    sign = 1.0 if inverse else -1.0
     size = 2
     while size <= n:
         half = size // 2
-        twiddle = np.exp(sign * 2j * np.pi * np.arange(half) / size)
+        twiddle = np.exp(-2j * np.pi * np.arange(half) / size)
         blocks = flat.reshape(-1, size)
         t = blocks[:, half:] * twiddle
         blocks[:, half:] = blocks[:, :half] - t
         blocks[:, :half] += t
         size *= 2
-    if inverse:
-        flat /= n
     return out
 
 
@@ -345,7 +342,7 @@ def _stft_power(segment: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
         offsets = np.arange(n_steps) * hop
         frames = segment[offsets[:, None] + np.arange(n_fft)[None, :]]
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft)
-    spectrum = _fft_last_axis(frames * window, inverse=False)
+    spectrum = _fft_last_axis(frames * window)
     return np.abs(spectrum[:, : n_fft // 2 + 1]) ** 2
 
 

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from affseq import read_wav, write_wav
+from affseq import read_wav
 from affseq.audio_io import AudioClip
 from affseq.errors import (
     DomainError,
@@ -88,9 +88,7 @@ def test_float32_passthrough_and_clip(tmp_path):
 
 def test_round_trip_within_quantization(tmp_path, rng):
     original = rng.uniform(-0.99, 0.99, size=500)
-    path = tmp_path / "rt.wav"
-    write_wav(path, original, 16000)
-    clip = read_wav(path)
+    clip = read_wav(_write(tmp_path, "rt.wav", pcm16_wav_bytes(original, 16000)))
     assert clip.sample_rate == 16000
     assert np.max(np.abs(clip.samples - original)) <= 1 / 32768
 

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import shutil
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from affseq.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from affseq.cli import main
 from affseq.dataset import load_feature_track
+from affseq.errors import FileFormatError, TruncatedFileError
 
 from conftest import make_corpus
 from oracles import float32_wav_bytes, pcm16_wav_bytes
@@ -492,6 +495,44 @@ def test_predict_on_bad_checkpoint_leaves_no_out_dir(trained, tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "preds").exists()
+
+
+def _one_tensor_afck(name: bytes, dims, payload: bytes) -> bytes:
+    """An AFCK file holding one tensor, its payload CRC and the whole-file CRC both consistent."""
+    config = b"{}"
+    body = b"".join([
+        b"AFCK", struct.pack("<II", 1, len(config)), config, struct.pack("<I", 1),
+        struct.pack("<H", len(name)), name, struct.pack(f"<B{len(dims)}I", len(dims), *dims),
+        payload, struct.pack("<I", zlib.crc32(payload)),
+    ])
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _evaluate_fails_with_one_error_line(manifest, ckpt, capsys, message):
+    capsys.readouterr()
+    assert main(["evaluate", "--manifest", str(manifest), "--checkpoint", str(ckpt)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert message in captured.err and "Traceback" not in captured.err
+
+
+def test_checkpoint_dims_of_2_to_the_64_elements_are_truncated(tmp_path, rng, capsys):
+    # 65536**4 = 2**64 elements: a wrapping product reads 0, and the empty payload then fails to reshape
+    ckpt = tmp_path / "huge.ckpt"
+    ckpt.write_bytes(_one_tensor_afck(b"w", (65536,) * 4, b""))
+    with pytest.raises(TruncatedFileError, match=f"tensor 'w' payload needs {4 * 2**64} bytes"):
+        load_checkpoint(ckpt)
+    _evaluate_fails_with_one_error_line(_manifest(tmp_path, rng), ckpt, capsys, "file too short")
+
+
+def test_checkpoint_tensor_name_must_be_utf8(tmp_path, rng, capsys):
+    ckpt = tmp_path / "name.ckpt"
+    ckpt.write_bytes(_one_tensor_afck(b"param/\xff", (), struct.pack("<f", 1.0)))
+    with pytest.raises(FileFormatError, match="tensor name is not valid UTF-8"):
+        load_checkpoint(ckpt)
+    _evaluate_fails_with_one_error_line(_manifest(tmp_path, rng), ckpt, capsys, "tensor name is not valid UTF-8")
+
 
 # Boundary values of the inference keys, plus valid ones.
 _INFERENCE_VALUES = ("0", "-1", "1.5", _HUGE, "1", "2", "7")

@@ -1,7 +1,7 @@
-import importlib
 import re
 import threading
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +9,10 @@ import pytest
 
 import affseq.nn.layers
 import affseq.nn.recurrent
+import affseq.train as train_module
 from affseq.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from affseq.cli import main
-from affseq.dataset import SEQUENCE_LEN, NormalizationStats, load_manifest
+from affseq.dataset import SEQUENCE_LEN, NormalizationStats, load_manifest, window_rows
 from affseq.errors import ConfigError, CoverageError, DomainError, FileFormatError, NumericFaultError
 from affseq.model import ModelConfig, build
 from affseq.train import (
@@ -24,8 +25,6 @@ from affseq.train import (
 )
 
 from conftest import make_corpus
-
-train_module = importlib.import_module("affseq.train")  # the package rebinds affseq.train to the function
 
 
 def _tensors(model):
@@ -62,6 +61,12 @@ def test_config_validation():
         TrainConfig(ccc_mode="pooled")
     with pytest.raises(ConfigError):
         TrainConfig(threads=0)
+
+
+def test_package_train_name_is_the_submodule():
+    assert isinstance(affseq.train, types.ModuleType)
+    assert affseq.train is train_module
+    assert affseq.train.train is train
 
 
 # --- train ------------------------------------------------------------------
@@ -110,6 +115,25 @@ def test_loader_threads_do_not_change_results(tmp_path, rng):
     train(rows, base, tmp_path / "a")
     train(rows, threaded, tmp_path / "b")
     assert (tmp_path / "a" / "history.csv").read_bytes() == (tmp_path / "b" / "history.csv").read_bytes()
+
+
+def test_unshuffled_epochs_feed_windows_in_index_order(tmp_path, rng, monkeypatch):
+    rows = _corpus(tmp_path, rng)  # train videos of 30 and 25 frames, every label valid
+    fed = []
+    real_gather = train_module.gather_windows
+
+    def spy(windows, modality, stats):
+        if modality == "audio":
+            fed.append(np.stack([windows.video, windows.rows[:, 0]], axis=1))
+        return real_gather(windows, modality, stats)
+
+    monkeypatch.setattr(train_module, "gather_windows", spy)
+    train(rows, TrainConfig(epochs=2, batch_size=4, shuffle=False, model=_small_model()), tmp_path / "run")
+    index_order = np.concatenate(
+        [np.stack([np.full(len(w), v), w[:, 0]], axis=1) for v, w in enumerate(map(window_rows, (30, 25)))]
+    )
+    assert len(fed) == 2 * -(-len(index_order) // 4)  # ceil(windows / batch_size) batches per epoch
+    np.testing.assert_array_equal(np.concatenate(fed), np.concatenate([index_order, index_order]))
 
 
 def test_different_seeds_diverge(tmp_path, rng):
