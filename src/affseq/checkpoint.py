@@ -9,8 +9,9 @@ Layout (all integers little-endian):
   u32 crc32(everything before this field)
 
 Tensors are written in sorted-name order, so identical contents produce
-identical bytes. Values are stored as float32; loading widens to float64, and
-a load/save round trip is byte-exact. A save goes through a temp file in the
+identical bytes, and a file whose names are repeated or out of order is
+rejected. Values are stored as float32; loading widens to float64, and a
+load/save round trip is byte-exact. A save goes through a temp file in the
 target's directory, fsynced and then renamed over the target, so a failed
 write leaves the previous file intact.
 
@@ -156,6 +157,7 @@ def load_checkpoint(path) -> Checkpoint:
     offset = need(offset, 4, "tensor count")
     (tensor_count,) = struct.unpack_from("<I", blob, offset - 4)
     tensors: dict[str, np.ndarray] = {}
+    previous = None
     for _ in range(tensor_count):
         offset = need(offset, 2, "tensor name length")
         (name_len,) = struct.unpack_from("<H", blob, offset - 2)
@@ -164,6 +166,9 @@ def load_checkpoint(path) -> Checkpoint:
             name = blob[offset - name_len : offset].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FileFormatError(f"{path}: tensor name is not valid UTF-8 ({exc})") from None
+        if previous is not None and name <= previous:
+            raise FileFormatError(f"{path}: tensor {name!r} follows {previous!r}; names must be sorted and unique")
+        previous = name
         offset = need(offset, 1, "tensor rank")
         rank = blob[offset - 1]
         offset = need(offset, 4 * rank, "tensor dims")

@@ -18,14 +18,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
-from .checkpoint import load_checkpoint
-from .dataset import load_manifest, write_feature_file
-from .dsp import DspParams, extract_audio_track
 from .errors import EXIT_DOMAIN, EXIT_IO, EXIT_OK, AffseqError, ConfigError, exit_code_for
-from .metrics import CCC_MODES
-from .model import CELLS, VARIANTS, ModelConfig
-from .train import TrainConfig, evaluate_checkpoint, predict, train
-from .audio_io import read_wav
 
 
 def _parse_int(text: str) -> int:
@@ -71,7 +64,6 @@ def _choice(options: tuple[str, ...]) -> Callable[[str], str]:
 class Key:
     name: str
     parse: Callable[[str], object]
-    default: object = None
     required: bool = False
     help: str = ""
 
@@ -97,28 +89,26 @@ def _threads_default() -> int:
     return value
 
 
-_DSP = DspParams()
-
-
 def _dsp_keys() -> list[Key]:
     return [
-        Key("n_fft", _parse_int, _DSP.n_fft, help="FFT size for the short-time transform"),
-        Key("stft_hop", _parse_int, _DSP.stft_hop, help="hop between transform frames in samples"),
-        Key("n_mels", _parse_int, _DSP.n_mels, help="number of mel filterbank bands"),
-        Key("n_mfcc", _parse_int, _DSP.n_mfcc, help="number of cepstral coefficients kept"),
-        Key("fmin", _parse_float, _DSP.fmin, help="filterbank lower edge in Hz"),
-        Key("fmax", _parse_optional_float, _DSP.fmax, help="filterbank upper edge in Hz (default Nyquist)"),
-        Key("log_floor", _parse_float, _DSP.log_floor, help="energy floor before the log"),
+        Key("n_fft", _parse_int, help="FFT size for the short-time transform"),
+        Key("stft_hop", _parse_int, help="hop between transform frames in samples"),
+        Key("n_mels", _parse_int, help="number of mel filterbank bands"),
+        Key("n_mfcc", _parse_int, help="number of cepstral coefficients kept"),
+        Key("fmin", _parse_float, help="filterbank lower edge in Hz"),
+        Key("fmax", _parse_optional_float, help="filterbank upper edge in Hz (default Nyquist)"),
+        Key("log_floor", _parse_float, help="energy floor before the log"),
     ]
 
 
 def _model_keys() -> list[Key]:
-    cfg = ModelConfig()
+    from .model import CELLS, VARIANTS
+
     return [
-        Key("model.variant", _choice(VARIANTS), cfg.variant, help="fusion, audio_only, or video_only"),
-        Key("model.cell", _choice(CELLS), cfg.cell, help="recurrent cell: gru or bilstm"),
-        Key("model.dropout", _parse_float, cfg.dropout, help="dropout rate inside the branches"),
-        Key("model.width_scale", _parse_int, cfg.width_scale, help="divide all layer widths by this factor"),
+        Key("model.variant", _choice(VARIANTS), help="fusion, audio_only, or video_only"),
+        Key("model.cell", _choice(CELLS), help="recurrent cell: gru or bilstm"),
+        Key("model.dropout", _parse_float, help="dropout rate inside the branches"),
+        Key("model.width_scale", _parse_int, help="divide all layer widths by this factor"),
     ]
 
 
@@ -132,30 +122,33 @@ def _extract_audio_keys() -> list[Key]:
 
 
 def _train_keys() -> list[Key]:
-    cfg_defaults = TrainConfig()
+    from .metrics import CCC_MODES
+
     return [
         Key("manifest", _parse_path, required=True, help="corpus manifest CSV"),
         Key("out", _parse_path, required=True, help="output directory for best.ckpt and history.csv"),
-        Key("epochs", _parse_int, cfg_defaults.epochs, help="training epochs (0 saves the initialized model)"),
-        Key("batch_size", _parse_int, cfg_defaults.batch_size, help="windows per optimizer step"),
-        Key("learning_rate", _parse_float, cfg_defaults.learning_rate, help="RMSprop learning rate"),
-        Key("seed", _parse_int, cfg_defaults.seed, help="seed for weights, dropout and shuffling"),
-        Key("shuffle", _parse_bool, cfg_defaults.shuffle, help="shuffle windows every epoch"),
-        Key("ccc_mode", _choice(CCC_MODES), cfg_defaults.ccc_mode, help="validation CCC pooling"),
-        Key("clip_norm", _parse_float, cfg_defaults.clip_norm, help="global gradient-norm cap; 0 disables"),
-        Key("threads", _parse_int, None, help="worker threads for data loading (default AFFSEQ_THREADS or 1)"),
+        Key("epochs", _parse_int, help="training epochs (0 saves the initialized model)"),
+        Key("batch_size", _parse_int, help="windows per optimizer step"),
+        Key("learning_rate", _parse_float, help="RMSprop learning rate"),
+        Key("seed", _parse_int, help="seed for weights, dropout and shuffling"),
+        Key("shuffle", _parse_bool, help="shuffle windows every epoch"),
+        Key("ccc_mode", _choice(CCC_MODES), help="validation CCC pooling"),
+        Key("clip_norm", _parse_float, help="global gradient-norm cap; 0 disables"),
+        Key("threads", _parse_int, help="worker threads for data loading (default AFFSEQ_THREADS or 1)"),
         *_model_keys(),
     ]
 
 
 def _evaluate_keys() -> list[Key]:
+    from .metrics import CCC_MODES
+
     return [
         Key("manifest", _parse_path, required=True, help="corpus manifest CSV"),
         Key("checkpoint", _parse_path, required=True, help="trained model checkpoint"),
-        Key("ccc_mode", _choice(CCC_MODES), "concat", help="CCC pooling over videos"),
-        Key("report", _parse_path, None, help="also write the report as CSV here"),
-        Key("threads", _parse_int, None, help="worker threads for data loading (default AFFSEQ_THREADS or 1)"),
-        Key("batch_size", _parse_int, 32, help="windows per forward pass"),
+        Key("ccc_mode", _choice(CCC_MODES), help="CCC pooling over videos"),
+        Key("report", _parse_path, help="also write the report as CSV here"),
+        Key("threads", _parse_int, help="worker threads for data loading (default AFFSEQ_THREADS or 1)"),
+        Key("batch_size", _parse_int, help="windows per forward pass"),
     ]
 
 
@@ -164,8 +157,8 @@ def _predict_keys() -> list[Key]:
         Key("manifest", _parse_path, required=True, help="corpus manifest CSV"),
         Key("checkpoint", _parse_path, required=True, help="trained model checkpoint"),
         Key("out", _parse_path, required=True, help="directory for per-video prediction CSVs"),
-        Key("threads", _parse_int, None, help="worker threads for data loading (default AFFSEQ_THREADS or 1)"),
-        Key("batch_size", _parse_int, 32, help="windows per forward pass"),
+        Key("threads", _parse_int, help="worker threads for data loading (default AFFSEQ_THREADS or 1)"),
+        Key("batch_size", _parse_int, help="windows per forward pass"),
     ]
 
 
@@ -192,6 +185,11 @@ def _parse_config_file(path: Path, keys: list[Key]) -> dict[str, object]:
 
 
 def _resolve(keys: list[Key], args: argparse.Namespace) -> dict[str, object]:
+    """Key values from the flags, then the config file.
+
+    A key set in neither is left out, so the default of the engine setting it
+    feeds applies; only ``threads`` falls back, to ``AFFSEQ_THREADS`` or 1.
+    """
     file_values: dict[str, object] = {}
     if getattr(args, "config", None) is not None:
         file_values = _parse_config_file(args.config, keys)
@@ -207,9 +205,7 @@ def _resolve(keys: list[Key], args: argparse.Namespace) -> dict[str, object]:
             opts[key.name] = file_values[key.name]
         elif key.required:
             raise ConfigError(f"missing required option {key.flag}")
-        else:
-            opts[key.name] = key.default
-    if "threads" in opts and opts["threads"] is None:
+    if "threads" not in opts and any(key.name == "threads" for key in keys):
         opts["threads"] = _threads_default()
     return opts
 
@@ -220,16 +216,30 @@ def _from_opts(cls, opts: dict, prefix: str = "", **extra):
     return cls(**values, **extra)
 
 
+def _given(opts: dict, *names: str) -> dict:
+    """The ``opts`` entries among ``names``; a key left unset keeps the callee's default."""
+    return {name: opts[name] for name in names if name in opts}
+
+
 def _cmd_extract_audio(opts: dict) -> int:
+    from .audio_io import read_wav
+    from .dataset import write_feature_file
+    from .dsp import DspParams, extract_audio_track
+
     params = _from_opts(DspParams, opts)
     clip = read_wav(opts["wav"])
     features = extract_audio_track(clip, opts["frames"], params)
+    opts["out"].parent.mkdir(parents=True, exist_ok=True)
     write_feature_file(opts["out"], features)
     print(f"{opts['out']}: rows={features.shape[0]} cols={features.shape[1]}")
     return EXIT_OK
 
 
 def _cmd_train(opts: dict) -> int:
+    from .dataset import load_manifest
+    from .model import ModelConfig
+    from .train import TrainConfig, train
+
     rows = load_manifest(opts["manifest"])
     config = _from_opts(TrainConfig, opts, model=_from_opts(ModelConfig, opts, "model."))
     ckpt, history = train(rows, config, opts["out"])
@@ -244,21 +254,28 @@ def _cmd_train(opts: dict) -> int:
 
 
 def _cmd_evaluate(opts: dict) -> int:
+    from .checkpoint import load_checkpoint
+    from .dataset import load_manifest
+    from .train import evaluate_checkpoint
+
     rows = load_manifest(opts["manifest"])
     ckpt = load_checkpoint(opts["checkpoint"])
-    report = evaluate_checkpoint(
-        rows, ckpt, ccc_mode=opts["ccc_mode"], threads=opts["threads"], batch_size=opts["batch_size"]
-    )
+    report = evaluate_checkpoint(rows, ckpt, **_given(opts, "ccc_mode", "threads", "batch_size"))
     sys.stdout.write(report.as_text())
-    if opts["report"] is not None:
-        Path(opts["report"]).write_text(report.as_csv(), encoding="utf-8")
+    if "report" in opts:
+        opts["report"].parent.mkdir(parents=True, exist_ok=True)
+        opts["report"].write_text(report.as_csv(), encoding="utf-8")
     return EXIT_OK
 
 
 def _cmd_predict(opts: dict) -> int:
+    from .checkpoint import load_checkpoint
+    from .dataset import load_manifest
+    from .train import predict
+
     rows = load_manifest(opts["manifest"])
     ckpt = load_checkpoint(opts["checkpoint"])
-    written = predict(rows, ckpt, opts["out"], threads=opts["threads"], batch_size=opts["batch_size"])
+    written = predict(rows, ckpt, opts["out"], **_given(opts, "threads", "batch_size"))
     print(f"{opts['out']}: wrote {len(written)} prediction files")
     return EXIT_OK
 
@@ -277,19 +294,22 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command: str | None) -> _Parser:
+    """The parser; only ``command``'s subparser gets its key flags, so no other command's keys import anything."""
     parser = _Parser(prog="affseq", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     for name, (keys_fn, _, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text, description=help_text)
         cmd.add_argument("--config", type=Path, default=None, metavar="FILE", help="key = value option file")
-        for key in keys_fn():
+        for key in keys_fn() if name == command else ():
             cmd.add_argument(key.flag, dest=key.dest, default=None, metavar="VALUE", help=key.help)
     return parser
 
 
 def _run(argv: list[str] | None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help(sys.stderr)

@@ -114,24 +114,21 @@ def evaluate(
     if n_eval < 2:
         raise DomainError(f"need at least 2 valid frames to evaluate, got {n_eval}")
 
+    # Each score is averaged over groups of frames: all of them pooled, or one group per scorable video.
     if ccc_mode == "concat":
-        pred_all = np.concatenate([p for p, _ in per_video], axis=0)
-        gold_all = np.concatenate([g for _, g in per_video], axis=0)
-        return EvalReport(
-            ccc_valence=ccc(pred_all[:, 0], gold_all[:, 0]),
-            ccc_arousal=ccc(pred_all[:, 1], gold_all[:, 1]),
-            mse_valence=_mse(pred_all[:, 0], gold_all[:, 0]),
-            mse_arousal=_mse(pred_all[:, 1], gold_all[:, 1]),
-            n_frames_evaluated=n_eval,
-        )
+        groups = [(np.concatenate([p for p, _ in per_video]), np.concatenate([g for _, g in per_video]))]
+    else:
+        groups = [(p, g) for p, g in per_video if len(p) >= 2]
+        if not groups:
+            raise DomainError("per-video-mean needs a video with at least 2 valid frames")
 
-    scored = [(p, g) for p, g in per_video if len(p) >= 2]
-    if not scored:
-        raise DomainError("per-video-mean needs a video with at least 2 valid frames")
+    def mean_over_groups(score, column: int) -> float:
+        return float(np.mean([score(p[:, column], g[:, column]) for p, g in groups]))
+
     return EvalReport(
-        ccc_valence=float(np.mean([ccc(p[:, 0], g[:, 0]) for p, g in scored])),
-        ccc_arousal=float(np.mean([ccc(p[:, 1], g[:, 1]) for p, g in scored])),
-        mse_valence=float(np.mean([_mse(p[:, 0], g[:, 0]) for p, g in scored])),
-        mse_arousal=float(np.mean([_mse(p[:, 1], g[:, 1]) for p, g in scored])),
+        ccc_valence=mean_over_groups(ccc, 0),
+        ccc_arousal=mean_over_groups(ccc, 1),
+        mse_valence=mean_over_groups(_mse, 0),
+        mse_arousal=mean_over_groups(_mse, 1),
         n_frames_evaluated=n_eval,
     )

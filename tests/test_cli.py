@@ -3,6 +3,7 @@ import io
 import shutil
 import struct
 import zlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from affseq.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from affseq.cli import main
 from affseq.dataset import load_feature_track
+from affseq.dsp import DspParams
 from affseq.errors import FileFormatError, TruncatedFileError
 
 from conftest import make_corpus
@@ -113,6 +115,26 @@ def test_extract_audio_respects_dsp_keys(tmp_path, capsys):
     assert "rows=4 cols=84" in capsys.readouterr().out
 
 
+def test_extract_audio_unset_dsp_keys_take_the_dsp_defaults(tmp_path, capsys):
+    wav = _wav(tmp_path / "a.wav")
+    explicit = []
+    for f in fields(DspParams):
+        explicit += ["--" + f.name.replace("_", "-"), "none" if f.default is None else repr(f.default)]
+    base = ["extract-audio", "--wav", str(wav), "--frames", "12", "--out"]
+    assert main([*base, str(tmp_path / "unset.feat")]) == 0
+    assert main([*base, str(tmp_path / "explicit.feat"), *explicit]) == 0
+    assert (tmp_path / "unset.feat").read_bytes() == (tmp_path / "explicit.feat").read_bytes()
+
+
+def test_extract_audio_creates_the_out_directory(tmp_path, capsys):
+    wav = _wav(tmp_path / "a.wav")
+    fresh = tmp_path / "audio" / "tr0" / "audio.feat"
+    existing = tmp_path / "audio.feat"
+    assert main(["extract-audio", "--wav", str(wav), "--frames", "6", "--out", str(fresh)]) == 0
+    assert main(["extract-audio", "--wav", str(wav), "--frames", "6", "--out", str(existing)]) == 0
+    assert fresh.read_bytes() == existing.read_bytes()
+
+
 def test_extract_audio_rejects_zero_frames(tmp_path, capsys):
     wav = _wav(tmp_path / "a.wav")
     code = main(["extract-audio", "--wav", str(wav), "--frames", "0", "--out", str(tmp_path / "x")])
@@ -173,13 +195,13 @@ def test_extract_audio_rejects_invalid_dsp_params(tmp_path, capsys, flag, value,
 
 def test_extract_audio_rejects_empty_mel_filters(tmp_path, capsys):
     wav = _wav(tmp_path / "a.wav", n_samples=44100, rate=44100)
-    out = tmp_path / "a.feat"
+    out = tmp_path / "audio" / "a.feat"
     code = main(["extract-audio", "--wav", str(wav), "--frames", "30", "--out", str(out), "--n-mels", "4000"])
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error: 2307 of 4000 mel filters capture no FFT bin (n_fft=2048, sr=44100)")
     assert err.count("\n") == 1
-    assert not out.exists()
+    assert not (tmp_path / "audio").exists()  # the out directory is made only once features exist
 
 
 # Boundary values every numeric extract-audio key is driven through. Huge
@@ -370,7 +392,7 @@ def test_evaluate_prints_report(trained, tmp_path, capsys):
 
 def test_evaluate_writes_report_csv(trained, tmp_path, capsys):
     manifest, ckpt = trained
-    report = tmp_path / "report.csv"
+    report = tmp_path / "reports" / "val" / "report.csv"
     code = main(
         ["evaluate", "--manifest", str(manifest), "--checkpoint", str(ckpt), "--report", str(report)]
     )
@@ -390,8 +412,12 @@ def test_evaluate_ccc_mode_choice_is_validated(trained, capsys):
 
 def test_evaluate_missing_checkpoint(trained, tmp_path, capsys):
     manifest, _ = trained
-    code = main(["evaluate", "--manifest", str(manifest), "--checkpoint", str(tmp_path / "no.ckpt")])
+    report = tmp_path / "reports" / "report.csv"
+    code = main(
+        ["evaluate", "--manifest", str(manifest), "--checkpoint", str(tmp_path / "no.ckpt"), "--report", str(report)]
+    )
     assert code == 2
+    assert not (tmp_path / "reports").exists()
 
 
 def test_predict_writes_tracks(trained, tmp_path, capsys):
@@ -497,14 +523,16 @@ def test_predict_on_bad_checkpoint_leaves_no_out_dir(trained, tmp_path, capsys, 
     assert not (tmp_path / "preds").exists()
 
 
-def _one_tensor_afck(name: bytes, dims, payload: bytes) -> bytes:
-    """An AFCK file holding one tensor, its payload CRC and the whole-file CRC both consistent."""
+def _afck(*tensors) -> bytes:
+    """An AFCK file holding ``(name, dims, payload)`` tensors in the order given, every CRC consistent."""
     config = b"{}"
-    body = b"".join([
-        b"AFCK", struct.pack("<II", 1, len(config)), config, struct.pack("<I", 1),
-        struct.pack("<H", len(name)), name, struct.pack(f"<B{len(dims)}I", len(dims), *dims),
-        payload, struct.pack("<I", zlib.crc32(payload)),
-    ])
+    parts = [b"AFCK", struct.pack("<II", 1, len(config)), config, struct.pack("<I", len(tensors))]
+    for name, dims, payload in tensors:
+        parts += [
+            struct.pack("<H", len(name)), name, struct.pack(f"<B{len(dims)}I", len(dims), *dims),
+            payload, struct.pack("<I", zlib.crc32(payload)),
+        ]
+    body = b"".join(parts)
     return body + struct.pack("<I", zlib.crc32(body))
 
 
@@ -520,7 +548,7 @@ def _evaluate_fails_with_one_error_line(manifest, ckpt, capsys, message):
 def test_checkpoint_dims_of_2_to_the_64_elements_are_truncated(tmp_path, rng, capsys):
     # 65536**4 = 2**64 elements: a wrapping product reads 0, and the empty payload then fails to reshape
     ckpt = tmp_path / "huge.ckpt"
-    ckpt.write_bytes(_one_tensor_afck(b"w", (65536,) * 4, b""))
+    ckpt.write_bytes(_afck((b"w", (65536,) * 4, b"")))
     with pytest.raises(TruncatedFileError, match=f"tensor 'w' payload needs {4 * 2**64} bytes"):
         load_checkpoint(ckpt)
     _evaluate_fails_with_one_error_line(_manifest(tmp_path, rng), ckpt, capsys, "file too short")
@@ -528,10 +556,27 @@ def test_checkpoint_dims_of_2_to_the_64_elements_are_truncated(tmp_path, rng, ca
 
 def test_checkpoint_tensor_name_must_be_utf8(tmp_path, rng, capsys):
     ckpt = tmp_path / "name.ckpt"
-    ckpt.write_bytes(_one_tensor_afck(b"param/\xff", (), struct.pack("<f", 1.0)))
+    ckpt.write_bytes(_afck((b"param/\xff", (), struct.pack("<f", 1.0))))
     with pytest.raises(FileFormatError, match="tensor name is not valid UTF-8"):
         load_checkpoint(ckpt)
     _evaluate_fails_with_one_error_line(_manifest(tmp_path, rng), ckpt, capsys, "tensor name is not valid UTF-8")
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        ((b"a", b"a"), "tensor 'a' follows 'a'; names must be sorted and unique"),
+        ((b"b", b"a"), "tensor 'a' follows 'b'; names must be sorted and unique"),
+    ],
+    ids=["duplicate", "unsorted"],
+)
+def test_checkpoint_tensor_names_must_be_sorted_and_unique(tmp_path, rng, capsys, names, message):
+    # each file is consistent but for its names; without the check the duplicate loads as {'a': 3.0}
+    ckpt = tmp_path / "names.ckpt"
+    ckpt.write_bytes(_afck(*[(name, (), struct.pack("<f", value)) for name, value in zip(names, (2.0, 3.0))]))
+    with pytest.raises(FileFormatError, match=message):
+        load_checkpoint(ckpt)
+    _evaluate_fails_with_one_error_line(_manifest(tmp_path, rng), ckpt, capsys, message)
 
 
 # Boundary values of the inference keys, plus valid ones.
