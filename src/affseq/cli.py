@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
-from .errors import EXIT_DOMAIN, EXIT_IO, EXIT_OK, AffseqError, ConfigError, exit_code_for
+from .errors import EXIT_DOMAIN, EXIT_OK, AffseqError, ConfigError, exit_code_for
 
 
 def _parse_int(text: str) -> int:
@@ -322,12 +322,9 @@ def _run(argv: list[str] | None) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         return _run(argv)
-    except AffseqError as exc:
+    except (AffseqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
 
 
 if __name__ == "__main__":

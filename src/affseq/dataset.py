@@ -38,15 +38,7 @@ FEATURE_MAGIC = b"AFFW"
 FEATURE_VERSION = 1
 
 LABEL_HEADER = ["frame", "valence", "arousal"]
-MANIFEST_HEADER = [
-    "video_id",
-    "split",
-    "audio_path",
-    "expnet_path",
-    "facepose_path",
-    "label_path",
-    "n_frames",
-]
+MANIFEST_HEADER = ["video_id", "split", *(f"{m}_path" for m in MODALITY_DIMS), "label_path", "n_frames"]
 
 _STD_FLOOR = 1e-8
 
@@ -117,20 +109,13 @@ class NormalizationStats:
 
 @dataclass(frozen=True)
 class ManifestRow:
+    """One manifest line; ``features`` maps each modality whose cell is non-empty to its file."""
+
     video_id: str
     split: str
-    audio_path: Path | None
-    expnet_path: Path | None
-    facepose_path: Path | None
+    features: dict[str, Path]
     label_path: Path | None
     n_frames: int
-
-    def feature_path(self, modality: str) -> Path | None:
-        return {
-            "audio": self.audio_path,
-            "expnet": self.expnet_path,
-            "facepose": self.facepose_path,
-        }[modality]
 
 
 def write_feature_file(path, matrix) -> None:
@@ -166,87 +151,81 @@ def load_feature_track(path, modality: str, video_id: str = "") -> FeatureTrack:
     return FeatureTrack(video_id=video_id, modality=modality, data=data)
 
 
-def load_labels(path, video_id: str = "") -> LabelTrack:
-    """Read a ``frame,valence,arousal`` CSV with contiguous frame indices from 0."""
+def _read_table(path, header: list[str], kind: str, empty: str):
+    """Yield ``(line_no, cells)`` for each non-blank row of the CSV table at ``path``.
+
+    The first row must equal ``header`` once its cells are stripped, and each
+    later row must hold ``len(header)`` cells; line numbers count blank rows
+    too, from 2. An empty file raises ``<path>: <empty>``.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            first = next(reader)
         except StopIteration:
-            raise FileFormatError(f"{path}: empty label file") from None
-        if [h.strip() for h in header] != LABEL_HEADER:
-            raise FileFormatError(f"{path}: label header must be {','.join(LABEL_HEADER)}")
-        valence, arousal = [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
+            raise FileFormatError(f"{path}: {empty}") from None
+        if [h.strip() for h in first] != header:
+            raise FileFormatError(f"{path}: {kind} header must be {','.join(header)}")
+        for line_no, cells in enumerate(reader, start=2):
+            if not cells:
                 continue
-            if len(row) != 3:
-                raise FileFormatError(f"{path}:{line_no}: expected 3 fields, got {len(row)}")
-            try:
-                idx = int(row[0])
-                v = float(row[1])
-                a = float(row[2])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{line_no}: non-numeric field ({exc})") from None
-            if idx != len(valence):
-                raise FileFormatError(
-                    f"{path}:{line_no}: frame index {idx} out of order (expected {len(valence)})"
-                )
-            valence.append(v)
-            arousal.append(a)
+            if len(cells) != len(header):
+                raise FileFormatError(f"{path}:{line_no}: expected {len(header)} fields, got {len(cells)}")
+            yield line_no, cells
+
+
+def load_labels(path, video_id: str = "") -> LabelTrack:
+    """Read a ``frame,valence,arousal`` CSV with contiguous frame indices from 0."""
+    valence, arousal = [], []
+    for line_no, cells in _read_table(path, LABEL_HEADER, "label", "empty label file"):
+        try:
+            idx, v, a = int(cells[0]), float(cells[1]), float(cells[2])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{line_no}: non-numeric field ({exc})") from None
+        if idx != len(valence):
+            raise FileFormatError(f"{path}:{line_no}: frame index {idx} out of order (expected {len(valence)})")
+        valence.append(v)
+        arousal.append(a)
     valence = np.asarray(valence)
     arousal = np.asarray(arousal)
     valid = (np.abs(valence) <= 1.0) & (np.abs(arousal) <= 1.0)
     return LabelTrack(video_id=video_id, valence=valence, arousal=arousal, valid=valid)
 
 
+def _resolve(base: Path, cell: str) -> Path | None:
+    """The path a manifest cell names, relative to ``base`` unless absolute; None if the cell is empty."""
+    cell = cell.strip()
+    return base / cell if cell else None
+
+
 def load_manifest(path) -> list[ManifestRow]:
-    """Read the corpus manifest; relative paths resolve against the manifest's directory."""
+    """Read the corpus manifest; relative paths resolve against the manifest's directory.
+
+    Each ``video_id`` must be unique and a plain file name (not empty, ``.``
+    or ``..``, and without ``/``), since ``predict`` writes ``<video_id>.csv``.
+    """
     base = Path(path).parent
     rows: list[ManifestRow] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    first_line: dict[str, int] = {}
+    for line_no, cells in _read_table(path, MANIFEST_HEADER, "manifest", "empty manifest"):
+        video_id, split = cells[0].strip(), cells[1].strip()
+        if split not in ("train", "val"):
+            raise FileFormatError(f"{path}:{line_no}: split must be train or val, got {split!r}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FileFormatError(f"{path}: empty manifest") from None
-        if [h.strip() for h in header] != MANIFEST_HEADER:
-            raise FileFormatError(f"{path}: manifest header must be {','.join(MANIFEST_HEADER)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(MANIFEST_HEADER):
-                raise FileFormatError(
-                    f"{path}:{line_no}: expected {len(MANIFEST_HEADER)} fields, got {len(row)}"
-                )
-            video_id, split = row[0].strip(), row[1].strip()
-            if split not in ("train", "val"):
-                raise FileFormatError(f"{path}:{line_no}: split must be train or val, got {split!r}")
-            try:
-                n_frames = int(row[6])
-            except ValueError:
-                raise ParseError(f"{path}:{line_no}: non-numeric n_frames {row[6]!r}") from None
-            if n_frames < 1:
-                raise FileFormatError(f"{path}:{line_no}: n_frames must be ≥ 1, got {n_frames}")
-
-            def resolve(cell: str) -> Path | None:
-                cell = cell.strip()
-                if not cell:
-                    return None
-                p = Path(cell)
-                return p if p.is_absolute() else base / p
-
-            rows.append(
-                ManifestRow(
-                    video_id=video_id,
-                    split=split,
-                    audio_path=resolve(row[2]),
-                    expnet_path=resolve(row[3]),
-                    facepose_path=resolve(row[4]),
-                    label_path=resolve(row[5]),
-                    n_frames=n_frames,
-                )
+            n_frames = int(cells[6])
+        except ValueError:
+            raise ParseError(f"{path}:{line_no}: non-numeric n_frames {cells[6]!r}") from None
+        if n_frames < 1:
+            raise FileFormatError(f"{path}:{line_no}: n_frames must be ≥ 1, got {n_frames}")
+        if video_id in ("", ".", "..") or "/" in video_id:
+            raise FileFormatError(f"{path}:{line_no}: video_id must be a plain file name, got {video_id!r}")
+        if video_id in first_line:
+            raise FileFormatError(
+                f"{path}:{line_no}: video_id {video_id!r} repeats line {first_line[video_id]}"
             )
+        first_line[video_id] = line_no
+        features = {m: _resolve(base, cell) for m, cell in zip(MODALITY_DIMS, cells[2:5]) if cell.strip()}
+        rows.append(ManifestRow(video_id, split, features, _resolve(base, cells[5]), n_frames))
     return rows
 
 

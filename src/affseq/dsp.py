@@ -68,8 +68,6 @@ def plan_segments(clip_len: int, n_frames: int) -> tuple[int, tuple[int, ...]]:
         raise DomainError(
             f"clip of {clip_len} samples cannot supply {n_frames} segments of at least 1 sample"
         )
-    if n_frames == 1:
-        return clip_len, (0,)
     seg_len = (2 * clip_len) // (n_frames + 1)
     hop = seg_len // 2
     return seg_len, tuple(i * hop for i in range(n_frames - 1)) + (clip_len - seg_len,)

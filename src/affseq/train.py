@@ -92,7 +92,7 @@ class VideoData:
 def _load_video(row: ManifestRow, modalities, need_labels: bool) -> VideoData:
     features = {}
     for modality in modalities:
-        path = row.feature_path(modality)
+        path = row.features.get(modality)
         if path is None:
             raise CoverageError(f"{row.video_id}: manifest has no {modality} feature file")
         track = load_feature_track(path, modality, video_id=row.video_id)
@@ -269,7 +269,6 @@ def train(manifest_rows: list[ManifestRow], config: TrainConfig, out_dir) -> tup
     exactly the stored float32 values) and the history rows.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     train_rows = [r for r in manifest_rows if r.split == "train"]
     val_rows = [r for r in manifest_rows if r.split == "val"]
     if not train_rows:
@@ -306,6 +305,8 @@ def _fit(train_rows, val_rows, config: TrainConfig, out_dir: Path) -> list[str]:
     history: list[str] = []
 
     ckpt = _make_checkpoint(model, stats, epoch=0, best_val_score=None, seed=config.seed)
+    # only now, so a run that fails its split checks or a video load leaves no empty directory
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(best_path, ckpt)
 
     with open(out_dir / "history.csv", "w", encoding="utf-8", newline="") as hist_fh:

@@ -316,6 +316,57 @@ def test_train_missing_manifest(tmp_path, capsys):
     assert main(_train_args(tmp_path / "nope.csv", tmp_path / "run")) == 2
 
 
+def test_train_that_fails_before_its_first_save_leaves_no_out_dir(tmp_path, rng, capsys):
+    manifest = _manifest(tmp_path, rng, videos=[("va0", "val", 20)])
+    assert main(_train_args(manifest, tmp_path / "fresh" / "x")) == 3
+    assert capsys.readouterr().err == "error: manifest has no train rows\n"
+    assert not (tmp_path / "fresh").exists()
+
+
+# --- manifest and label tables ----------------------------------------------------
+
+_MANIFEST_HEADER = "video_id,split,audio_path,expnet_path,facepose_path,label_path,n_frames"
+
+
+@pytest.mark.parametrize(
+    "table, text, message",
+    [
+        ("labels", "", "{path}: empty label file"),
+        ("manifest", "", "{path}: empty manifest"),
+        ("labels", "frame,v,a\n0,0,0\n", "{path}: label header must be frame,valence,arousal"),
+        ("manifest", "video,split\nv0,train\n", "{path}: manifest header must be " + _MANIFEST_HEADER),
+        ("labels", "frame,valence,arousal\n0,0.1\n", "{path}:2: expected 3 fields, got 2"),
+        ("manifest", _MANIFEST_HEADER + "\nv0,train,a\n", "{path}:2: expected 7 fields, got 3"),
+        # a header is compared stripped; a blank row is skipped but keeps its line number
+        ("labels", " frame , valence,arousal\n\n0,0\n", "{path}:3: expected 3 fields, got 2"),
+        ("manifest", " " + _MANIFEST_HEADER + " \n\nv0,train,a\n", "{path}:3: expected 7 fields, got 3"),
+        ("labels", "frame,valence,arousal\n0,0,0\n2,0,0\n", "{path}:3: frame index 2 out of order (expected 1)"),
+        (
+            "labels",
+            "frame,valence,arousal\n0,abc,0\n",
+            "{path}:2: non-numeric field (could not convert string to float: 'abc')",
+        ),
+        ("manifest", _MANIFEST_HEADER + "\nv0,test,a,e,f,l,10\n", "{path}:2: split must be train or val, got 'test'"),
+        ("manifest", _MANIFEST_HEADER + "\nv0,train,a,e,f,l,many\n", "{path}:2: non-numeric n_frames 'many'"),
+        ("manifest", _MANIFEST_HEADER + "\nv0,train,a,e,f,l,0\n", "{path}:2: n_frames must be ≥ 1, got 0"),
+    ],
+    ids=[
+        "labels-empty", "manifest-empty", "labels-header", "manifest-header", "labels-fields",
+        "manifest-fields", "labels-blank-row", "manifest-blank-row", "labels-frame-order",
+        "labels-non-numeric", "manifest-split", "manifest-n-frames-non-numeric", "manifest-n-frames-zero",
+    ],
+)
+def test_table_rule_exits_2_with_one_error_line(tmp_path, rng, capsys, table, text, message):
+    manifest = _manifest(tmp_path, rng)
+    path = manifest.with_name("tr0.labels.csv") if table == "labels" else manifest
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(_train_args(manifest, out)) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message.format(path=path)}\n")
+    assert not out.exists()
+
+
 # --- config files -------------------------------------------------------------
 
 def test_config_file_supplies_options(tmp_path, rng, capsys):
@@ -432,6 +483,39 @@ def test_predict_writes_tracks(trained, tmp_path, capsys):
         assert len(lines) == n_frames + 1
         values = np.array([line.split(",")[1:] for line in lines[1:]], dtype=np.float64)
         assert np.all(np.abs(values) <= 1.0)
+
+
+def _rewrite_manifest(manifest, name, lines):
+    path = manifest.with_name(name)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_manifest_rejects_a_repeated_video_id(trained, tmp_path, capsys, command):
+    manifest, ckpt = trained
+    header, tr0, va0 = manifest.read_text(encoding="utf-8").splitlines()
+    repeated = _rewrite_manifest(manifest, "repeated.csv", [header, tr0, va0, va0])
+    out = tmp_path / "preds"
+    argv = [command, "--manifest", str(repeated), "--checkpoint", str(ckpt)]
+    if command == "predict":
+        argv += ["--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {repeated}:4: video_id 'va0' repeats line 3\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("video_id", ["", ".", "..", "../escaped", "sub/va0"])
+def test_manifest_rejects_a_video_id_that_is_not_a_plain_file_name(trained, tmp_path, capsys, video_id):
+    manifest, ckpt = trained
+    header, tr0, va0 = manifest.read_text(encoding="utf-8").splitlines()
+    unsafe = _rewrite_manifest(manifest, "unsafe.csv", [header, tr0, video_id + va0.removeprefix("va0")])
+    out = tmp_path / "preds"
+    capsys.readouterr()
+    assert main(["predict", "--manifest", str(unsafe), "--checkpoint", str(ckpt), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {unsafe}:3: video_id must be a plain file name, got {video_id!r}\n"
+    assert not out.exists() and not (tmp_path / "escaped.csv").exists()
 
 
 def _set_model_key(key, value):

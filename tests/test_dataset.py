@@ -534,17 +534,22 @@ def test_manifest_loads_and_resolves_paths(tmp_path):
     path.write_text(
         MANIFEST_HEADER + "\n"
         "v0,train,a.feat,e.feat,f.feat,l.csv,100\n"
-        "v1,val,/abs/a.feat,e.feat,f.feat,,50\n",
+        "v1,val,/abs/a.feat,e.feat,f.feat,,50\n"
+        "v2,val,, e.feat , ,,5\n",
         encoding="utf-8",
     )
     rows = load_manifest(path)
-    assert len(rows) == 2
+    assert len(rows) == 3
     assert rows[0].split == "train"
-    assert rows[0].audio_path == tmp_path / "a.feat"
-    assert rows[0].feature_path("expnet") == tmp_path / "e.feat"
-    assert rows[1].audio_path == Path("/abs/a.feat")
+    assert rows[0].features == {
+        "audio": tmp_path / "a.feat",
+        "expnet": tmp_path / "e.feat",
+        "facepose": tmp_path / "f.feat",
+    }
+    assert rows[1].features["audio"] == Path("/abs/a.feat")
     assert rows[1].label_path is None
     assert rows[1].n_frames == 50
+    assert rows[2].features == {"expnet": tmp_path / "e.feat"}  # only the non-empty cells
 
 
 def test_manifest_rejects_bad_split(tmp_path):

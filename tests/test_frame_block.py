@@ -187,7 +187,7 @@ def test_predict_video_equals_per_window_path_bitwise(full_width_model, stats, n
         m: FeatureTrack("v", m, rng.normal(size=(n_frames, dim)).astype(np.float32))
         for m, dim in MODALITY_DIMS.items()
     }
-    video = VideoData(ManifestRow("v", "test", None, None, None, None, n_frames), features, None)
+    video = VideoData(ManifestRow("v", "test", {}, None, n_frames), features, None)
     # 7 splits a long video over many blocks and leaves a short last batch
     for batch_size in (32, 7):
         got = predict_video(full_width_model, video, batch_size, stats=stats)
@@ -202,7 +202,7 @@ def test_predict_video_keeps_nothing_allocated_after_it_returns(full_width_model
         m: FeatureTrack("v", m, rng.normal(size=(n_frames, dim)).astype(np.float32))
         for m, dim in MODALITY_DIMS.items()
     }
-    video = VideoData(ManifestRow("v", "test", None, None, None, None, n_frames), features, None)
+    video = VideoData(ManifestRow("v", "test", {}, None, n_frames), features, None)
     n_windows = len(build_windows(features))
     assert n_windows <= 32  # one batch
     tracemalloc.start()
