@@ -156,9 +156,10 @@ def _read_table(path, header: list[str], kind: str, empty: str):
 
     The first row must equal ``header`` once its cells are stripped, and each
     later row must hold ``len(header)`` cells; line numbers count blank rows
-    too, from 2. An empty file raises ``<path>: <empty>``.
+    too, from 2. An empty file raises ``<path>: <empty>``. A leading UTF-8
+    byte-order mark, which spreadsheet programs often write, is skipped.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             first = next(reader)

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .dataset import SEQUENCE_LEN
+from .dataset import MODALITY_DIMS, SEQUENCE_LEN
 from .errors import ConfigError, DomainError, FileFormatError, NumericFaultError
 from .nn import (
     BatchNorm,
@@ -53,9 +53,9 @@ class ModelConfig:
     variant: str = "fusion"
     cell: str = "gru"
     dropout: float = 0.25
-    audio_dim: int = 168
-    expnet_dim: int = 2048
-    facepose_dim: int = 714
+    audio_dim: int = MODALITY_DIMS["audio"]
+    expnet_dim: int = MODALITY_DIMS["expnet"]
+    facepose_dim: int = MODALITY_DIMS["facepose"]
     width_scale: int = 1  # divides every hidden width; >1 only for small test builds
 
     def __post_init__(self):

@@ -1,13 +1,22 @@
 """Training loop, checkpoint assembly, evaluation, and prediction export.
 
-One epoch shuffles the window index with a seeded generator, gathers and
-z-scores each batch from the float32 training tracks, runs masked-MSE
-backprop, applies RMSprop, then scores the validation split from
-overlap-merged frame predictions. The checkpoint with the best mean CCC is
-kept. Validation, evaluation and prediction stream the manifest one video at
-a time (load, predict, drop), so their memory does not grow with its length.
-They hand the model one z-scored frame block per batch and modality instead
-of gathered windows, at least ``SEQUENCE_LEN`` frames long, so each branch's
+A training run is one ``_Run``: the config, the normalization statistics and
+window index of the train split, the shuffle generator ``root_rng``, the model,
+its optimizer, the epochs completed, the best mean val CCC and the history
+lines. ``_start_run`` loads the split and builds it, drawing the model seed
+from ``root_rng`` before any permutation. ``_epoch`` advances it by one pass:
+it shuffles the window index with ``root_rng``, gathers and z-scores each
+batch from the float32 training tracks, runs masked-MSE backprop, clips the
+gradients and applies RMSprop. ``_validate_and_keep`` then scores the
+validation split from overlap-merged frame predictions, appends the epoch's
+``history.csv`` line and saves ``best.ckpt`` on a strictly higher mean CCC.
+``train`` drops the run before it reloads ``best.ckpt``, so the reload adds no
+peak memory.
+
+Validation, evaluation and prediction stream the manifest one video at a time
+(load, predict, drop), so their memory does not grow with its length. They
+hand the model one z-scored frame block per batch and modality instead of
+gathered windows, at least ``SEQUENCE_LEN`` frames long, so each branch's
 first layer projects a frame once (see ``predict_video``). With a fixed seed
 and a fixed BLAS thread count the whole trajectory is bit-for-bit
 reproducible; worker threads only load videos ahead, never run the optimizer
@@ -32,6 +41,7 @@ from .dataset import (
     LabelTrack,
     ManifestRow,
     NormalizationStats,
+    WindowIndex,
     build_windows,
     compute_stats,
     concat_windows,
@@ -250,16 +260,8 @@ def restore_model(ckpt: Checkpoint) -> tuple[Model, NormalizationStats]:
 
 
 def _history_line(epoch: int, train_loss: float, report: EvalReport) -> str:
-    return ",".join(
-        [
-            str(epoch),
-            repr(float(train_loss)),
-            repr(float(report.ccc_valence)),
-            repr(float(report.ccc_arousal)),
-            repr(float(report.mse_valence)),
-            repr(float(report.mse_arousal)),
-        ]
-    )
+    scores = (train_loss, report.ccc_valence, report.ccc_arousal, report.mse_valence, report.mse_arousal)
+    return ",".join([str(epoch), *(repr(float(v)) for v in scores)])
 
 
 def train(manifest_rows: list[ManifestRow], config: TrainConfig, out_dir) -> tuple[Checkpoint, list[str]]:
@@ -275,80 +277,94 @@ def train(manifest_rows: list[ManifestRow], config: TrainConfig, out_dir) -> tup
         raise ConfigError("manifest has no train rows")
     if not val_rows:
         raise ConfigError("manifest has no val rows")
-    history = _fit(train_rows, val_rows, config, out_dir)
-    # the tracks, model and optimizer died with _fit, so the reload adds no peak
+    run = _start_run(train_rows, val_rows, config)
+    # only now, so a run that fails its split checks or a video load leaves no empty directory
+    out_dir.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(out_dir / "best.ckpt", _make_checkpoint(run.model, run.stats, 0, None, config.seed))
+    (out_dir / "history.csv").write_text(HISTORY_HEADER + "\n", encoding="utf-8", newline="")
+    while run.epoch < config.epochs:
+        _validate_and_keep(run, val_rows, out_dir, _epoch(run))
+    history = run.history
+    del run  # the tracks, model and optimizer go before the reload, so it adds no peak
     return load_checkpoint(out_dir / "best.ckpt"), history
 
 
-def _fit(train_rows, val_rows, config: TrainConfig, out_dir: Path) -> list[str]:
+@dataclass
+class _Run:
+    """One training run between epochs: what ``_epoch`` and ``_validate_and_keep`` advance."""
+
+    config: TrainConfig
+    stats: NormalizationStats
+    windows: WindowIndex
+    root_rng: np.random.Generator  # draws the model seed, then one permutation per shuffled epoch
+    model: Model
+    optimizer: RMSprop
+    epoch: int = 0  # epochs completed
+    best_score: float = -math.inf  # the mean val CCC of best.ckpt
+    history: list[str] = field(default_factory=list)
+
+
+def _start_run(train_rows, val_rows, config: TrainConfig) -> _Run:
+    """Load the train split, fix its statistics and windows, and build the seeded model."""
     modalities = config.model.modalities()
-    threads = config.threads
-    train_videos = list(_stream_videos(train_rows, modalities, need_labels=True, threads=threads))
+    train_videos = list(_stream_videos(train_rows, modalities, need_labels=True, threads=config.threads))
     # Validation rereads its videos every epoch; a val video that cannot load
     # fails here, before training, as well.
-    for _ in _stream_videos(val_rows, modalities, need_labels=True, threads=threads):
+    for _ in _stream_videos(val_rows, modalities, need_labels=True, threads=config.threads):
         pass
-
     stats = compute_stats([t for v in train_videos for t in v.features.values()])
     windows = concat_windows([build_windows(v.features, v.labels) for v in train_videos])
     windows = windows.select(windows.mask.any(axis=1))  # a window with no valid frame contributes no gradient
     if not len(windows):
         raise ConfigError("training split contains no window with a valid label")
-
     root_rng = np.random.default_rng(config.seed)
-    model_seed = int(root_rng.integers(2**63))
-    model = build(config.model, seed=model_seed)
+    model = build(config.model, seed=int(root_rng.integers(2**63)))
     optimizer = RMSprop(model.params, model.grad_arena, lr=config.learning_rate)
+    return _Run(config, stats, windows, root_rng, model, optimizer)
 
-    best_score = -math.inf
-    best_path = out_dir / "best.ckpt"
-    history: list[str] = []
 
-    ckpt = _make_checkpoint(model, stats, epoch=0, best_val_score=None, seed=config.seed)
-    # only now, so a run that fails its split checks or a video load leaves no empty directory
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(best_path, ckpt)
+def _epoch(run: _Run) -> float:
+    """One pass over the train windows, shuffled if the config says so; returns the train loss."""
+    config, windows, model = run.config, run.windows, run.model
+    run.epoch += 1
+    order = run.root_rng.permutation(len(windows)) if config.shuffle else np.arange(len(windows))
+    total_sq, total_count = 0.0, 0
+    for batch_no, batch_start in enumerate(range(0, len(order), config.batch_size)):
+        batch = windows.select(order[batch_start : batch_start + config.batch_size])
+        inputs = {m: gather_windows(batch, m, run.stats) for m in config.model.modalities()}
+        try:
+            model.zero_grads()
+            pred = model.forward(inputs, train=True)
+            loss, d_pred = masked_mse(pred, batch.targets, batch.mask)
+            model.backward(d_pred, input_grads=False)
+            if config.clip_norm > 0:
+                clip_global_norm(model.grads, config.clip_norm)
+            run.optimizer.step()
+        except NumericFaultError as exc:
+            raise NumericFaultError(f"epoch {run.epoch} batch {batch_no}: {exc}") from exc
+        count = int(batch.mask.sum()) * 2
+        total_sq += loss * count
+        total_count += count
+        del batch, inputs, pred, d_pred  # free before the next batch is gathered
+    return total_sq / total_count
 
-    with open(out_dir / "history.csv", "w", encoding="utf-8", newline="") as hist_fh:
-        hist_fh.write(HISTORY_HEADER + "\n")
-        hist_fh.flush()
-        for epoch in range(1, config.epochs + 1):
-            if config.shuffle:
-                order = root_rng.permutation(len(windows))
-            else:
-                order = np.arange(len(windows))
-            total_sq = 0.0
-            total_count = 0
-            for batch_no, batch_start in enumerate(range(0, len(order), config.batch_size)):
-                batch = windows.select(order[batch_start : batch_start + config.batch_size])
-                inputs = {m: gather_windows(batch, m, stats) for m in modalities}
-                try:
-                    model.zero_grads()
-                    pred = model.forward(inputs, train=True)
-                    loss, d_pred = masked_mse(pred, batch.targets, batch.mask)
-                    model.backward(d_pred, input_grads=False)
-                    if config.clip_norm > 0:
-                        clip_global_norm(model.grads, config.clip_norm)
-                    optimizer.step()
-                except NumericFaultError as exc:
-                    raise NumericFaultError(f"epoch {epoch} batch {batch_no}: {exc}") from exc
-                count = int(batch.mask.sum()) * 2
-                total_sq += loss * count
-                total_count += count
-                del batch, inputs, pred, d_pred  # free before the next batch is gathered
-            train_loss = total_sq / total_count
-            report = _evaluate_rows(model, stats, val_rows, config.ccc_mode, config.batch_size, threads)
-            line = _history_line(epoch, train_loss, report)
-            history.append(line)
-            hist_fh.write(line + "\n")
-            hist_fh.flush()
-            if report.mean_ccc() > best_score:
-                best_score = report.mean_ccc()
-                ckpt = _make_checkpoint(
-                    model, stats, epoch=epoch, best_val_score=best_score, seed=config.seed
-                )
-                save_checkpoint(best_path, ckpt)
-    return history
+
+def _validate_and_keep(run: _Run, val_rows, out_dir: Path, train_loss: float) -> None:
+    """Score the val split and append the epoch's ``history.csv`` line.
+
+    ``best.ckpt`` is saved again only when the mean CCC is strictly higher
+    than every earlier epoch's, so a tie keeps the earlier epoch.
+    """
+    config = run.config
+    report = _evaluate_rows(run.model, run.stats, val_rows, config.ccc_mode, config.batch_size, config.threads)
+    line = _history_line(run.epoch, train_loss, report)
+    run.history.append(line)
+    with open(out_dir / "history.csv", "a", encoding="utf-8", newline="") as fh:
+        fh.write(line + "\n")
+    if report.mean_ccc() > run.best_score:
+        run.best_score = report.mean_ccc()
+        ckpt = _make_checkpoint(run.model, run.stats, run.epoch, run.best_score, config.seed)
+        save_checkpoint(out_dir / "best.ckpt", ckpt)
 
 
 def _check_inference_options(threads: int, batch_size: int) -> None:

@@ -4,12 +4,14 @@ Everything here is written from the defining formulas, deliberately not
 sharing code paths with the package: naive DFT, direct-formula CCC, a
 covering-set windowing oracle, slice-and-pad window cutting, a per-window
 overlap merge, a pointwise mel filterbank, a sign-split sigmoid, a single GRU step, a
-per-tensor RMSprop step, and central finite-difference gradient helpers. Two exceptions are bitwise references
+per-tensor RMSprop step, and central finite-difference gradient helpers. Three exceptions are bitwise references
 built partly from the package's own pieces: the per-window inference path
 (the package's windowing, gather and merge), which the frame-block path of
-``predict_video`` must match, and the per-segment audio feature path (the
+``predict_video`` must match; the per-segment audio feature path (the
 package's segment plan, filterbank and DCT around a segment-at-a-time STFT),
-which the chunked ``extract_audio_track`` must match.
+which the chunked ``extract_audio_track`` must match; and a straight-line
+trainer (the package's model, loss and metrics inside the oracles' windowing,
+optimizer and merge), which ``train`` must match.
 """
 
 from __future__ import annotations
@@ -366,3 +368,105 @@ def extract_audio_per_segment(clip, n_frames: int, params) -> np.ndarray:
         mfcc = dct_ortho_matrix(params.n_mels)[: params.n_mfcc] @ mel_feature
         rows[i] = np.concatenate([mfcc, mel_feature])
     return rows
+
+
+def fit_reference(manifest_rows, config):
+    """``train`` written out in one straight line: its history lines and best tensors.
+
+    Stats are the float64 ``mean(0)``/``std(0)`` (floored at 1e-8) of every
+    train row widened and stacked. Each video is z-scored whole and cut by
+    ``slice_and_pad_windows`` at ``window_starts_oracle``; windows with no
+    valid frame are dropped. The shuffle generator seeds the model before it
+    draws any permutation. Each batch zeroes the gradients, runs the model
+    forward and back through ``masked_mse``, clips the gradients to a joint
+    norm of ``clip_norm`` and takes a ``RMSpropReference`` step. Validation
+    takes the per-window path of ``predict_video_per_window``, but with the
+    oracles' cutting and ``merge_windows_loop`` in place of the package's
+    windowing and merge, and scores with the package's ``evaluate``; the
+    tensors are kept at every strictly higher mean CCC.
+
+    Returns ``(history lines, best epoch, best mean CCC or None, tensors)``,
+    the tensors as float32 under the names a checkpoint stores them by.
+    """
+    from affseq.dataset import load_feature_track, load_labels
+    from affseq.metrics import evaluate
+    from affseq.model import build
+    from affseq.nn import masked_mse
+
+    modalities = config.model.modalities()
+
+    def load(row):
+        tracks = {m: load_feature_track(row.features[m], m).data.astype(np.float64) for m in modalities}
+        return row.video_id, tracks, load_labels(row.label_path)
+
+    train_videos = [load(row) for row in manifest_rows if row.split == "train"]
+    val_videos = [load(row) for row in manifest_rows if row.split == "val"]
+    mean, std = {}, {}
+    for m in modalities:
+        stacked = np.concatenate([tracks[m] for _, tracks, _ in train_videos])
+        mean[m], std[m] = stacked.mean(0), np.maximum(stacked.std(0), 1e-8)
+
+    def windows(tracks, labels):
+        """(starts, {modality: z-scored windows}, targets, mask) of one video."""
+        starts = window_starts_oracle(len(labels.valence))
+        feats = {}
+        for m in modalities:
+            z = (tracks[m] - mean[m]) / std[m]
+            feats[m], targets, mask = slice_and_pad_windows(z, labels.targets(), labels.valid, starts)
+        return starts, feats, targets, mask
+
+    parts = [windows(tracks, labels) for _, tracks, labels in train_videos]
+    inputs = {m: np.concatenate([feats[m] for _, feats, _, _ in parts]) for m in modalities}
+    targets = np.concatenate([t for _, _, t, _ in parts])
+    mask = np.concatenate([k for _, _, _, k in parts])
+    keep = mask.any(axis=1)
+    inputs, targets, mask = {m: x[keep] for m, x in inputs.items()}, targets[keep], mask[keep]
+
+    root_rng = np.random.default_rng(config.seed)
+    model = build(config.model, seed=int(root_rng.integers(2**63)))
+    optimizer = RMSpropReference(config.learning_rate)
+    slots = [(name, holder[key], grad) for (name, holder, key), grad in zip(model.params, model.grads)]
+
+    def tensors():
+        out = {name: holder[key].astype(np.float32) for name, holder, key in model.slots}
+        for m in modalities:
+            out[f"norm/{m}/mean"], out[f"norm/{m}/std"] = mean[m].astype(np.float32), std[m].astype(np.float32)
+        return out
+
+    history, best_epoch, best_score, best_tensors = [], 0, -math.inf, tensors()
+    for epoch in range(1, config.epochs + 1):
+        n = len(targets)
+        order = root_rng.permutation(n) if config.shuffle else np.arange(n)
+        total_sq, total_count = 0.0, 0
+        for start in range(0, n, config.batch_size):
+            pick = order[start : start + config.batch_size]
+            model.zero_grads()
+            pred = model.forward({m: x[pick] for m, x in inputs.items()}, train=True)
+            loss, d_pred = masked_mse(pred, targets[pick], mask[pick])
+            model.backward(d_pred, input_grads=False)
+            norm = math.sqrt(sum(float(np.sum(g * g)) for g in model.grads))
+            if 0 < config.clip_norm < norm:
+                for g in model.grads:
+                    g *= config.clip_norm / norm
+            optimizer.step(slots)
+            count = int(mask[pick].sum()) * 2
+            total_sq += loss * count
+            total_count += count
+
+        predictions, labels = {}, {}
+        for video_id, tracks, track_labels in val_videos:
+            starts, feats, _, _ = windows(tracks, track_labels)
+            blocks = np.concatenate([
+                model.forward({m: x[i : i + config.batch_size] for m, x in feats.items()}, train=False)
+                for i in range(0, len(starts), config.batch_size)
+            ])
+            predictions[video_id] = merge_windows_loop(starts, blocks, len(track_labels.valence))
+            labels[video_id] = track_labels
+        report = evaluate(predictions, labels, ccc_mode=config.ccc_mode)
+        scores = [total_sq / total_count, report.ccc_valence, report.ccc_arousal,
+                  report.mse_valence, report.mse_arousal]
+        history.append(",".join([str(epoch), *(repr(float(v)) for v in scores)]))
+        mean_ccc = 0.5 * (report.ccc_valence + report.ccc_arousal)
+        if mean_ccc > best_score:
+            best_epoch, best_score, best_tensors = epoch, mean_ccc, tensors()
+    return history, best_epoch, best_score if best_epoch else None, best_tensors

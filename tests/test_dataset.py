@@ -552,6 +552,18 @@ def test_manifest_loads_and_resolves_paths(tmp_path):
     assert rows[2].features == {"expnet": tmp_path / "e.feat"}  # only the non-empty cells
 
 
+@pytest.mark.parametrize("kind", ["labels", "manifest"])
+def test_table_that_starts_with_a_utf8_bom_loads_as_without_it(tmp_path, kind):
+    """Spreadsheet programs often save CSV with a byte-order mark; it is not part of the header."""
+    if kind == "labels":
+        body, load = "frame,valence,arousal\n0,0.5,-0.25\n1,-5,-5\n", load_labels
+    else:
+        body, load = MANIFEST_HEADER + "\nv0,train,a.feat,e.feat,f.feat,l.csv,2\n", load_manifest
+    (tmp_path / "plain.csv").write_text(body, encoding="utf-8")
+    (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
+    assert repr(load(tmp_path / "bom.csv")) == repr(load(tmp_path / "plain.csv"))
+
+
 def test_manifest_rejects_bad_split(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text(MANIFEST_HEADER + "\nv0,test,a,e,f,l,10\n", encoding="utf-8")

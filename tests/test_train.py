@@ -24,7 +24,8 @@ from affseq.train import (
     train,
 )
 
-from conftest import make_corpus
+from conftest import make_corpus, smooth_labels, write_label_csv
+from oracles import fit_reference
 
 
 def _tensors(model):
@@ -210,6 +211,60 @@ def test_numeric_fault_reports_epoch_and_batch(tmp_path, rng):
     )
     with np.errstate(over="ignore"), pytest.raises(NumericFaultError, match=r"epoch \d+ batch \d+"):
         train(rows, config, tmp_path / "run")
+
+
+# --- differential check against the straight-line trainer ---------------------------
+
+def _differential_corpus(tmp_path, rng, zero_val_labels):
+    videos = [("tr0", "train", 30), ("tr1", "train", 25), ("tr2", "train", 9), ("va0", "val", 23), ("va1", "val", 12)]
+    manifest = make_corpus(tmp_path / "corpus", videos, rng)
+    # frames 15.. of tr0 are unannotated, so its window at 15 holds no valid frame and
+    # is dropped: 5 train windows, of which tr0's at 10 and the padded tr2's are partly masked
+    write_label_csv(tmp_path / "corpus" / "tr0.labels.csv", [*smooth_labels(15), *[(-5, -5)] * 15])
+    if zero_val_labels:
+        for vid, _, n_frames in videos[3:]:
+            write_label_csv(tmp_path / "corpus" / f"{vid}.labels.csv", [(0.0, 0.0)] * n_frames)
+    return load_manifest(manifest)
+
+
+@pytest.mark.parametrize(
+    "cell, zero_val_labels",
+    [("gru", False), ("bilstm", False), ("gru", True)],
+    ids=["gru", "bilstm", "gru-val-labels-all-zero"],
+)
+def test_train_matches_the_straight_line_reference_bit_for_bit(tmp_path, rng, monkeypatch, cell, zero_val_labels):
+    """``train`` writes the history lines and best tensors of ``oracles.fit_reference``.
+
+    Shuffled, with dropout, a batch size that leaves a last batch of 2 and a
+    clip norm that every step exceeds. With every val label 0.0 each epoch's
+    mean CCC is exactly 0.0, so only epoch 1 is strictly better than the start.
+    """
+    rows = _differential_corpus(tmp_path, rng, zero_val_labels)
+    config = TrainConfig(
+        epochs=2, batch_size=3, learning_rate=1e-3, seed=9, shuffle=True, clip_norm=1e-3,
+        model=ModelConfig(cell=cell, dropout=0.25, width_scale=16),
+    )
+    norms = []
+    real_clip = train_module.clip_global_norm
+
+    def clip(grads, max_norm):
+        norms.append(real_clip(grads, max_norm))
+        return norms[-1]
+
+    monkeypatch.setattr(train_module, "clip_global_norm", clip)
+    ckpt, history = train(rows, config, tmp_path / "run")
+
+    want_history, best_epoch, best_score, want_tensors = fit_reference(rows, config)
+    assert (tmp_path / "run" / "history.csv").read_text().splitlines() == [HISTORY_HEADER, *want_history]
+    assert history == want_history
+    assert (ckpt.epoch, ckpt.best_val_score) == (best_epoch, best_score)
+    if zero_val_labels:
+        assert [_history_cols(line)[1][1:3] for line in history] == [[0.0, 0.0]] * 2
+        assert best_epoch == 1
+    assert set(ckpt.tensors) == set(want_tensors)
+    for name, want in want_tensors.items():
+        assert ckpt.tensors[name].astype(np.float32).tobytes() == want.tobytes(), name
+    assert len(norms) == 2 * 2 and min(norms) > config.clip_norm  # 2 batches an epoch, each clipped
 
 
 # --- restore / evaluate / predict ------------------------------------------------
