@@ -120,7 +120,12 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read and verify an AFCK file."""
+    """Read and verify an AFCK file.
+
+    The declared layout is walked against the file's length first
+    (TruncatedFileError), then the whole-file CRC and each tensor's CRC are
+    checked (ChecksumError), so a file cut short reads as truncated.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     view = memoryview(blob)  # slices of a view share the file's buffer, no copies
@@ -140,44 +145,51 @@ def load_checkpoint(path) -> Checkpoint:
     if version != CHECKPOINT_VERSION:
         raise VersionMismatchError(f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}")
 
-    (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
-    if zlib.crc32(view[:-4]) != stored_crc:
-        raise ChecksumError(f"{path}: whole-file CRC mismatch")
-
     offset = 8
     (config_len,) = struct.unpack_from("<I", blob, offset)
     offset = need(offset + 4, config_len, "config blob")
-    try:
-        config = json.loads(str(view[offset - config_len : offset], "utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"{path}: config blob is not valid JSON ({exc})") from None
-    if not isinstance(config, dict):
-        raise FileFormatError(f"{path}: config blob is a JSON {type(config).__name__}, not an object")
-
+    config_blob = view[offset - config_len : offset]
     offset = need(offset, 4, "tensor count")
     (tensor_count,) = struct.unpack_from("<I", blob, offset - 4)
-    tensors: dict[str, np.ndarray] = {}
-    previous = None
+    entries = []
     for _ in range(tensor_count):
         offset = need(offset, 2, "tensor name length")
         (name_len,) = struct.unpack_from("<H", blob, offset - 2)
         offset = need(offset, name_len, "tensor name")
-        try:
-            name = blob[offset - name_len : offset].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FileFormatError(f"{path}: tensor name is not valid UTF-8 ({exc})") from None
-        if previous is not None and name <= previous:
-            raise FileFormatError(f"{path}: tensor {name!r} follows {previous!r}; names must be sorted and unique")
-        previous = name
+        raw_name = blob[offset - name_len : offset]
         offset = need(offset, 1, "tensor rank")
         rank = blob[offset - 1]
         offset = need(offset, 4 * rank, "tensor dims")
         dims = struct.unpack_from(f"<{rank}I", blob, offset - 4 * rank)
         count = math.prod(dims)  # exact: np.prod wraps at 2**64, and a wrapped 0 passes need()
-        offset = need(offset, 4 * count, f"tensor {name!r} payload")
+        shown = raw_name.decode("utf-8", "backslashreplace")
+        offset = need(offset, 4 * count, f"tensor {shown!r} payload")
         payload = view[offset - 4 * count : offset]
         offset = need(offset, 4, "tensor checksum")
         (crc,) = struct.unpack_from("<I", blob, offset - 4)
+        entries.append((raw_name, dims, payload, crc))
+
+    (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
+    if zlib.crc32(view[:-4]) != stored_crc:
+        raise ChecksumError(f"{path}: whole-file CRC mismatch")
+
+    try:
+        config = json.loads(str(config_blob, "utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FileFormatError(f"{path}: config blob is not valid JSON ({exc})") from None
+    if not isinstance(config, dict):
+        raise FileFormatError(f"{path}: config blob is a JSON {type(config).__name__}, not an object")
+
+    tensors: dict[str, np.ndarray] = {}
+    previous = None
+    for raw_name, dims, payload, crc in entries:
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"{path}: tensor name is not valid UTF-8 ({exc})") from None
+        if previous is not None and name <= previous:
+            raise FileFormatError(f"{path}: tensor {name!r} follows {previous!r}; names must be sorted and unique")
+        previous = name
         if zlib.crc32(payload) != crc:
             raise ChecksumError(f"{path}: payload CRC mismatch for tensor {name!r}")
         tensors[name] = (

@@ -163,10 +163,11 @@ def _predict_keys() -> list[Key]:
 
 
 def _parse_config_file(path: Path, keys: list[Key]) -> dict[str, object]:
+    from .dataset import read_text
+
     by_name = {k.name: k for k in keys}
     values: dict[str, object] = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path, ConfigError).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -12,7 +12,9 @@ window position that holds it.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    AffseqError,
     CoverageError,
     DomainError,
     FileFormatError,
@@ -151,28 +154,47 @@ def load_feature_track(path, modality: str, video_id: str = "") -> FeatureTrack:
     return FeatureTrack(video_id=video_id, modality=modality, data=data)
 
 
+def read_text(path, error: type[AffseqError]) -> str:
+    """The UTF-8 text of the file at ``path``, less a leading byte-order mark.
+
+    Spreadsheet programs often write that mark. Raises ``error`` naming the
+    first line that is not UTF-8 or that holds a NUL, which no text input
+    may contain.
+    """
+    blob = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = blob.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: line is not valid UTF-8") from None
+    if "\0" in text:
+        line = text.count("\n", 0, text.index("\0")) + 1
+        raise error(f"{path}:{line}: line contains NUL")
+    return text
+
+
 def _read_table(path, header: list[str], kind: str, empty: str):
     """Yield ``(line_no, cells)`` for each non-blank row of the CSV table at ``path``.
 
     The first row must equal ``header`` once its cells are stripped, and each
     later row must hold ``len(header)`` cells; line numbers count blank rows
     too, from 2. An empty file raises ``<path>: <empty>``. A leading UTF-8
-    byte-order mark, which spreadsheet programs often write, is skipped.
+    byte-order mark is skipped, and a file that is not UTF-8 or holds a NUL
+    is refused (``read_text``).
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            first = next(reader)
-        except StopIteration:
-            raise FileFormatError(f"{path}: {empty}") from None
-        if [h.strip() for h in first] != header:
-            raise FileFormatError(f"{path}: {kind} header must be {','.join(header)}")
-        for line_no, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) != len(header):
-                raise FileFormatError(f"{path}:{line_no}: expected {len(header)} fields, got {len(cells)}")
-            yield line_no, cells
+    reader = csv.reader(io.StringIO(read_text(path, FileFormatError), newline=""))
+    try:
+        first = next(reader)
+    except StopIteration:
+        raise FileFormatError(f"{path}: {empty}") from None
+    if [h.strip() for h in first] != header:
+        raise FileFormatError(f"{path}: {kind} header must be {','.join(header)}")
+    for line_no, cells in enumerate(reader, start=2):
+        if not cells:
+            continue
+        if len(cells) != len(header):
+            raise FileFormatError(f"{path}:{line_no}: expected {len(header)} fields, got {len(cells)}")
+        yield line_no, cells
 
 
 def load_labels(path, video_id: str = "") -> LabelTrack:

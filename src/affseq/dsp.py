@@ -3,13 +3,13 @@
 An audio clip is split into one overlapping segment per video frame, and each
 segment is reduced to a 168-dim feature vector: the first 40 orthonormal
 DCT-II coefficients of the time-averaged log-mel spectrum (MFCC) concatenated
-with the 128-dim averaged log-mel spectrum itself. The STFT runs a radix-2
-FFT with a periodic Hann window; the filterbank uses the Slaney mel scale
+with the 128-dim averaged log-mel spectrum itself. The STFT is NumPy's real
+FFT of periodic-Hann-windowed rows; the filterbank uses the Slaney mel scale
 with triangle-area normalization.
 
 Frames are transformed in row-bounded chunks: each pass takes as many whole
 segments as fit in ``_CHUNK_ROWS`` STFT rows (always at least one), runs one
-FFT down axis 0 over all of those rows, and then one mel GEMM per segment.
+real FFT over all of those rows, and then one mel GEMM per segment.
 Memory is set by the chunk, not by the clip, and the feature bytes are those
 of a segment-at-a-time loop. ``extract_audio_track`` is the one entry point;
 a single segment is a one-frame clip.
@@ -73,53 +73,8 @@ def plan_segments(clip_len: int, n_frames: int) -> tuple[int, tuple[int, ...]]:
     return seg_len, tuple(i * hop for i in range(n_frames - 1)) + (clip_len - seg_len,)
 
 
-@lru_cache(maxsize=8)
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    rev.flags.writeable = False
-    return rev
-
-
-@lru_cache(maxsize=8)
-def _twiddles(n: int) -> tuple[np.ndarray, ...]:
-    """Twiddle columns [size/2 x 1] of each butterfly stage, size = 2, 4, ..., n."""
-    stages = []
-    size = 2
-    while size <= n:
-        twiddle = np.exp(-2j * np.pi * np.arange(size // 2) / size)[:, None]
-        twiddle.flags.writeable = False
-        stages.append(twiddle)
-        size *= 2
-    return tuple(stages)
-
-
-def _fft_columns(x: np.ndarray) -> np.ndarray:
-    """In-place radix-2 FFT down axis 0 of a complex [n x cols] array already in bit-reversed order.
-
-    Each column is one transform; the columns are contiguous along axis 1, so
-    every butterfly is one vectorised pass over all of them.
-    """
-    n, cols = x.shape
-    buf = np.empty(n // 2 * cols, dtype=np.complex128)
-    size = 2
-    for twiddle in _twiddles(n):
-        half = size // 2
-        blocks = x.reshape(n // size, size, cols)
-        lo, hi = blocks[:, :half], blocks[:, half:]
-        t = np.multiply(hi, twiddle, out=buf.reshape(hi.shape))
-        np.subtract(lo, t, out=hi)
-        lo += t
-        size *= 2
-    return x
-
-
 def fft(signal) -> np.ndarray:
-    """Radix-2 DFT: X[k] = sum_n x[n] e^(-2*pi*i*k*n/N).
+    """DFT of a power-of-two-length signal: X[k] = sum_n x[n] e^(-2*pi*i*k*n/N).
 
     The input length must be a power of two (callers zero-pad).
     """
@@ -129,7 +84,7 @@ def fft(signal) -> np.ndarray:
     n = x.shape[0]
     if n == 0 or n & (n - 1):
         raise DomainError(f"fft length must be a power of two, got {n}")
-    return _fft_columns(x[_bit_reverse_indices(n), None])[:, 0]
+    return np.fft.fft(x)
 
 
 # Slaney mel scale: linear below 1 kHz, logarithmic above.
@@ -219,29 +174,16 @@ def _hann_periodic(n: int) -> np.ndarray:
     return window
 
 
-def _windowed_columns(samples: np.ndarray, offsets: np.ndarray, length: int, n_fft: int) -> np.ndarray:
-    """Hann-windowed STFT rows as bit-reversed complex columns [n_fft x len(offsets)].
-
-    Column j holds ``samples[offsets[j] : offsets[j] + n_fft]``; when the
-    segment ``length`` is shorter than ``n_fft`` it holds the ``length``
-    samples zero-padded to ``n_fft``.
-    """
-    rev = _bit_reverse_indices(n_fft)
-    window = _hann_periodic(n_fft)
-    if length >= n_fft:
-        return (samples[rev[:, None] + offsets] * window[rev, None]).astype(np.complex128)
-    inside = rev < length
-    taps = rev[inside]
-    columns = np.zeros((n_fft, len(offsets)), dtype=np.complex128)
-    columns[inside] = samples[taps[:, None] + offsets] * window[taps, None]
-    return columns
-
-
 def _power_rows(samples: np.ndarray, offsets: np.ndarray, length: int, n_fft: int) -> np.ndarray:
-    """C-contiguous power spectra [len(offsets) x (n_fft//2 + 1)] of the STFT rows at ``offsets``."""
-    spectrum = _fft_columns(_windowed_columns(samples, offsets, length, n_fft))
-    # C order matters: an F-ordered power array takes another GEMM kernel in the mel product
-    return np.ascontiguousarray(np.abs(spectrum[: n_fft // 2 + 1]).T) ** 2
+    """C-contiguous power spectra [len(offsets) x (n_fft//2 + 1)] of the STFT rows at ``offsets``.
+
+    Row j is the Hann-windowed ``samples[offsets[j] : offsets[j] + n_fft]``;
+    a segment ``length`` shorter than ``n_fft`` takes its ``length`` samples,
+    and the transform zero-pads them to ``n_fft``.
+    """
+    taps = min(length, n_fft)
+    frames = samples[offsets[:, None] + np.arange(taps)] * _hann_periodic(n_fft)[:taps]
+    return np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2
 
 
 # STFT rows transformed per pass. A chunk holds as many whole segments as fit

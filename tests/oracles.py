@@ -303,35 +303,6 @@ def predict_video_per_window(model, video, batch_size: int, stats) -> np.ndarray
     return merge_window_predictions(windows.rows, np.concatenate(pred), video.row.n_frames)
 
 
-def _bit_reverse_indices_per_call(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-def _fft_last_axis(a: np.ndarray) -> np.ndarray:
-    """Radix-2 forward FFT over the last axis of a complex array (length power of two)."""
-    n = a.shape[-1]
-    out = np.ascontiguousarray(a[..., _bit_reverse_indices_per_call(n)], dtype=np.complex128)
-    if n == 1:
-        return out
-    flat = out.reshape(-1, n)
-    size = 2
-    while size <= n:
-        half = size // 2
-        twiddle = np.exp(-2j * np.pi * np.arange(half) / size)
-        blocks = flat.reshape(-1, size)
-        t = blocks[:, half:] * twiddle
-        blocks[:, half:] = blocks[:, :half] - t
-        blocks[:, :half] += t
-        size *= 2
-    return out
-
-
 def _stft_power(segment: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
     """Power spectrogram [frames x (n_fft//2 + 1)]; short segments zero-pad to one frame."""
     length = len(segment)
@@ -344,8 +315,7 @@ def _stft_power(segment: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
         offsets = np.arange(n_steps) * hop
         frames = segment[offsets[:, None] + np.arange(n_fft)[None, :]]
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft)
-    spectrum = _fft_last_axis(frames * window)
-    return np.abs(spectrum[:, : n_fft // 2 + 1]) ** 2
+    return np.abs(np.fft.rfft(frames * window, axis=-1)) ** 2
 
 
 def extract_audio_per_segment(clip, n_frames: int, params) -> np.ndarray:

@@ -156,6 +156,16 @@ def test_truncation_detected(tmp_path, rng):
         load_checkpoint(path)
 
 
+def test_file_cut_in_half_reads_as_truncated_not_corrupt(tmp_path, rng):
+    # the whole-file CRC is left as the cut leaves it: the layout walk must fail first
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(path, _sample(rng))
+    raw = path.read_bytes()
+    path.write_bytes(raw[: len(raw) // 2])
+    with pytest.raises(TruncatedFileError, match="file too short"):
+        load_checkpoint(path)
+
+
 def test_tiny_file_is_truncated(tmp_path):
     path = tmp_path / "a.ckpt"
     path.write_bytes(b"AFCK\x01")

@@ -367,6 +367,37 @@ def test_table_rule_exits_2_with_one_error_line(tmp_path, rng, capsys, table, te
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, target, raw, code, message",
+    [
+        ("train", "manifest", _MANIFEST_HEADER.encode() + b"\n\xff\n", 2, "{path}:2: line is not valid UTF-8"),
+        # a byte-order mark is not a line, and line numbers count from after it
+        ("train", "manifest", b"\xef\xbb\xbfvideo_id\nv0\nv\xe9\n", 2, "{path}:3: line is not valid UTF-8"),
+        ("train", "labels", b"frame,valence,arousal\n0,0,0\n1,\xe9,0\n", 2, "{path}:3: line is not valid UTF-8"),
+        ("train", "labels", b"frame,valence,arousal\n0,0\x00,0\n", 2, "{path}:2: line contains NUL"),
+        ("predict", "manifest", _MANIFEST_HEADER.encode() + b"\nv\x000,val,a,e,f,,10\n", 2,
+         "{path}:2: line contains NUL"),
+        ("train", "config", b"epochs = 1\nseed = \xff\n", 3, "{path}:2: line is not valid UTF-8"),
+        ("train", "config", b"epochs = 1\nout = run\x00\n", 3, "{path}:2: line contains NUL"),
+    ],
+    ids=["manifest-not-utf8", "manifest-bom-not-utf8", "labels-not-utf8", "labels-nul", "manifest-nul-id",
+         "config-not-utf8", "config-nul"],
+)
+def test_undecodable_input_exits_with_one_error_line(tmp_path, rng, capsys, command, target, raw, code, message):
+    manifest = _manifest(tmp_path, rng)
+    path = {"manifest": manifest, "labels": manifest.with_name("tr0.labels.csv"), "config": tmp_path / "a.conf"}[target]
+    path.write_bytes(raw)
+    out = tmp_path / "run"
+    if command == "predict":
+        argv = ["predict", "--manifest", str(manifest), "--checkpoint", str(tmp_path / "none.ckpt"), "--out", str(out)]
+    else:
+        argv = _train_args(manifest, out, *(["--config", str(path)] if target == "config" else []))
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message.format(path=path)}\n")
+    assert not out.exists()
+
+
 # --- config files -------------------------------------------------------------
 
 def test_config_file_supplies_options(tmp_path, rng, capsys):
@@ -384,6 +415,14 @@ def test_config_file_supplies_options(tmp_path, rng, capsys):
     assert main(["train", "--config", str(cfg)]) == 0
     history = (tmp_path / "run" / "history.csv").read_text().splitlines()
     assert len(history) == 3  # header + 2 epochs
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path, rng, capsys):
+    # the key is read as seed, not as an unknown '\ufeffseed'
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("seed = -1\n", encoding="utf-8-sig")
+    assert main(_train_args(_manifest(tmp_path, rng), tmp_path / "run", "--config", str(cfg))) == 3
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
 
 
 def test_flags_override_config_file(tmp_path, rng, capsys):

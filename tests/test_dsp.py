@@ -10,6 +10,7 @@ from affseq import DspParams, fft, mel_filterbank, plan_segments
 from affseq.audio_io import AudioClip
 from affseq.dsp import (
     _CHUNK_ROWS,
+    _power_rows,
     dct_ortho_matrix,
     extract_audio_track,
     hz_to_mel,
@@ -336,17 +337,33 @@ def _extract_extra_bytes(n_frames, params):
 
 
 def test_extract_memory_is_bounded_by_a_chunk():
-    """A chunk's index, samples, complex columns and butterfly buffer take a few
+    """A chunk's index, windowed rows, spectrum and power rows take a few
     chunks' complex bytes. Only the planned starts and the finite check grow
     with the clip, by tens of bytes a frame."""
     params = _PARAM_SETS["256/64/32/13"]
     chunk_bytes = _CHUNK_ROWS * params.n_fft * np.dtype(np.complex128).itemsize
-    _extract_extra_bytes(30, params)  # fills the caches: window, bit-reverse index, twiddles, DCT
+    _extract_extra_bytes(30, params)  # fills the caches: window, DCT
     short = _extract_extra_bytes(300, params)
     long = _extract_extra_bytes(3000, params)
     assert short < 6 * chunk_bytes
     assert long < 6 * chunk_bytes
     assert long - short < 2 * chunk_bytes
+
+
+@pytest.mark.parametrize("n_fft, length", [(256, 700), (512, 512), (2048, 5000), (2048, 900)])
+def test_power_rows_match_naive_dft(rng, n_fft, length):
+    """STFT power rows are |DFT|² of the windowed rows, zero-padded to n_fft when the segment is shorter."""
+    samples = rng.uniform(-1.0, 1.0, 4 * length)
+    offsets = np.array([0, 1, length, 3 * length])
+    taps = min(length, n_fft)
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft)
+    frames = np.zeros((len(offsets), n_fft))
+    for row, offset in zip(frames, offsets):
+        row[:taps] = samples[offset : offset + taps] * window[:taps]
+    expected = np.abs(naive_dft(frames.T)[: n_fft // 2 + 1].T) ** 2
+    power = _power_rows(samples, offsets, length, n_fft)
+    assert power.shape == expected.shape and power.flags.c_contiguous
+    assert np.max(np.abs(power - expected)) <= 1e-9 * np.max(expected)
 
 
 def test_extract_rejects_empty_mel_filters():

@@ -15,16 +15,19 @@ per difference and exits 1 if there is any, 0 if there is none.
 
 The matrix:
 
-- ``extract-audio`` with the default DSP keys, and with ``--n-fft 512
-  --stft-hop 128 --n-mels 40 --n-mfcc 13``;
+- ``extract-audio`` with the default DSP keys, with ``--n-fft 512
+  --stft-hop 128 --n-mels 40 --n-mfcc 13``, and with ``--n-fft 4096``,
+  which is longer than the clips' segments, so every STFT row is zero-padded;
 - ``train`` of the full-width ``gru`` and ``bilstm`` fusion models, shuffled,
   with a partial last batch;
 - ``predict`` with each checkpoint at batch 32, and at batch 7 with
   ``--threads 3``;
 - ``evaluate`` with each checkpoint in both CCC modes;
-- the standing error cases: usage and option errors, config files,
-  ``AFFSEQ_THREADS``, bad WAV input, every manifest and label table rule,
-  broken feature files and broken checkpoints.
+- the standing error cases: usage and option errors, config files (one of
+  them not UTF-8, one holding a NUL), ``AFFSEQ_THREADS``, bad WAV input,
+  every manifest and label table rule (tables that are not UTF-8 or hold a
+  NUL included, and a NUL ``video_id`` given to ``predict``), broken feature
+  files and broken checkpoints.
 
 Standard library and NumPy only; the inputs come from ``perfbench/inputs.py``
 (``feature_corpus`` and ``wav_corpus``, seed 4242).
@@ -60,6 +63,8 @@ VIDEOS = [
 ]
 CLIPS = [Video("a0", "val", 30), Video("a1", "val", 7)]
 DSP_FLAGS = ["--n-fft", "512", "--stft-hop", "128", "--n-mels", "40", "--n-mfcc", "13"]
+# about 2.6k samples a segment in CLIPS, so each segment is one zero-padded STFT row
+PADDED_FLAGS = ["--n-fft", "4096"]
 # 12 train windows: batches of 5, 5 and 2
 TRAIN_FLAGS = ["--epochs", "2", "--batch-size", "5", "--learning-rate", "1e-3", "--seed", "7"]
 COMMANDS = ("extract-audio", "train", "evaluate", "predict")
@@ -80,6 +85,7 @@ def _main_commands() -> list[tuple[str, list[str], dict]]:
         out = f"audio/{clip.video_id}"
         cmds.append((f"extract-{clip.video_id}-default", [*extract, f"{out}/default.feat"], {}))
         cmds.append((f"extract-{clip.video_id}-keys", [*extract, f"{out}/keys.feat", *DSP_FLAGS], {}))
+        cmds.append((f"extract-{clip.video_id}-padded", [*extract, f"{out}/padded.feat", *PADDED_FLAGS], {}))
     for cell in ("gru", "bilstm"):
         train = ["train", "--manifest", MANIFEST, "--out", f"runs/{cell}", "--model.cell", cell, *TRAIN_FLAGS]
         cmds.append((f"train-{cell}", train, {}))
@@ -103,6 +109,8 @@ def _write_broken_inputs(work: Path) -> list[str]:
     (work / "config").mkdir()
     (work / "config" / "unknown-key.conf").write_text("epochs = 1\nnope = 1\n", encoding="utf-8")
     (work / "config" / "no-equals.conf").write_text("epochs 1\n", encoding="utf-8")
+    (work / "config" / "not-utf8.conf").write_bytes(b"epochs = 1\nseed = \xff\n")
+    (work / "config" / "nul.conf").write_bytes(b"epochs = 1\nout = errors/nul\x00\n")
     (work / "wav" / "not-riff.wav").write_bytes(b"RIFX" + bytes(40))
     (work / "broken").mkdir()
     ckpt = (work / "runs" / "gru" / "best.ckpt").read_bytes()
@@ -123,8 +131,11 @@ def _write_broken_inputs(work: Path) -> list[str]:
     def with_cell(index, value):
         return lines(header, ",".join([*first[:index], value, *first[index + 1 :]]), *rest)
 
+    def as_bytes(text):
+        return text if isinstance(text, bytes) else text.encode("utf-8")
+
     def with_labels(name, text):
-        (corpus / f"{name}.labels.csv").write_text(text, encoding="utf-8")
+        (corpus / f"{name}.labels.csv").write_bytes(as_bytes(text))
         return with_cell(5, f"{name}.labels.csv")
 
     manifests = {
@@ -150,12 +161,16 @@ def _write_broken_inputs(work: Path) -> list[str]:
         "label-non-numeric": with_labels("label-non-numeric", lines(label_header, "0,abc,0")),
         "label-field-count": with_labels("label-field-count", lines(label_header, "0,0.5")),
         "label-empty": with_labels("label-empty", ""),
+        "label-not-utf8": with_labels("label-not-utf8", as_bytes(lines(label_header)) + b"0,\xff,0\n"),
+        "label-nul": with_labels("label-nul", lines(label_header, "0,0\0,0")),
+        "not-utf8": as_bytes(lines(header, *rows)) + b"\xff\n",
+        "nul-id": with_cell(0, "tr0\0"),
     }
     unannotated = with_labels("label-all-unannotated", lines(label_header, *(f"{i},-5,-5" for i in range(60))))
     # tr0 is the only train row left, and none of its labels is valid
     manifests["label-all-unannotated"] = lines(*unannotated.splitlines()[:2], *(r for r in rest if ",val," in r))
     for name, text in manifests.items():
-        (corpus / f"{name}.csv").write_text(text, encoding="utf-8")
+        (corpus / f"{name}.csv").write_bytes(as_bytes(text))
     return list(manifests)
 
 
@@ -185,6 +200,8 @@ def _error_commands(manifests: list[str]) -> list[tuple[str, list[str], dict]]:
         ("config-unknown-key", [*train, "--config", "config/unknown-key.conf"], {}),
         ("config-no-equals", [*train, "--config", "config/no-equals.conf"], {}),
         ("config-missing-file", [*train, "--config", "config/nope.conf"], {}),
+        ("config-not-utf8", [*train, "--config", "config/not-utf8.conf"], {}),
+        ("config-nul", ["train", "--manifest", MANIFEST, "--config", "config/nul.conf"], {}),
         ("threads-env-not-int", [*evaluate, "runs/gru/best.ckpt"], {"AFFSEQ_THREADS": "many"}),
         ("threads-env-zero", [*evaluate, "runs/gru/best.ckpt"], {"AFFSEQ_THREADS": "0"}),
         ("extract-empty-mel-filters", extract("wav/a0.wav", "--n-mels", "4000"), {}),
@@ -195,6 +212,8 @@ def _error_commands(manifests: list[str]) -> list[tuple[str, list[str], dict]]:
         ("checkpoint-truncated", [*evaluate, "broken/truncated.ckpt"], {}),
         *((f"table-{name}", ["train", "--manifest", f"corpus/{name}.csv", "--out", f"errors/{name}"], {})
           for name in manifests),
+        ("table-nul-id-predict", ["predict", "--manifest", "corpus/nul-id.csv", "--checkpoint", "runs/gru/best.ckpt",
+                                  "--out", "errors/nul-id-preds"], {}),
     ]
 
 
