@@ -10,10 +10,12 @@ Layout (all integers little-endian):
 
 Tensors are written in sorted-name order, so identical contents produce
 identical bytes, and a file whose names are repeated or out of order is
-rejected. Values are stored as float32; loading widens to float64, and a
-load/save round trip is byte-exact. A save goes through a temp file in the
+rejected. Values are stored as float32; loading widens them, in file order,
+into one float64 buffer and returns reshaped views of it, and a load/save
+round trip is byte-exact. A save goes through a temp file in the
 target's directory, fsynced and then renamed over the target, so a failed
-write leaves the previous file intact.
+write leaves the previous file intact; the directory is then fsynced, so the
+rename itself survives a power loss.
 
 This module knows the container, not the names in it: which tensors a model
 stores, and under what names, is the checkpoint layout of ``train._slots``,
@@ -117,6 +119,12 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+    # the rename is an entry in the directory: until that is synced, a power loss may undo it
+    dir_fd = os.open(head or ".", os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -124,7 +132,9 @@ def load_checkpoint(path) -> Checkpoint:
 
     The declared layout is walked against the file's length first
     (TruncatedFileError), then the whole-file CRC and each tensor's CRC are
-    checked (ChecksumError), so a file cut short reads as truncated.
+    checked (ChecksumError), so a file cut short reads as truncated. Every
+    tensor is a float64 view of one buffer, which stays alive while any of
+    them does.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -180,6 +190,10 @@ def load_checkpoint(path) -> Checkpoint:
     if not isinstance(config, dict):
         raise FileFormatError(f"{path}: config blob is a JSON {type(config).__name__}, not an object")
 
+    # one np.empty for every widened payload, not one array per tensor: a fresh process
+    # takes fewer page faults, and NumPy advises huge pages for a buffer this large
+    values = np.empty(sum(len(payload) for _, _, payload, _ in entries) // 4)
+    start = 0
     tensors: dict[str, np.ndarray] = {}
     previous = None
     for raw_name, dims, payload, crc in entries:
@@ -192,9 +206,10 @@ def load_checkpoint(path) -> Checkpoint:
         previous = name
         if zlib.crc32(payload) != crc:
             raise ChecksumError(f"{path}: payload CRC mismatch for tensor {name!r}")
-        tensors[name] = (
-            np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float64)
-        )
+        tensor = values[start : start + len(payload) // 4]
+        tensor[:] = np.frombuffer(payload, dtype="<f4")
+        tensors[name] = tensor.reshape(dims)
+        start += tensor.size
 
     if offset != len(blob) - 4:
         raise FileFormatError(f"{path}: {len(blob) - 4 - offset} unexpected bytes after tensors")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -130,9 +131,11 @@ class Model:
 
     def __init__(self, config: ModelConfig, seed: int = 0, init: bool = True):
         self.config = config
-        self.rng = np.random.default_rng(seed)
-        # init=False leaves weight kernels uninitialized: only for a model whose
-        # every tensor restore_model overwrites next. Dropout keeps the seeded rng.
+        self.seed = seed
+        # init=False builds placeholder kernels that hold no memory (nn.placeholder): only
+        # for a model whose every tensor restore_model installs next. Its dropout generator,
+        # seeded alike, is then made at first use, so a model that only scores never
+        # imports numpy.random.
         self._init_rng = self.rng if init else None
         self.branches: dict[str, list] = {}
         for modality in config.modalities():
@@ -143,20 +146,50 @@ class Model:
         # key), ``params`` the param/ entries under their bare names.
         self.slots: list[tuple[str, dict, str]] = []
         self.params: list[tuple[str, dict, str]] = []
-        grads = []
+        self._leaves = []
+        self._grad_arena = None
+        self._grads: list[np.ndarray] = []
         for layer in (*itertools.chain(*self.branches.values()), *self.head):
             for leaf in layer.sublayers() or [layer]:
+                self._leaves.append(leaf)
                 for key in leaf.params:
                     self.slots.append((f"param/{leaf.name}.{key}", leaf.params, key))
                     self.params.append((f"{leaf.name}.{key}", leaf.params, key))
-                    grads.append((leaf.grads, key))
                 for key in leaf.state:
                     self.slots.append((f"state/{leaf.name}.{key}", leaf.state, key))
-        # one np.zeros arena, whose pages only a train step touches; layers write views of it
-        self.grad_arena = np.zeros(self.parameter_count())
-        self.grads = arena_views(self.grad_arena, [holder[key].shape for holder, key in grads])
-        for (holder, key), view in zip(grads, self.grads):
-            holder[key] = view
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        """The generator seeded with ``seed`` that the initializers and every Dropout draw from."""
+        return np.random.default_rng(self.seed)
+
+    def _bind_training_state(self) -> None:
+        """Give the layers the dropout generator and views of one np.zeros gradient arena.
+
+        Done once, at the first train-mode forward or read of ``grad_arena`` or
+        ``grads``, so a restored model that only scores holds neither.
+        """
+        if self._grad_arena is not None:
+            return
+        self._grad_arena = np.zeros(self.parameter_count())
+        views = iter(arena_views(self._grad_arena, [holder[key].shape for _, holder, key in self.params]))
+        for leaf in self._leaves:
+            if isinstance(leaf, Dropout):
+                leaf.rng = self.rng
+            leaf.grads = {key: next(views) for key in leaf.params}
+            self._grads.extend(leaf.grads.values())
+
+    @property
+    def grad_arena(self) -> np.ndarray:
+        """Every parameter gradient as one flat float64 array, in ``params`` order."""
+        self._bind_training_state()
+        return self._grad_arena
+
+    @property
+    def grads(self) -> list[np.ndarray]:
+        """The views of ``grad_arena`` that the layers write, one per ``params`` entry."""
+        self._bind_training_state()
+        return self._grads
 
     # -- construction -----------------------------------------------------
 
@@ -176,7 +209,7 @@ class Model:
         if modality == "facepose":
             for i, width in enumerate(widths, start=1):
                 layers.append(Dense(in_dim, width, f"{modality}.td{i}", self._init_rng))
-                layers.append(Dropout(cfg.dropout, f"{modality}.drop{i}", self.rng))
+                layers.append(Dropout(cfg.dropout, f"{modality}.drop{i}", self._init_rng))
                 in_dim = width
         else:
             with_dropout = modality == "audio"
@@ -185,7 +218,7 @@ class Model:
                 layers.append(rnn)
                 layers.append(PReLU(rnn.hidden_dim, f"{modality}.act{i}"))
                 if with_dropout:
-                    layers.append(Dropout(cfg.dropout, f"{modality}.drop{i}", self.rng))
+                    layers.append(Dropout(cfg.dropout, f"{modality}.drop{i}", self._init_rng))
                 in_dim = rnn.hidden_dim
         if cfg.variant == "fusion":
             layers.append(BatchNorm(in_dim, f"{modality}.norm"))
@@ -226,6 +259,8 @@ class Model:
         """
         cfg = self.config
         needed = cfg.modalities()
+        if train:
+            self._bind_training_state()
         batch = None
         if rows is not None:
             rows = self._check_rows(rows)

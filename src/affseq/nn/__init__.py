@@ -1,6 +1,6 @@
 """Minimal dense/recurrent network kernel with exact gradients (float64, numpy)."""
 
-from .initializers import glorot_uniform, orthogonal
+from .initializers import glorot_uniform, orthogonal, placeholder
 from .layers import BatchNorm, Dense, Dropout, Layer, PReLU, Tanh, arena_views
 from .losses import masked_mse
 from .optim import RMSprop, clip_global_norm
@@ -22,4 +22,5 @@ __all__ = [
     "glorot_uniform",
     "masked_mse",
     "orthogonal",
+    "placeholder",
 ]

@@ -24,13 +24,15 @@ Only ``forward(x, train=True)`` keeps what ``backward`` reads, in the one
 attribute ``_saved``; an inference forward keeps nothing, so a restored model
 holds its parameters and one batch. ``backward`` takes the state and drops
 it, and raises DomainError after an inference forward. A layer built on its
-own owns its gradient buffers; in a ``Model`` they are views of one gradient
-arena (``arena_views``), which only a train step writes.
+own makes its gradient buffers at the first read of ``grads``; in a ``Model``
+they are views of one gradient arena (``arena_views``), which the model makes
+at its first train-mode forward and only a train step writes.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -68,19 +70,18 @@ class Layer:
     def __init__(self, name: str):
         self.name = name
         self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
         self.state: dict[str, np.ndarray] = {}
+
+    @cached_property
+    def grads(self) -> dict[str, np.ndarray]:
+        """Gradient buffers under the ``params`` keys, made zeroed at first read unless a Model set its own."""
+        return {key: np.zeros(param.shape) for key, param in self.params.items()}
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def _build_grads(self) -> None:
-        # np.zeros, not zeros_like: a layer that never trains never touches these pages;
-        # a Model rebinds them to views of its gradient arena
-        self.grads = {key: np.zeros(param.shape) for key, param in self.params.items()}
 
     def _take_saved(self):
         """Return the state the last train-mode forward kept, and drop it."""
@@ -110,7 +111,6 @@ class Dense(Layer):
         self.out_dim = out_dim
         self.params["W"] = glorot_uniform(rng, in_dim, out_dim)
         self.params["b"] = np.zeros(out_dim)
-        self._build_grads()
 
     def forward(self, x, train=False, rows=None):
         if rows is not None:
@@ -142,7 +142,6 @@ class PReLU(Layer):
     def __init__(self, n_features: int, name: str):
         super().__init__(name)
         self.params["alpha"] = np.full(n_features, _PRELU_ALPHA_INIT)
-        self._build_grads()
 
     def forward(self, x, train=False):
         if x.shape[-1] != self.params["alpha"].shape[0]:
@@ -194,7 +193,6 @@ class BatchNorm(Layer):
         self.params["beta"] = np.zeros(n_features)
         self.state["running_mean"] = np.zeros(n_features)
         self.state["running_var"] = np.ones(n_features)
-        self._build_grads()
 
     def forward(self, x, train=False):
         n_features = self.params["gamma"].shape[0]
@@ -239,9 +237,13 @@ class BatchNorm(Layer):
 
 
 class Dropout(Layer):
-    """Inverted dropout: train mode zeroes units and rescales survivors; inference is identity."""
+    """Inverted dropout: train mode zeroes units and rescales survivors; inference is identity.
 
-    def __init__(self, rate: float, name: str, rng: np.random.Generator):
+    Only a train-mode forward draws from ``rng``, so it may be None until then:
+    a restored ``Model`` binds its generator at its first train-mode forward.
+    """
+
+    def __init__(self, rate: float, name: str, rng: np.random.Generator | None):
         super().__init__(name)
         if not 0.0 <= rate < 1.0:
             raise DomainError(f"dropout rate must be in [0, 1), got {rate}")

@@ -67,7 +67,6 @@ class _Gated(Layer):
             self.params[f"W_{gate}"] = glorot_uniform(rng, in_dim, hidden_dim)
             self.params[f"U_{gate}"] = orthogonal(rng, hidden_dim, hidden_dim)
             self.params[f"b_{gate}"] = np.full(hidden_dim, self._BIAS_INIT.get(gate, 0.0))
-        self._build_grads()
 
     def forward(self, x, train=False, rows=None):
         p = self.params

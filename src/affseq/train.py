@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -54,7 +53,7 @@ from .dataset import (
 from .errors import ConfigError, CoverageError, DomainError, FileFormatError, NumericFaultError
 from .metrics import CCC_MODES, EvalReport, evaluate
 from .model import Model, ModelConfig, build
-from .nn import RMSprop, clip_global_norm, masked_mse
+from .nn import RMSprop, clip_global_norm, masked_mse, placeholder
 
 HISTORY_HEADER = "epoch,train_loss,val_ccc_valence,val_ccc_arousal,val_mse_valence,val_mse_arousal"
 
@@ -137,6 +136,10 @@ def _stream_videos(rows, modalities, need_labels: bool, threads: int):
         for row in rows:
             yield _load_video(row, modalities, need_labels)
         return
+    # imported here, not at module load: with the logging it loads, concurrent.futures
+    # adds milliseconds to every process's start, and a one-thread run starts no pool
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         ahead = deque()
         for row in rows:
@@ -230,17 +233,18 @@ def restore_model(ckpt: Checkpoint) -> tuple[Model, NormalizationStats]:
     The stored ``param/``, ``state/`` and ``norm/`` names must equal the
     layout of the configured model (``_slots``) and each shape must match, or
     FileFormatError names the first tensor that does not fit; other groups
-    are ignored. The model is built uninitialized, since every tensor is
-    then installed from the checkpoint: a float64 tensor as it is, shared
-    with ``ckpt`` and not copied, other dtypes converted. The gradient arena
-    is left as built, untouched zero pages that cost no memory unless the
-    model trains.
+    are ignored. The model is built uninitialized, with placeholder kernels
+    and statistics that hold no memory, since every tensor is then installed
+    from the checkpoint: a float64 tensor as it is, shared with ``ckpt`` and
+    not copied, other dtypes converted. So a stored shape is checked before
+    anything of the config's size is allocated. The model makes its gradient
+    arena and dropout generator only if it trains.
     """
     config = ckpt.model_config()
     model = Model(config, seed=ckpt.seed, init=False)
     stats = NormalizationStats()
     for modality in config.modalities():
-        stats.mean[modality] = stats.std[modality] = np.empty(config.input_dim(modality))
+        stats.mean[modality] = stats.std[modality] = placeholder(config.input_dim(modality))
     slots = _slots(model, stats)
     names = {name for name, _, _ in slots}
     stored = {name for name in ckpt.tensors if name.startswith(_LAYOUT_GROUPS)}

@@ -1,5 +1,6 @@
 import builtins
 import os
+import stat
 import struct
 import zlib
 
@@ -93,6 +94,58 @@ def test_scalar_and_high_rank_tensors(tmp_path):
     assert loaded.tensors["state/step"].shape == ()
     assert float(loaded.tensors["state/step"]) == 5.0
     np.testing.assert_array_equal(loaded.tensors["param/w"], np.arange(24.0).reshape(2, 3, 4))
+
+
+def test_loaded_tensors_are_widened_payloads_in_one_buffer(tmp_path, rng):
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-45, 3.4e38, -1.5e-39], dtype=np.float32)
+    tensors = {
+        **_sample(rng).tensors,
+        "param/special": special.reshape(2, 4),
+        "state/empty": np.zeros((0, 3)),
+        "state/step": np.asarray(5.0),
+    }
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(path, Checkpoint(config={"seed": 1}, tensors=tensors))
+    raw = path.read_bytes()
+    loaded = load_checkpoint(path)
+    buffer = loaded.tensors["param/special"].base
+    assert buffer.dtype == np.float64 and buffer.ndim == 1
+    assert buffer.size == sum(t.size for t in tensors.values())
+    offset = 0
+    for name in sorted(tensors):  # file order
+        got = loaded.tensors[name]
+        payload = np.asarray(tensors[name], dtype="<f4").tobytes()
+        assert payload in raw
+        assert got.base is buffer and got.shape == np.shape(tensors[name])
+        if got.size:  # an empty view may point anywhere
+            assert got.__array_interface__["data"][0] == buffer.__array_interface__["data"][0] + 8 * offset
+        assert got.tobytes() == np.frombuffer(payload, "<f4").astype(np.float64).tobytes(), name
+        offset += got.size
+    save_checkpoint(tmp_path / "b.ckpt", loaded)
+    assert (tmp_path / "b.ckpt").read_bytes() == raw
+
+
+@pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+def test_save_fsyncs_the_directory_after_the_rename(tmp_path, rng, monkeypatch, relative):
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        info = os.fstat(fd)
+        kind = "directory" if stat.S_ISDIR(info.st_mode) else "file"
+        events.append(("fsync", kind, os.path.samestat(info, os.stat(tmp_path))))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace",))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(affseq.checkpoint.os, "fsync", fsync)
+    monkeypatch.setattr(affseq.checkpoint.os, "replace", replace)
+    monkeypatch.chdir(tmp_path)
+    save_checkpoint("best.ckpt" if relative else tmp_path / "best.ckpt", _sample(rng))
+    assert events == [("fsync", "file", False), ("replace",), ("fsync", "directory", True)]
+    assert load_checkpoint(tmp_path / "best.ckpt").epoch == 3
 
 
 def test_config_accessors(rng):

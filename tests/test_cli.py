@@ -2,6 +2,7 @@ import contextlib
 import io
 import shutil
 import struct
+import tracemalloc
 import zlib
 from dataclasses import fields
 
@@ -586,6 +587,29 @@ def test_predict_rejects_malformed_checkpoint_config(trained, tmp_path, capsys, 
                  "--out", str(tmp_path / "preds")]) == code
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_checkpoint_declaring_a_wider_input_exits_2_before_allocating_it(trained, tmp_path, capsys, command):
+    manifest, ckpt_path = trained
+    ckpt = load_checkpoint(ckpt_path)
+    wide = tmp_path / "wide.ckpt"
+    config = _set_model_key("expnet_dim", 10_000_000)(ckpt.config)
+    save_checkpoint(wide, Checkpoint(config=config, tensors=ckpt.tensors))
+    argv = [command, "--manifest", str(manifest), "--checkpoint", str(wide)]
+    if command == "predict":
+        argv += ["--out", str(tmp_path / "preds")]
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    message = "checkpoint tensor param/expnet.rnn1.W_z has shape (2048, 8), model expects (10000000, 8)"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert peak < 2**26  # one float64 kernel of the declared width would take 610 MiB
+    assert not (tmp_path / "preds").exists()
 
 
 def _without(*names):

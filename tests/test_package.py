@@ -14,6 +14,7 @@ import pytest
 
 import affseq
 
+from conftest import make_corpus
 from oracles import pcm16_wav_bytes
 
 # What training and scoring need and audio extraction does not.
@@ -54,6 +55,40 @@ def test_extract_audio_does_not_import_the_training_stack(tmp_path):
     assert (tmp_path / "a.feat").exists()
     assert {"affseq.audio_io", "affseq.dsp", "affseq.dataset"} <= set(loaded)
     assert not _TRAINING_STACK & set(loaded)
+
+
+@pytest.fixture(scope="module")
+def one_thread_predict(tmp_path_factory):
+    """What a fresh ``predict --threads 1`` process has imported when it is done."""
+    root = tmp_path_factory.mktemp("one_thread_predict")
+    make_corpus(root / "corpus", [("tr0", "train", 25), ("va0", "val", 20)], np.random.default_rng(5))
+    from affseq.cli import main
+
+    assert main(["train", "--manifest", str(root / "corpus" / "manifest.csv"), "--out", str(root / "run"),
+                 "--epochs", "0", "--model.width-scale", "32"]) == 0
+    code = (
+        "import json, sys\n"
+        "import numpy\n"
+        "numpy_loads_random = 'numpy.random' in sys.modules\n"
+        "from affseq.cli import main\n"
+        "code = main(['predict', '--manifest', 'corpus/manifest.csv', '--checkpoint', 'run/best.ckpt',\n"
+        "             '--out', 'preds', '--threads', '1'])\n"
+        "print(json.dumps({'exit': code, 'numpy_loads_random': numpy_loads_random,\n"
+        "                  'loaded': [m for m in ('numpy.random', 'concurrent.futures') if m in sys.modules]}))\n"
+    )
+    done = _fresh_python(code, root)
+    assert done["exit"] == 0 and sorted(p.name for p in (root / "preds").iterdir()) == ["tr0.csv", "va0.csv"]
+    return done
+
+
+def test_one_thread_predict_never_imports_concurrent_futures(one_thread_predict):
+    assert "concurrent.futures" not in one_thread_predict["loaded"]
+
+
+def test_one_thread_predict_never_imports_numpy_random(one_thread_predict):
+    if one_thread_predict["numpy_loads_random"]:
+        pytest.skip("this NumPy imports numpy.random with numpy itself")
+    assert "numpy.random" not in one_thread_predict["loaded"]
 
 
 def test_from_import_of_exported_names_works_in_a_fresh_interpreter(tmp_path):

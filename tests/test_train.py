@@ -15,6 +15,7 @@ from affseq.cli import main
 from affseq.dataset import SEQUENCE_LEN, NormalizationStats, load_manifest, window_rows
 from affseq.errors import ConfigError, CoverageError, DomainError, FileFormatError, NumericFaultError
 from affseq.model import ModelConfig, build
+from affseq.nn import Dropout
 from affseq.train import (
     HISTORY_HEADER,
     TrainConfig,
@@ -323,6 +324,39 @@ def test_restore_skips_seeded_init_and_installs_stored_tensors(tmp_path, rng, mo
     for modality in config.model.modalities():
         np.testing.assert_array_equal(stats.mean[modality], ckpt.tensors[f"norm/{modality}/mean"])
         np.testing.assert_array_equal(stats.std[modality], ckpt.tensors[f"norm/{modality}/std"])
+
+
+@pytest.mark.parametrize("cell", ["gru", "bilstm"])
+def test_scoring_a_restored_model_builds_no_random_generator(tmp_path, rng, monkeypatch, cell):
+    rows = _corpus(tmp_path, rng)
+    ckpt, _ = train(rows, TrainConfig(epochs=1, seed=2, model=_small_model(cell=cell)), tmp_path / "run")
+    expected = predict(rows, ckpt, tmp_path / "seeded")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a scoring path built a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    model, stats = restore_model(ckpt)
+    video = train_module._load_video(rows[-1], model.config.modalities(), need_labels=True)
+    assert train_module.predict_video(model, video, stats=stats).shape == (video.row.n_frames, 2)
+    assert evaluate_checkpoint(rows, ckpt).n_frames_evaluated == 20
+    for vid, path in predict(rows, ckpt, tmp_path / "unseeded").items():
+        assert path.read_bytes() == expected[vid].read_bytes()
+
+
+def test_restored_model_draws_the_dropout_masks_of_the_checkpoint_seed(tmp_path, rng):
+    rows = _corpus(tmp_path, rng)
+    ckpt, _ = train(rows, TrainConfig(epochs=1, seed=5, model=_small_model()), tmp_path / "run")
+    model, _ = restore_model(ckpt)
+    modalities = model.config.modalities()
+    model.forward({m: rng.normal(size=(3, SEQUENCE_LEN, model.config.input_dim(m))) for m in modalities}, train=True)
+    reference = np.random.default_rng(ckpt.seed)
+    dropouts = [layer for m in modalities for layer in model.branches[m] if isinstance(layer, Dropout)]
+    assert [layer.name for layer in dropouts] == ["audio.drop1", "audio.drop2", "facepose.drop1", "facepose.drop2"]
+    for layer in dropouts:  # in the order the forward pass drew them
+        mask = layer._saved
+        np.testing.assert_array_equal(mask, (reference.random(mask.shape) >= layer.rate) / (1.0 - layer.rate))
+    assert model.rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_checkpoint_with_optimizer_caches_restores_identically(tmp_path, rng):

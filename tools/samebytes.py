@@ -27,7 +27,9 @@ The matrix:
   them not UTF-8, one holding a NUL), ``AFFSEQ_THREADS``, bad WAV input,
   every manifest and label table rule (tables that are not UTF-8 or hold a
   NUL included, and a NUL ``video_id`` given to ``predict``), broken feature
-  files and broken checkpoints.
+  files and broken checkpoints: a flipped byte, a file cut in half, and a
+  ``best.ckpt`` re-saved with ``"expnet_dim": 10000000``, an input width its
+  tensors do not have, given to ``evaluate`` and to ``predict``.
 
 Standard library and NumPy only; the inputs come from ``perfbench/inputs.py``
 (``feature_corpus`` and ``wav_corpus``, seed 4242).
@@ -40,8 +42,10 @@ import hashlib
 import json
 import os
 import platform
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -99,6 +103,16 @@ def _main_commands() -> list[tuple[str, list[str], dict]]:
     return cmds
 
 
+def _with_model_key(ckpt: bytes, key: str, value) -> bytes:
+    """``ckpt``, an AFCK file, with one key of its model config set and the whole-file CRC refixed."""
+    (config_len,) = struct.unpack_from("<I", ckpt, 8)
+    config = json.loads(ckpt[12 : 12 + config_len])
+    config["model"][key] = value
+    blob = json.dumps(config, sort_keys=True).encode("utf-8")
+    body = ckpt[:8] + struct.pack("<I", len(blob)) + blob + ckpt[12 + config_len : -4]
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def _write_broken_inputs(work: Path) -> list[str]:
     """Broken config files, WAV, checkpoints, feature and label files, and manifests.
 
@@ -118,6 +132,7 @@ def _write_broken_inputs(work: Path) -> list[str]:
     flipped[len(ckpt) // 2] ^= 0x01
     (work / "broken" / "flipped.ckpt").write_bytes(bytes(flipped))
     (work / "broken" / "truncated.ckpt").write_bytes(ckpt[: len(ckpt) // 2])
+    (work / "broken" / "wrong-width.ckpt").write_bytes(_with_model_key(ckpt, "expnet_dim", 10_000_000))
     (corpus / "truncated.audio.feat").write_bytes((corpus / "tr0.audio.feat").read_bytes()[:-7])
     inputs.write_affw(corpus / "narrow.audio.feat", np.zeros((60, 10)))
 
@@ -210,6 +225,9 @@ def _error_commands(manifests: list[str]) -> list[tuple[str, list[str], dict]]:
         ("checkpoint-missing", [*evaluate, "runs/nope/best.ckpt"], {}),
         ("checkpoint-flipped-byte", [*evaluate, "broken/flipped.ckpt"], {}),
         ("checkpoint-truncated", [*evaluate, "broken/truncated.ckpt"], {}),
+        ("checkpoint-wrong-width", [*evaluate, "broken/wrong-width.ckpt"], {}),
+        ("checkpoint-wrong-width-predict", ["predict", "--manifest", MANIFEST, "--checkpoint",
+                                            "broken/wrong-width.ckpt", "--out", "errors/wide-preds"], {}),
         *((f"table-{name}", ["train", "--manifest", f"corpus/{name}.csv", "--out", f"errors/{name}"], {})
           for name in manifests),
         ("table-nul-id-predict", ["predict", "--manifest", "corpus/nul-id.csv", "--checkpoint", "runs/gru/best.ckpt",
