@@ -1,13 +1,17 @@
 """Per-frame feature and label ingestion, windowing, and overlap merging.
 
 Feature matrices live in a small binary container (magic ``AFFW``); labels and
-manifests are CSV. Tracks stay the float32 arrays read from disk. A window of
-``SEQUENCE_LEN`` frames (``SEQUENCE_OVERLAP`` frames of overlap) is a row of
-frame indices, and every stage after loading works on those integer rows plus
-arrays: a batch of windows is gathered into a float64 buffer and z-scored
-there with statistics drawn from the training split only, and the windows'
-predictions merge back to frame level by averaging, for each frame, every
-window position that holds it.
+manifests are CSV. A track is a row source of one of two kinds: a
+``FeatureTrack`` holds the float32 array read from disk, and a ``FileTrack``
+holds only where a checked file is and rereads its rows when asked. Both
+open as rows to slice (``open_rows``), so statistics and batch gathers run
+one loop over either kind. A window of ``SEQUENCE_LEN`` frames
+(``SEQUENCE_OVERLAP`` frames of overlap) is a row of frame indices, and
+every stage after loading works on those integer rows plus arrays: a batch
+of windows is gathered into one buffer and z-scored with statistics drawn
+from the training split only, and the windows' predictions merge back to
+frame level by averaging, for each frame, every window position that holds
+it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+import os
 import struct
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -79,6 +85,76 @@ class FeatureTrack:
     @property
     def n_frames(self) -> int:
         return self.data.shape[0]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
+
+    def open_rows(self):
+        """The track as rows to slice (``rows[lo:hi]``): here the array itself."""
+        return nullcontext(self.data)
+
+
+@dataclass(frozen=True)
+class FileTrack:
+    """A checked AFFW feature file whose rows are read back from disk on demand.
+
+    It holds no feature data (see ``file_track``). ``stamp`` is the file's
+    device, inode, size and mtime in ns from before it was checked; the
+    file must still match it whenever ``open_rows`` opens or closes it, so no
+    row is read from bytes that were not checked.
+    """
+
+    video_id: str
+    modality: str
+    path: Path
+    n_frames: int
+    stamp: tuple[int, int, int, int]
+
+    dtype = np.dtype("<f4")  # the stored rows, as ``rows[lo:hi]`` returns them
+
+    @contextmanager
+    def open_rows(self):
+        """The file, opened and checked, as rows to slice (``rows[lo:hi]``); closed on exit."""
+        try:
+            fh = open(self.path, "rb")
+        except OSError as exc:
+            raise self._changed(exc.strerror) from None
+        with fh:
+            self._check(fh)
+            yield _AffwRows(self, fh)
+            self._check(fh)  # bytes written while the rows were read fail here
+
+    def _check(self, fh) -> None:
+        if _stamp(os.fstat(fh.fileno())) != self.stamp:
+            raise self._changed("replaced, rewritten or touched")
+
+    def _changed(self, reason: str) -> FileFormatError:
+        return FileFormatError(f"{self.path}: feature file changed after it was checked ({reason})")
+
+
+class _AffwRows:
+    """Rows ``lo:hi`` of an open AFFW file, one seek and read each, as a new float32 array."""
+
+    def __init__(self, track: FileTrack, fh):
+        self._track, self._fh = track, fh
+        self._width = MODALITY_DIMS[track.modality]
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        lo, hi, _ = rows.indices(self._track.n_frames)
+        out = np.empty((max(hi - lo, 0), self._width), dtype=FileTrack.dtype)
+        self._fh.seek(16 + lo * out.itemsize * self._width)
+        if self._fh.readinto(out) != out.nbytes:
+            raise self._track._changed("short read")
+        return out
+
+
+def _stamp(st: os.stat_result) -> tuple[int, int, int, int]:
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+# What statistics and batch gathers read: ``modality``, ``n_frames``, ``dtype``, ``open_rows()``.
+RowSource = FeatureTrack | FileTrack
 
 
 @dataclass(frozen=True)
@@ -152,6 +228,18 @@ def load_feature_track(path, modality: str, video_id: str = "") -> FeatureTrack:
         raise FileFormatError(f"{path}: {found - expected} trailing bytes after payload")
     data = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=16).reshape(rows, cols)
     return FeatureTrack(video_id=video_id, modality=modality, data=data)
+
+
+def file_track(path, modality: str, video_id: str = "") -> FileTrack:
+    """Check the AFFW file at ``path`` with ``load_feature_track``, then keep only where it is.
+
+    The file's identity is taken before it is read, so a change at any later
+    time, even while it is being checked, makes ``FileTrack.open_rows``
+    refuse it.
+    """
+    stamp = _stamp(os.stat(path))
+    track = load_feature_track(path, modality, video_id)
+    return FileTrack(video_id, modality, Path(path), track.n_frames, stamp)
 
 
 def read_text(path, error: type[AffseqError]) -> str:
@@ -303,13 +391,13 @@ class WindowIndex:
     """Windows over aligned feature tracks as integer arrays; no feature data is copied.
 
     Window ``j`` covers frame rows ``rows[j]`` of the tracks ``tracks[video[j]]``
-    (one ``{modality: FeatureTrack}`` per video); ``targets`` and ``mask`` come
+    (one ``{modality: RowSource}`` per video); ``targets`` and ``mask`` come
     from that video's labels. ``select`` with a slice, index array or boolean
     mask gives a sub-index over the same tracks, and ``gather_windows`` reads
     a modality's feature rows for a batch of windows.
     """
 
-    tracks: tuple[dict[str, FeatureTrack], ...]
+    tracks: tuple[dict[str, RowSource], ...]
     video: np.ndarray
     rows: np.ndarray
     targets: np.ndarray
@@ -324,7 +412,7 @@ class WindowIndex:
         )
 
 
-def build_windows(features: dict[str, FeatureTrack], labels: LabelTrack | None = None) -> WindowIndex:
+def build_windows(features: dict[str, RowSource], labels: LabelTrack | None = None) -> WindowIndex:
     """Window aligned tracks by frame rows; short tracks edge-replicate and mask."""
     if not features:
         raise DomainError("at least one feature modality is required")
@@ -343,7 +431,7 @@ def build_windows(features: dict[str, FeatureTrack], labels: LabelTrack | None =
 
 def concat_windows(parts: list[WindowIndex]) -> WindowIndex:
     """One index over every window of ``parts``, in order."""
-    tracks: list[dict[str, FeatureTrack]] = []
+    tracks: list[dict[str, RowSource]] = []
     columns = []
     for part in parts:
         columns.append((part.video + len(tracks), part.rows, part.targets, part.mask))
@@ -351,42 +439,43 @@ def concat_windows(parts: list[WindowIndex]) -> WindowIndex:
     return WindowIndex(tuple(tracks), *(np.concatenate(column) for column in zip(*columns)))
 
 
-def compute_stats(tracks: list[FeatureTrack]) -> NormalizationStats:
+def compute_stats(tracks: list[RowSource]) -> NormalizationStats:
     """Column mean/std per modality over the concatenated rows of ``tracks``.
 
     Standard deviations are population (1/N) and floored at 1e-8. The result
     has the bits of ``stacked.mean(0)`` and ``stacked.std(0)`` over the rows
     widened to float64 and stacked in track order, but no stacked copy is
     made: two passes over the rows (the sum, then the squared deviations from
-    the mean, as ``np.std`` does) each widen ``_STATS_CHUNK_ROWS`` rows at a
-    time (see ``_sum_rows``).
+    the mean, as ``np.std`` does) each read and widen ``_STATS_CHUNK_ROWS``
+    rows at a time (see ``_sum_rows``), so a ``FileTrack`` is read twice and
+    never held whole.
     """
     if not tracks:
         raise DomainError("cannot compute normalization statistics from zero tracks")
     stats = NormalizationStats()
-    by_modality: dict[str, list[np.ndarray]] = {}
+    by_modality: dict[str, list[RowSource]] = {}
     for track in tracks:
-        by_modality.setdefault(track.modality, []).append(track.data)
-    for modality, blocks in by_modality.items():
-        n = sum(len(block) for block in blocks)
+        by_modality.setdefault(track.modality, []).append(track)
+    for modality, sources in by_modality.items():
+        n = sum(source.n_frames for source in sources)
         if n == 0:
             raise DomainError(f"cannot compute {modality} normalization statistics from zero rows")
-        mean = _sum_rows(blocks, np.copyto) / n
+        mean = _sum_rows(sources, np.copyto) / n
 
         def squared_deviations(out, rows):
             np.subtract(rows, mean, out=out)
             np.square(out, out=out)
 
         stats.mean[modality] = mean
-        stats.std[modality] = np.maximum(np.sqrt(_sum_rows(blocks, squared_deviations) / n), _STD_FLOOR)
+        stats.std[modality] = np.maximum(np.sqrt(_sum_rows(sources, squared_deviations) / n), _STD_FLOOR)
     return stats
 
 
 _STATS_CHUNK_ROWS = 64
 
 
-def _sum_rows(blocks: list[np.ndarray], put) -> np.ndarray:
-    """Column sums of ``put(out, rows)`` over the blocks' rows, in chunks of at most 64 rows.
+def _sum_rows(sources: list[RowSource], put) -> np.ndarray:
+    """Column sums of ``put(out, rows)`` over the sources' rows, in chunks of at most 64 rows.
 
     NumPy reduces a C-contiguous [rows x width] array over axis 0 by adding
     whole rows in order; its pairwise summation runs only along the
@@ -394,17 +483,18 @@ def _sum_rows(blocks: list[np.ndarray], put) -> np.ndarray:
     chunk, continues the very additions of one ``sum(axis=0)`` over every
     row stacked, for any width above 1 (every modality's).
     """
-    buf = np.empty((_STATS_CHUNK_ROWS + 1, blocks[0].shape[1]))
+    buf = np.empty((_STATS_CHUNK_ROWS + 1, MODALITY_DIMS[sources[0].modality]))
     total = None
-    for block in blocks:
-        for start in range(0, len(block), _STATS_CHUNK_ROWS):
-            rows = block[start : start + _STATS_CHUNK_ROWS]
-            put(buf[1 : len(rows) + 1], rows)
-            if total is None:
-                total = np.add.reduce(buf[1 : len(rows) + 1], axis=0)
-            else:
-                buf[0] = total
-                total = np.add.reduce(buf[: len(rows) + 1], axis=0)
+    for source in sources:
+        with source.open_rows() as block:
+            for start in range(0, source.n_frames, _STATS_CHUNK_ROWS):
+                rows = block[start : start + _STATS_CHUNK_ROWS]
+                put(buf[1 : len(rows) + 1], rows)
+                if total is None:
+                    total = np.add.reduce(buf[1 : len(rows) + 1], axis=0)
+                else:
+                    buf[0] = total
+                    total = np.add.reduce(buf[: len(rows) + 1], axis=0)
     return total
 
 
@@ -427,17 +517,25 @@ def normalize(data: np.ndarray, modality: str, stats: NormalizationStats) -> np.
 def gather_windows(windows: WindowIndex, modality: str, stats: NormalizationStats) -> np.ndarray:
     """Z-scored float64 batch [B x SEQUENCE_LEN x width] of ``modality`` over ``windows``.
 
-    The windows' rows are gathered as stored (float32 as loaded; one gather
-    per video) and ``normalize`` widens them in its subtraction, so the batch
-    is bit-equal to stacking windows cut from normalized float64 tracks,
-    without a widened or normalized copy of any track.
+    Each video's track is opened once (``open_rows``) and closed before the
+    next, and each window reads its rows as stored (float32 as loaded): the
+    contiguous run from its first row to its last, which ``window_rows``
+    then repeats to pad a track shorter than ``SEQUENCE_LEN``. ``normalize``
+    widens them in its subtraction, so the batch is bit-equal to stacking
+    windows cut from normalized float64 tracks, without a widened or
+    normalized copy of any track, and a ``FileTrack`` reads only the batch.
     """
     videos = np.unique(windows.video)
-    data = [windows.tracks[v][modality].data for v in videos]
-    rows = np.empty(windows.rows.shape + (data[0].shape[1],), dtype=np.result_type(*data))
-    for v, track in zip(videos, data):
-        pick = windows.video == v
-        rows[pick] = track[windows.rows[pick]]
+    sources = [windows.tracks[v][modality] for v in videos]
+    dtype = np.result_type(*(source.dtype for source in sources))
+    rows = np.empty(windows.rows.shape + (MODALITY_DIMS[modality],), dtype=dtype)
+    for v, source in zip(videos, sources):
+        with source.open_rows() as data:
+            for j in np.flatnonzero(windows.video == v):
+                first, last = windows.rows[j, 0], windows.rows[j, -1]
+                n = last - first + 1
+                rows[j, :n] = data[first : last + 1]
+                rows[j, n:] = rows[j, n - 1]
     return normalize(rows, modality, stats)
 
 

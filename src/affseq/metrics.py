@@ -55,6 +55,12 @@ def ccc(pred, gold) -> float:
 
     Returns 0 (with a DegenerateInputWarning) when both inputs are constant
     with equal means, which makes the ratio 0/0.
+
+    Both inputs are first scaled by one power of two that brings their
+    largest magnitude into [0.5, 1). CCC does not change under a common
+    scale, and a power of two scales every moment exactly, so inputs whose
+    moments stay normal floats give the same bits; tiny inputs no longer
+    lose their centred products to subnormals, nor huge ones to overflow.
     """
     p = np.asarray(pred, dtype=np.float64)
     g = np.asarray(gold, dtype=np.float64)
@@ -64,6 +70,8 @@ def ccc(pred, gold) -> float:
         raise DomainError(f"length mismatch: {p.shape[0]} vs {g.shape[0]}")
     if p.shape[0] < 2:
         raise DomainError(f"ccc needs at least 2 points, got {p.shape[0]}")
+    exponent = int(np.frexp(max(np.max(np.abs(p)), np.max(np.abs(g))))[1])
+    p, g = np.ldexp(p, -exponent), np.ldexp(g, -exponent)
     mean_p = p.mean()
     mean_g = g.mean()
     var_p = p.var()

@@ -3,15 +3,22 @@
 A training run is one ``_Run``: the config, the normalization statistics and
 window index of the train split, the shuffle generator ``root_rng``, the model,
 its optimizer, the epochs completed, the best mean val CCC and the history
-lines. ``_start_run`` loads the split and builds it, drawing the model seed
-from ``root_rng`` before any permutation. ``_epoch`` advances it by one pass:
-it shuffles the window index with ``root_rng``, gathers and z-scores each
-batch from the float32 training tracks, runs masked-MSE backprop, clips the
-gradients and applies RMSprop. ``_validate_and_keep`` then scores the
-validation split from overlap-merged frame predictions, appends the epoch's
-``history.csv`` line and saves ``best.ckpt`` on a strictly higher mean CCC.
-``train`` drops the run before it reloads ``best.ckpt``, so the reload adds no
-peak memory.
+lines. ``_start_run`` checks every train and val file once, as any load
+does, and builds the run, drawing the model seed from ``root_rng`` before any
+permutation. It keeps no feature data: the window index refers to the train
+split's files (``dataset.FileTrack``), and the statistics are read from them
+64 rows at a time. ``_epoch`` advances the run by one pass: it shuffles the
+window index with ``root_rng``, reads each batch's windows from the feature
+files (each file opened at most once a batch and closed before the next),
+z-scores them, runs masked-MSE backprop, clips the gradients and applies
+RMSprop. So training memory is the model, its gradients and optimizer caches
+and one batch, however large the train split is. A train file that is
+replaced, rewritten, touched or removed during the run fails the next batch
+that reads it with FileFormatError (exit 2). ``_validate_and_keep`` then
+scores the validation split from overlap-merged frame predictions, appends
+the epoch's ``history.csv`` line and saves ``best.ckpt`` on a strictly
+higher mean CCC. ``train`` drops the run before it reloads ``best.ckpt``, so
+the reload adds no peak memory.
 
 Validation, evaluation and prediction stream the manifest one video at a time
 (load, predict, drop), so their memory does not grow with its length. They
@@ -36,14 +43,15 @@ import numpy as np
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .dataset import (
     SEQUENCE_LEN,
-    FeatureTrack,
     LabelTrack,
     ManifestRow,
     NormalizationStats,
+    RowSource,
     WindowIndex,
     build_windows,
     compute_stats,
     concat_windows,
+    file_track,
     gather_windows,
     load_feature_track,
     load_labels,
@@ -91,20 +99,22 @@ class TrainConfig:
 
 @dataclass
 class VideoData:
-    """One manifest row's feature tracks (float32 as read) and labels."""
+    """One manifest row's feature tracks (float32 as read, or the checked files) and labels."""
 
     row: ManifestRow
-    features: dict[str, FeatureTrack]
+    features: dict[str, RowSource]
     labels: LabelTrack | None
 
 
-def _load_video(row: ManifestRow, modalities, need_labels: bool) -> VideoData:
+def _load_video(row: ManifestRow, modalities, need_labels: bool, on_disk: bool = False) -> VideoData:
+    """Check and load one row's tracks and labels; ``on_disk`` keeps only the checked files."""
+    load = file_track if on_disk else load_feature_track
     features = {}
     for modality in modalities:
         path = row.features.get(modality)
         if path is None:
             raise CoverageError(f"{row.video_id}: manifest has no {modality} feature file")
-        track = load_feature_track(path, modality, video_id=row.video_id)
+        track = load(path, modality, video_id=row.video_id)
         if track.n_frames != row.n_frames:
             raise DomainError(
                 f"{row.video_id}: {modality} track has {track.n_frames} frames, "
@@ -124,8 +134,8 @@ def _load_video(row: ManifestRow, modalities, need_labels: bool) -> VideoData:
     return VideoData(row=row, features=features, labels=labels)
 
 
-def _stream_videos(rows, modalities, need_labels: bool, threads: int):
-    """Yield each row's VideoData in row order.
+def _stream_videos(rows, modalities, need_labels: bool, threads: int, on_disk: bool = False):
+    """Yield each row's VideoData (``_load_video``) in row order.
 
     With ``threads`` > 1, worker threads load at most ``threads`` videos ahead
     of the one the caller holds, and never more than the machine has cores
@@ -134,7 +144,7 @@ def _stream_videos(rows, modalities, need_labels: bool, threads: int):
     threads = min(threads, os.cpu_count() or 1)
     if threads == 1 or len(rows) < 2:
         for row in rows:
-            yield _load_video(row, modalities, need_labels)
+            yield _load_video(row, modalities, need_labels, on_disk)
         return
     # imported here, not at module load: with the logging it loads, concurrent.futures
     # adds milliseconds to every process's start, and a one-thread run starts no pool
@@ -143,7 +153,7 @@ def _stream_videos(rows, modalities, need_labels: bool, threads: int):
     with ThreadPoolExecutor(max_workers=threads) as pool:
         ahead = deque()
         for row in rows:
-            ahead.append(pool.submit(_load_video, row, modalities, need_labels))
+            ahead.append(pool.submit(_load_video, row, modalities, need_labels, on_disk))
             if len(ahead) > threads:
                 yield ahead.popleft().result()
         while ahead:
@@ -289,7 +299,7 @@ def train(manifest_rows: list[ManifestRow], config: TrainConfig, out_dir) -> tup
     while run.epoch < config.epochs:
         _validate_and_keep(run, val_rows, out_dir, _epoch(run))
     history = run.history
-    del run  # the tracks, model and optimizer go before the reload, so it adds no peak
+    del run  # the model and optimizer go before the reload, so it adds no peak
     return load_checkpoint(out_dir / "best.ckpt"), history
 
 
@@ -309,9 +319,15 @@ class _Run:
 
 
 def _start_run(train_rows, val_rows, config: TrainConfig) -> _Run:
-    """Load the train split, fix its statistics and windows, and build the seeded model."""
+    """Check the splits, fix the train split's statistics and windows, and build the seeded model.
+
+    Each train file is checked whole, then dropped: the run keeps a
+    ``FileTrack`` per file, and each batch reads its windows from the files.
+    """
     modalities = config.model.modalities()
-    train_videos = list(_stream_videos(train_rows, modalities, need_labels=True, threads=config.threads))
+    train_videos = list(
+        _stream_videos(train_rows, modalities, need_labels=True, threads=config.threads, on_disk=True)
+    )
     # Validation rereads its videos every epoch; a val video that cannot load
     # fails here, before training, as well.
     for _ in _stream_videos(val_rows, modalities, need_labels=True, threads=config.threads):

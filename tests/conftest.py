@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -49,3 +51,29 @@ def make_corpus(root, videos, rng, feature_fn=None, dims=MODALITY_DIMS):
     manifest = root / "manifest.csv"
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return manifest
+
+
+def _replace(path):
+    fresh = path.with_suffix(".new")
+    fresh.write_bytes(path.read_bytes())
+    os.replace(fresh, path)
+
+
+def _rewrite(path):
+    st = os.stat(path)
+    path.write_bytes(path.read_bytes())  # the same bytes, in place
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 1))  # a new mtime, however coarse the clock
+
+
+def _touch(path):
+    st = os.stat(path)
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000_000))
+
+
+def _truncate(path):
+    os.truncate(path, os.path.getsize(path) - 4)
+
+
+# Ways a feature file can change after it was checked, each by name.
+FILE_CHANGES = {"replaced": _replace, "rewritten": _rewrite, "touched": _touch,
+                "truncated": _truncate, "removed": os.remove}

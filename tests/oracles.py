@@ -1,8 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is written from the defining formulas, deliberately not
-sharing code paths with the package: naive DFT, direct-formula CCC, a
-covering-set windowing oracle, slice-and-pad window cutting, a per-window
+sharing code paths with the package: naive DFT, direct-formula CCC, CCC in
+exact rational arithmetic, a covering-set windowing oracle, slice-and-pad window cutting, a per-window
 overlap merge, a pointwise mel filterbank, a sign-split sigmoid, a single GRU step, a
 per-tensor RMSprop step, and central finite-difference gradient helpers. Three exceptions are bitwise references
 built partly from the package's own pieces: the per-window inference path
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 
@@ -41,6 +42,20 @@ def ccc_direct(x, y) -> float:
     vy = (y * y).sum() / len(y) - my * my
     cov = (x * y).sum() / len(x) - mx * my
     return 2.0 * cov / (vx + vy + (mx - my) ** 2)
+
+
+def ccc_exact(x, y) -> float | None:
+    """Concordance correlation of the float inputs in exact rational arithmetic, rounded once.
+
+    None when the denominator is exactly 0 (both inputs constant with equal means).
+    """
+    xs, ys = [Fraction(float(v)) for v in x], [Fraction(float(v)) for v in y]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    vx = sum((a - mx) ** 2 for a in xs) / len(xs)
+    vy = sum((b - my) ** 2 for b in ys) / len(ys)
+    cov = sum((a - mx) * (b - my) for a, b in zip(xs, ys)) / len(xs)
+    denom = vx + vy + (mx - my) ** 2
+    return None if denom == 0 else float(2 * cov / denom)
 
 
 def segment_invariants(T: int, N: int, plan) -> None:

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import affseq.train as train_module
 from affseq.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from affseq.cli import main
 from affseq.dataset import load_feature_track
 from affseq.dsp import DspParams
 from affseq.errors import FileFormatError, TruncatedFileError
 
-from conftest import make_corpus
+from conftest import FILE_CHANGES, make_corpus
 from oracles import float32_wav_bytes, pcm16_wav_bytes
 
 
@@ -322,6 +323,23 @@ def test_train_that_fails_before_its_first_save_leaves_no_out_dir(tmp_path, rng,
     assert main(_train_args(manifest, tmp_path / "fresh" / "x")) == 3
     assert capsys.readouterr().err == "error: manifest has no train rows\n"
     assert not (tmp_path / "fresh").exists()
+
+
+@pytest.mark.parametrize("change", ["touched", "removed"])
+def test_train_input_changed_during_the_run_exits_2_with_one_error_line(tmp_path, rng, capsys, monkeypatch, change):
+    manifest = _manifest(tmp_path, rng)
+    path = tmp_path / "corpus" / "tr0.facepose.feat"
+    real_start = train_module._start_run
+
+    def start_then_change(*args):
+        run = real_start(*args)
+        FILE_CHANGES[change](path)
+        return run
+
+    monkeypatch.setattr(train_module, "_start_run", start_then_change)
+    assert main(_train_args(manifest, tmp_path / "run")) == 2
+    reason = {"touched": "replaced, rewritten or touched", "removed": "No such file or directory"}[change]
+    assert capsys.readouterr().err == f"error: {path}: feature file changed after it was checked ({reason})\n"
 
 
 # --- manifest and label tables ----------------------------------------------------

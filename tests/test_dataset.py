@@ -30,7 +30,8 @@ from affseq.errors import (
     WidthMismatchError,
 )
 
-from affseq.dataset import MODALITY_DIMS, concat_windows, gather_windows, window_rows
+from affseq.dataset import MODALITY_DIMS, FileTrack, concat_windows, file_track, gather_windows, window_rows
+from conftest import FILE_CHANGES
 from oracles import merge_windows_loop, slice_and_pad_windows, window_starts_oracle
 
 
@@ -447,6 +448,92 @@ def test_gather_windows_requires_matching_stats(rng):
     track = _track("v", "expnet", rng.normal(size=(20, 2048)))
     with pytest.raises(DomainError, match="expnet"):
         gather_windows(build_windows({"expnet": track}), "expnet", stats)
+
+
+# --- file-backed tracks ------------------------------------------------------------------
+
+def _file_videos(tmp_path, rng, lengths):
+    """{video: ({modality: FeatureTrack}, {modality: FileTrack}, labels)} over the same files."""
+    videos = {}
+    for vid, n in lengths.items():
+        loaded, on_disk = {}, {}
+        for modality, width in (("audio", 168), ("facepose", 714)):
+            path = tmp_path / f"{vid}.{modality}.feat"
+            write_feature_file(path, (rng.normal(size=(n, width)) * 2 + 0.5).astype(np.float32))
+            loaded[modality] = load_feature_track(path, modality, vid)
+            on_disk[modality] = file_track(path, modality, vid)
+        valence, arousal = rng.uniform(-1, 1, size=(2, n))
+        videos[vid] = (loaded, on_disk, LabelTrack(vid, valence, arousal, np.ones(n, dtype=bool)))
+    return videos
+
+
+def test_file_tracks_give_the_stats_and_batches_of_loaded_tracks(tmp_path, rng):
+    """Long, exactly-15, short (padded) and 64-row videos, read back from their files."""
+    videos = _file_videos(tmp_path, rng, {"long": 130, "exact": 15, "short": 9, "chunk": 64})
+    indices = []
+    for kind in (0, 1):
+        tracks = [t for v in videos.values() for t in v[kind].values()]
+        stats = compute_stats(tracks)
+        index = concat_windows([build_windows(v[kind], v[2]) for v in videos.values()])
+        indices.append((stats, index))
+    (stats, loaded), (file_stats, on_disk) = indices
+    assert not any(isinstance(t, FileTrack) for v in loaded.tracks for t in v.values())
+    assert all(isinstance(t, FileTrack) for v in on_disk.tracks for t in v.values())
+    shuffled = np.random.default_rng(3).permutation(len(loaded))
+    for modality in ("audio", "facepose"):
+        _same_bits(file_stats.mean[modality], stats.mean[modality])
+        _same_bits(file_stats.std[modality], stats.std[modality])
+        _same_bits(gather_windows(on_disk, modality, stats), gather_windows(loaded, modality, stats))
+        for batch in (shuffled[:7], shuffled[7:]):
+            _same_bits(
+                gather_windows(on_disk.select(batch), modality, stats),
+                gather_windows(loaded.select(batch), modality, stats),
+            )
+
+
+def test_file_track_reads_the_rows_it_was_asked_for(tmp_path, rng):
+    data = rng.normal(size=(70, 168)).astype(np.float32)
+    write_feature_file(tmp_path / "a.feat", data)
+    track = file_track(tmp_path / "a.feat", "audio", "a")
+    assert (track.n_frames, track.dtype, track.video_id) == (70, np.float32, "a")
+    with track.open_rows() as rows:
+        for lo, hi in ((0, 15), (55, 70), (64, 200), (3, 3)):
+            _same_bits(rows[lo:hi], data[lo:hi])
+
+
+def test_file_track_checks_the_file_as_a_load_does(tmp_path):
+    path = tmp_path / "a.feat"
+    write_feature_file(path, np.zeros((4, 168)))
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(TruncatedFileError, match="payload bytes"):
+        file_track(path, "audio")
+    write_feature_file(path, np.zeros((4, 10)))
+    with pytest.raises(WidthMismatchError):
+        file_track(path, "audio")
+    with pytest.raises(FileNotFoundError):
+        file_track(tmp_path / "nope.feat", "audio")
+
+
+@pytest.mark.parametrize("change", sorted(FILE_CHANGES))
+def test_file_track_refuses_a_file_changed_after_it_was_checked(tmp_path, rng, change):
+    path = tmp_path / "a.feat"
+    write_feature_file(path, rng.normal(size=(20, 168)))
+    track = file_track(path, "audio")
+    FILE_CHANGES[change](path)
+    with pytest.raises(FileFormatError, match=f"^{path}: feature file changed after it was checked"):
+        with track.open_rows() as rows:
+            rows[0:15]
+
+
+@pytest.mark.parametrize("change", ["rewritten", "touched"])
+def test_file_track_refuses_a_file_changed_while_its_rows_are_read(tmp_path, rng, change):
+    path = tmp_path / "a.feat"
+    write_feature_file(path, rng.normal(size=(20, 168)))
+    track = file_track(path, "audio")
+    with pytest.raises(FileFormatError, match="changed after it was checked"):
+        with track.open_rows() as rows:
+            FILE_CHANGES[change](path)
+            rows[0:15]
 
 
 # --- overlap merge --------------------------------------------------------------------

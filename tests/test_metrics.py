@@ -2,14 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from affseq.dataset import LabelTrack
 from affseq.errors import CoverageError, DomainError
 from affseq.metrics import DegenerateInputWarning, EvalReport, ccc, evaluate
 
-from oracles import ccc_direct
+from oracles import ccc_direct, ccc_exact
 
 
 def _track(video_id, targets, valid=None):
@@ -95,18 +95,42 @@ def test_ccc_rejects_short_and_mismatched():
     st.floats(-5, 5),
     st.floats(0.1, 4.0),
 )
+# the centred products of this pair are subnormal unless ccc rescales its inputs first
+@example(values=[0.0, 6.273424446310657e-160], shift=0.0, scale=0.5)
 def test_ccc_affine_property(values, shift, scale):
     x = np.asarray(values)
     y = scale * x + shift
-    with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateInputWarning)
         got = ccc(x, y)
-        oracle = ccc_direct(x, y)
-    if np.isfinite(oracle):
-        assert abs(got - oracle) < 1e-9
-    else:
+    oracle = ccc_exact(x, y)  # exact, so tiny inputs do not lose its moments to subnormals
+    if oracle is None:
         assert got == 0.0  # 0/0 case is defined as 0
+    else:
+        assert abs(got - oracle) < 1e-9
     assert -1.0 - 1e-9 <= got <= 1.0 + 1e-9
+
+
+_finite = st.floats(-1e100, 1e100, allow_subnormal=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(_finite, _finite), min_size=2, max_size=40),
+    st.integers(-900, 900),
+)
+@example(pairs=[(0.0, 0.0), (6.273424446310657e-160, 3.1367122231553285e-160)], shift=0)
+@example(pairs=[(1.0, 2.0), (2.0, 4.0), (3.0, 6.0)], shift=-1000)
+def test_ccc_is_bit_equal_under_a_common_power_of_two(pairs, shift):
+    p, g = np.asarray(pairs).T
+    with np.errstate(over="ignore", under="ignore"):
+        scaled_p, scaled_g = np.ldexp(p, shift), np.ldexp(g, shift)
+    assume(np.array_equal(np.ldexp(scaled_p, -shift), p) and np.array_equal(np.ldexp(scaled_g, -shift), g))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateInputWarning)
+        want = ccc(p, g)
+        got = ccc(scaled_p, scaled_g)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 # --- evaluate ----------------------------------------------------------------

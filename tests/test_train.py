@@ -1,3 +1,4 @@
+import os
 import re
 import threading
 import tracemalloc
@@ -7,12 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import affseq.dataset as dataset_module
 import affseq.nn.layers
 import affseq.nn.recurrent
 import affseq.train as train_module
 from affseq.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from affseq.cli import main
-from affseq.dataset import SEQUENCE_LEN, NormalizationStats, load_manifest, window_rows
+from affseq.dataset import MODALITY_DIMS, SEQUENCE_LEN, FileTrack, NormalizationStats, load_manifest, window_rows
 from affseq.errors import ConfigError, CoverageError, DomainError, FileFormatError, NumericFaultError
 from affseq.model import ModelConfig, build
 from affseq.nn import Dropout
@@ -25,7 +27,7 @@ from affseq.train import (
     train,
 )
 
-from conftest import make_corpus, smooth_labels, write_label_csv
+from conftest import FILE_CHANGES, make_corpus, smooth_labels, write_label_csv
 from oracles import fit_reference
 
 
@@ -266,6 +268,94 @@ def test_train_matches_the_straight_line_reference_bit_for_bit(tmp_path, rng, mo
     for name, want in want_tensors.items():
         assert ckpt.tensors[name].astype(np.float32).tobytes() == want.tobytes(), name
     assert len(norms) == 2 * 2 and min(norms) > config.clip_norm  # 2 batches an epoch, each clipped
+
+
+# --- training from the feature files ---------------------------------------------
+
+def _started_run(tmp_path, rng):
+    rows = _corpus(tmp_path, rng)
+    config = TrainConfig(epochs=1, batch_size=4, seed=3, model=_small_model())
+    train_rows = [r for r in rows if r.split == "train"]
+    val_rows = [r for r in rows if r.split == "val"]
+    return train_module._start_run(train_rows, val_rows, config), train_rows
+
+
+def test_a_started_run_keeps_only_the_train_files(tmp_path, rng):
+    run, train_rows = _started_run(tmp_path, rng)
+    assert [{m: t.path for m, t in v.items()} for v in run.windows.tracks] == [r.features for r in train_rows]
+    assert all(isinstance(t, FileTrack) for v in run.windows.tracks for t in v.values())
+
+
+@pytest.mark.parametrize("change", sorted(FILE_CHANGES))
+def test_a_train_file_changed_during_the_run_fails_the_next_epoch(tmp_path, rng, change):
+    run, train_rows = _started_run(tmp_path, rng)
+    path = train_rows[1].features["expnet"]
+    FILE_CHANGES[change](path)
+    with pytest.raises(FileFormatError, match=f"^{path}: feature file changed after it was checked"):
+        train_module._epoch(run)
+
+
+def test_each_batch_opens_each_train_file_once_and_closes_it(tmp_path, rng, monkeypatch):
+    run, _ = _started_run(tmp_path, rng)
+    opened = []
+    real_open, real_gather = open, train_module.gather_windows
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(real_open(path, *args, **kwargs))
+        return opened[-1]
+
+    def gather(windows, modality, stats):
+        before = len(opened)
+        batch = real_gather(windows, modality, stats)
+        files = [Path(fh.name) for fh in opened[before:]]
+        want = {windows.tracks[v][modality].path for v in np.unique(windows.video)}
+        assert sorted(files) == sorted(want) and all(fh.closed for fh in opened)
+        return batch
+
+    monkeypatch.setattr(dataset_module, "open", counting_open, raising=False)
+    monkeypatch.setattr(train_module, "gather_windows", gather)
+    train_module._epoch(run)
+    assert len(opened) >= 2 * 3  # two train videos, three modalities
+
+
+def test_open_files_and_threads_stay_flat_over_epochs(tmp_path, rng, monkeypatch):
+    rows = _corpus(tmp_path, rng)
+    fd_dir = "/proc/self/fd"
+
+    def snapshot():
+        return len(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else None, threading.active_count()
+
+    seen = [snapshot()]
+    real_validate = train_module._validate_and_keep
+
+    def validate(*args):
+        real_validate(*args)
+        seen.append(snapshot())
+
+    monkeypatch.setattr(train_module, "_validate_and_keep", validate)
+    train(rows, TrainConfig(epochs=3, batch_size=4, threads=2, model=_small_model()), tmp_path / "run")
+    assert len(seen) == 4 and len(set(seen)) == 1, seen
+
+
+def test_train_peak_memory_does_not_grow_with_the_train_split(tmp_path, rng):
+    """Twice the train videos, at one batch size, peaks no higher by even one video's tracks."""
+    n_frames = 120
+    videos = [(f"tr{i}", "train", n_frames) for i in range(8)] + [("va0", "val", 30)]
+    rows = _corpus(tmp_path, rng, videos=videos)
+    one_video = n_frames * sum(MODALITY_DIMS.values()) * 4  # float32 bytes of one video's tracks
+    config = TrainConfig(epochs=1, seed=1, model=ModelConfig(width_scale=16))
+
+    def peak(subset, out):
+        tracemalloc.start()
+        try:
+            train([*subset, rows[-1]], config, tmp_path / out)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(rows[:2], "warm")
+    four, eight = peak(rows[:4], "four"), peak(rows[:8], "eight")
+    assert eight - four < one_video, (four, eight)
 
 
 # --- restore / evaluate / predict ------------------------------------------------

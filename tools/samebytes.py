@@ -19,7 +19,7 @@ The matrix:
   --stft-hop 128 --n-mels 40 --n-mfcc 13``, and with ``--n-fft 4096``,
   which is longer than the clips' segments, so every STFT row is zero-padded;
 - ``train`` of the full-width ``gru`` and ``bilstm`` fusion models, shuffled,
-  with a partial last batch;
+  with a partial last batch, and of ``gru`` again with ``--threads 2``;
 - ``predict`` with each checkpoint at batch 32, and at batch 7 with
   ``--threads 3``;
 - ``evaluate`` with each checkpoint in both CCC modes;
@@ -100,6 +100,8 @@ def _main_commands() -> list[tuple[str, list[str], dict]]:
         for mode in ("concat", "per-video-mean"):
             report = ["evaluate", *scoring, "--ccc-mode", mode, "--report", f"reports/{cell}-{mode}.csv"]
             cmds.append((f"evaluate-{cell}-{mode}", report, {}))
+    threaded = ["train", "--manifest", MANIFEST, "--out", "runs/gru-t2", "--model.cell", "gru", *TRAIN_FLAGS]
+    cmds.append(("train-gru-t2", [*threaded, "--threads", "2"], {}))
     return cmds
 
 
