@@ -209,37 +209,65 @@ def write_feature_file(path, matrix) -> None:
         fh.write(matrix.astype("<f4").tobytes())
 
 
-def load_feature_track(path, modality: str, video_id: str = "") -> FeatureTrack:
-    """Read an AFFW feature file, checking magic, version, size, and width."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16:
-        raise TruncatedFileError(f"{path}: AFFW header needs 16 bytes, found {len(blob)}")
-    if blob[:4] != FEATURE_MAGIC:
-        raise FileFormatError(f"{path}: bad magic {blob[:4]!r}, expected {FEATURE_MAGIC!r}")
-    version, rows, cols = struct.unpack_from("<III", blob, 4)
+def _affw_shape(path, head: bytes, size: int) -> tuple[int, int]:
+    """The ``(rows, cols)`` of an AFFW file of ``size`` bytes that starts with ``head``.
+
+    Raises on a short header, a bad magic or version, and a payload that is
+    shorter or longer than the header says.
+    """
+    if size < 16:
+        raise TruncatedFileError(f"{path}: AFFW header needs 16 bytes, found {size}")
+    if head[:4] != FEATURE_MAGIC:
+        raise FileFormatError(f"{path}: bad magic {head[:4]!r}, expected {FEATURE_MAGIC!r}")
+    version, rows, cols = struct.unpack_from("<III", head, 4)
     if version != FEATURE_VERSION:
         raise VersionMismatchError(f"{path}: AFFW version {version}, expected {FEATURE_VERSION}")
     expected = 4 * rows * cols
-    found = len(blob) - 16
+    found = size - 16
     if found < expected:
         raise TruncatedFileError(f"{path}: expected {expected} payload bytes, found {found}")
     if found > expected:
         raise FileFormatError(f"{path}: {found - expected} trailing bytes after payload")
+    return rows, cols
+
+
+def load_feature_track(path, modality: str, video_id: str = "") -> FeatureTrack:
+    """Read an AFFW feature file, checking magic, version, size, and width."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    rows, cols = _affw_shape(path, blob, len(blob))
     data = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=16).reshape(rows, cols)
     return FeatureTrack(video_id=video_id, modality=modality, data=data)
 
 
-def file_track(path, modality: str, video_id: str = "") -> FileTrack:
-    """Check the AFFW file at ``path`` with ``load_feature_track``, then keep only where it is.
+_CHECK_ROWS = 64  # rows per read when file_track checks a payload: its memory bound
 
-    The file's identity is taken before it is read, so a change at any later
-    time, even while it is being checked, makes ``FileTrack.open_rows``
-    refuse it.
+
+def file_track(path, modality: str, video_id: str = "") -> FileTrack:
+    """Check the AFFW file at ``path`` as ``load_feature_track`` does, then keep only where it is.
+
+    The header and size are checked first, then the modality and width,
+    then the payload's finiteness ``_CHECK_ROWS`` rows at a time through one
+    reused buffer, so a check holds one chunk, not the file; each failure
+    raises what a load raises, with the same message. The file's identity is
+    taken before it is read, so a change at any later time, even while it is
+    being checked, makes ``FileTrack.open_rows`` refuse it.
     """
-    stamp = _stamp(os.stat(path))
-    track = load_feature_track(path, modality, video_id)
-    return FileTrack(video_id, modality, Path(path), track.n_frames, stamp)
+    with open(path, "rb") as fh:
+        st = os.fstat(fh.fileno())
+        rows, cols = _affw_shape(path, fh.read(16), st.st_size)
+        # a track's own checks: an empty one for the modality and width, then one per chunk
+        FeatureTrack(video_id, modality, np.empty((0, cols), dtype="<f4"))
+        buf = np.empty((min(rows, _CHECK_ROWS), cols), dtype="<f4")
+        for lo in range(0, rows, _CHECK_ROWS):
+            chunk = buf[: rows - lo]
+            got = fh.readinto(chunk)
+            if got != chunk.nbytes:  # the file shrank after its size was read
+                raise TruncatedFileError(
+                    f"{path}: expected {4 * rows * cols} payload bytes, found {4 * lo * cols + got}"
+                )
+            FeatureTrack(video_id, modality, chunk)
+    return FileTrack(video_id, modality, Path(path), rows, _stamp(st))
 
 
 def read_text(path, error: type[AffseqError]) -> str:

@@ -21,12 +21,19 @@ take two more arguments:
   This path is for inference only and keeps no input for a backward pass.
 
 Only ``forward(x, train=True)`` keeps what ``backward`` reads, in the one
-attribute ``_saved``; an inference forward keeps nothing, so a restored model
-holds its parameters and one batch. ``backward`` takes the state and drops
-it, and raises DomainError after an inference forward. A layer built on its
-own makes its gradient buffers at the first read of ``grads``; in a ``Model``
-they are views of one gradient arena (``arena_views``), which the model makes
-at its first train-mode forward and only a train step writes.
+attribute ``_saved``, and it keeps no copy of a value it can read or rebuild
+(Dropout keeps its boolean keep mask, not the float mask); an inference
+forward keeps nothing, so a restored model holds its parameters and one
+batch. ``backward`` takes the state and drops it, and raises DomainError
+after an inference forward. A layer built on its own makes its gradient
+buffers at the first read of ``grads``; in a ``Model`` they are views of one
+gradient arena (``arena_views``), which the model makes at its first
+train-mode forward and only a train step writes.
+
+``backward`` adds into gradient buffers that a train step has zeroed
+(``Model.zero_grads``). A weight gradient ``x.T @ grad`` is written straight
+into its zeroed buffer (``add_product``), with no temporary product, so a
+second backward without zeroing replaces that gradient instead of adding.
 """
 
 from __future__ import annotations
@@ -48,6 +55,17 @@ def arena_views(arena: np.ndarray, shapes) -> list[np.ndarray]:
     """Consecutive reshaped views of the flat ``arena``, one per shape, in order."""
     ends = np.cumsum([math.prod(shape) for shape in shapes])
     return [arena[end - math.prod(shape) : end].reshape(shape) for end, shape in zip(ends, shapes)]
+
+
+def add_product(a: np.ndarray, b: np.ndarray, zeroed: np.ndarray) -> None:
+    """``zeroed += a @ b`` for a ``zeroed`` that holds only zeros, with no temporary product.
+
+    The product is written straight into ``zeroed``. Adding 0.0 then turns
+    each -0.0 into the +0.0 that ``0.0 + (-0.0)`` gives, so the bits are
+    those of the sum.
+    """
+    np.matmul(a, b, out=zeroed)
+    zeroed += 0.0
 
 
 def check_frame_block(layer: "Layer", frames: np.ndarray, in_dim: int, train: bool) -> None:
@@ -129,7 +147,7 @@ class Dense(Layer):
     def backward(self, grad, need_dx=True):
         x2d, x_shape = self._take_saved()
         g2d = grad.reshape(-1, self.out_dim)
-        self.grads["W"] += x2d.T @ g2d
+        add_product(x2d.T, g2d, self.grads["W"])
         self.grads["b"] += g2d.sum(axis=0)
         if not need_dx:
             return None
@@ -252,11 +270,12 @@ class Dropout(Layer):
 
     def forward(self, x, train=False):
         if not train or self.rate == 0.0:
-            # rate 0 draws nothing and keeps the mask 1.0: an identity backward
-            self._saved = 1.0 if train else None
+            # rate 0 draws nothing and keeps every unit: an identity backward
+            self._saved = True if train else None
             return x
-        self._saved = (self.rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
-        return x * self._saved
+        # the boolean keep mask; forward and backward scale by the float mask it gives
+        self._saved = self.rng.random(x.shape) >= self.rate
+        return x * (self._saved / (1.0 - self.rate))
 
     def backward(self, grad):
-        return grad * self._take_saved()
+        return grad * (self._take_saved() / (1.0 - self.rate))

@@ -12,10 +12,24 @@ Both cells share one scaffold, ``_Gated``: it owns the per-gate parameters
 projections and, in backward, the ``W``/``b``/input gradients. A cell adds
 only its timestep walk: ``_scan(pre, cache)`` maps the per-gate input
 projections to the output sequence, appending each step's gate values to
-``cache`` unless it is None, and ``_scan_back(d_out, cache)`` returns the
-per-gate pre-activation gradients, accumulating the ``U`` gradients on the
-way. Only a train-mode forward keeps the input and that step cache.
-Every layer returns the whole hidden-state sequence.
+``cache`` unless it is None, and ``_scan_back(d_out, out, cache)`` returns
+the per-gate pre-activation gradients, accumulating the ``U`` gradients on
+the way. Every layer returns the whole hidden-state sequence.
+
+Only a train-mode forward keeps what backward reads, and it keeps each value
+once: the input, the output sequence and the step cache. In a stack the
+output is the array the next layer reads, so keeping it costs nothing (a
+``Bidirectional`` concatenates its directions' outputs, so there it takes
+the place of the hidden-state copies the cache no longer holds), and no
+layer writes into its input in place. The step cache holds no state the
+output already holds: the GRU caches (z, r, h~) per step and the LSTM (i, f,
+o, g, c, tanh c') with c the cell state before the step; backward reads the
+previous hidden state from ``out[:, t-1]`` (zeros at t = 0), and the GRU
+rebuilds r*h from it with the forward's own multiply. Backward pops each
+step's entry off the cache as it walks back, so the cache shrinks as the
+gradients fill. It writes each ``W`` gradient product straight into its
+buffer (``add_product``), which a train step has zeroed
+(``Model.zero_grads``), and adds the ``U`` and ``b`` gradients into theirs.
 
 Input kernels are Glorot-uniform, recurrent kernels orthogonal, biases zero.
 Input projections for the whole sequence run as one 2-D matmul per gate on
@@ -44,7 +58,7 @@ import numpy as np
 
 from ..errors import DomainError
 from .initializers import glorot_uniform, orthogonal
-from .layers import Layer, check_frame_block
+from .layers import Layer, add_product, check_frame_block
 
 
 def _sigmoid(x):
@@ -83,17 +97,18 @@ class _Gated(Layer):
             for g in self._GATES
         )
         cache = [] if train else None
-        self._saved = (x, cache) if train else None
-        return self._scan(pre, cache)
+        out = self._scan(pre, cache)
+        self._saved = (x, out, cache) if train else None
+        return out
 
     def backward(self, grad, need_dx=True):
-        x, cache = self._take_saved()
-        dpre = self._scan_back(grad, cache)
+        x, out, cache = self._take_saved()
+        dpre = self._scan_back(grad, out, cache)
         x2d = x.reshape(-1, self.in_dim)
         dx = np.zeros_like(x2d) if need_dx else None
         for gate, dgate in zip(self._GATES, dpre):
             g2d = dgate.reshape(-1, self.hidden_dim)
-            self.grads[f"W_{gate}"] += x2d.T @ g2d
+            add_product(x2d.T, g2d, self.grads[f"W_{gate}"])
             self.grads[f"b_{gate}"] += g2d.sum(axis=0)
             if need_dx:
                 dx += g2d @ self.params[f"W_{gate}"].T
@@ -115,18 +130,21 @@ class GRULayer(_Gated):
             rh = r * h
             hh = np.tanh(xh[:, t] + rh @ p["U_h"])
             if cache is not None:
-                cache.append((z, r, hh, h, rh))
+                cache.append((z, r, hh))
             h = z * h + (1.0 - z) * hh
             outputs[:, t] = h
         return outputs
 
-    def _scan_back(self, d_out, cache):
+    def _scan_back(self, d_out, out, cache):
         p = self.params
         batch, steps, _ = d_out.shape
         dxz, dxr, dxh = (np.empty(d_out.shape) for _ in self._GATES)
         dh_next = np.zeros((batch, self.hidden_dim))
+        h_init = np.zeros((batch, self.hidden_dim))
         for t in reversed(range(steps)):
-            z, r, hh, h_prev, rh = cache[t]
+            z, r, hh = cache.pop()
+            h_prev = out[:, t - 1] if t else h_init
+            rh = r * h_prev  # the forward's product, rebuilt from the same operands
             dh = d_out[:, t] + dh_next
             dz = dh * (h_prev - hh)
             dhh = dh * (1.0 - z)
@@ -169,20 +187,22 @@ class LSTMLayer(_Gated):
             c_new = f * c + i * g
             tanh_c = np.tanh(c_new)
             if cache is not None:
-                cache.append((i, f, o, g, h, c, tanh_c))
+                cache.append((i, f, o, g, c, tanh_c))
             h = o * tanh_c
             c = c_new
             outputs[:, t] = h
         return outputs
 
-    def _scan_back(self, d_out, cache):
+    def _scan_back(self, d_out, out, cache):
         p = self.params
         batch, steps, _ = d_out.shape
         dpre = tuple(np.empty(d_out.shape) for _ in self._GATES)
         dh_next = np.zeros((batch, self.hidden_dim))
         dc_next = np.zeros((batch, self.hidden_dim))
+        h_init = np.zeros((batch, self.hidden_dim))
         for t in reversed(range(steps)):
-            i, f, o, g, h_prev, c_prev, tanh_c = cache[t]
+            i, f, o, g, c_prev, tanh_c = cache.pop()
+            h_prev = out[:, t - 1] if t else h_init
             dh = d_out[:, t] + dh_next
             do = dh * tanh_c
             dc = dh * o * (1.0 - tanh_c**2) + dc_next

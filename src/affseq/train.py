@@ -3,11 +3,12 @@
 A training run is one ``_Run``: the config, the normalization statistics and
 window index of the train split, the shuffle generator ``root_rng``, the model,
 its optimizer, the epochs completed, the best mean val CCC and the history
-lines. ``_start_run`` checks every train and val file once, as any load
-does, and builds the run, drawing the model seed from ``root_rng`` before any
-permutation. It keeps no feature data: the window index refers to the train
-split's files (``dataset.FileTrack``), and the statistics are read from them
-64 rows at a time. ``_epoch`` advances the run by one pass: it shuffles the
+lines. ``_start_run`` checks every train and val file once, with a load's
+checks but 64 rows at a time (``dataset.file_track``), and builds the run,
+drawing the model seed from ``root_rng`` before any permutation. It keeps
+no feature data: the window index refers to the train split's files
+(``dataset.FileTrack``), and the statistics are read from them 64 rows at a
+time. ``_epoch`` advances the run by one pass: it shuffles the
 window index with ``root_rng``, reads each batch's windows from the feature
 files (each file opened at most once a batch and closed before the next),
 z-scores them, runs masked-MSE backprop, clips the gradients and applies
@@ -321,16 +322,18 @@ class _Run:
 def _start_run(train_rows, val_rows, config: TrainConfig) -> _Run:
     """Check the splits, fix the train split's statistics and windows, and build the seeded model.
 
-    Each train file is checked whole, then dropped: the run keeps a
-    ``FileTrack`` per file, and each batch reads its windows from the files.
+    Each train and val file is checked a chunk of rows at a time
+    (``file_track``), so no video is held whole: the run keeps a ``FileTrack``
+    per train file, and each batch reads its windows from the files.
     """
     modalities = config.model.modalities()
     train_videos = list(
         _stream_videos(train_rows, modalities, need_labels=True, threads=config.threads, on_disk=True)
     )
     # Validation rereads its videos every epoch; a val video that cannot load
-    # fails here, before training, as well.
-    for _ in _stream_videos(val_rows, modalities, need_labels=True, threads=config.threads):
+    # fails here, before training, as well. Checked as the train files are, so
+    # no val video is held whole only to be dropped.
+    for _ in _stream_videos(val_rows, modalities, need_labels=True, threads=config.threads, on_disk=True):
         pass
     stats = compute_stats([t for v in train_videos for t in v.features.values()])
     windows = concat_windows([build_windows(v.features, v.labels) for v in train_videos])

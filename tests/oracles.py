@@ -4,7 +4,12 @@ Everything here is written from the defining formulas, deliberately not
 sharing code paths with the package: naive DFT, direct-formula CCC, CCC in
 exact rational arithmetic, a covering-set windowing oracle, slice-and-pad window cutting, a per-window
 overlap merge, a pointwise mel filterbank, a sign-split sigmoid, a single GRU step, a
-per-tensor RMSprop step, and central finite-difference gradient helpers. Three exceptions are bitwise references
+per-tensor RMSprop step, and central finite-difference gradient helpers. Bitwise
+layer references keep the earlier cache-everything design: GRU and LSTM
+backpropagation through time that caches every step's state (the previous
+hidden state and r*h included), dropout that keeps a float mask, and weight
+gradients summed with ``+=`` into zeros; the layers, which hold each value
+once, must match them bit for bit. Three more bitwise references are
 built partly from the package's own pieces: the per-window inference path
 (the package's windowing, gather and merge), which the frame-block path of
 ``predict_video`` must match; the per-segment audio feature path (the
@@ -228,6 +233,139 @@ def gru_cell(x_t: np.ndarray, h_prev: np.ndarray, params: dict[str, np.ndarray])
     r = sigmoid_sign_split(x_t @ params["W_r"] + h_prev @ params["U_r"] + params["b_r"])
     hh = np.tanh(x_t @ params["W_h"] + (r * h_prev) @ params["U_h"] + params["b_h"])
     return z * h_prev + (1.0 - z) * hh
+
+
+def _projections(params, x, gates):
+    """Each gate's input projection ``x @ W_g + b_g``, as one 2-D product per gate, back in [B x T x H]."""
+    batch, steps, in_dim = x.shape
+    x2d = x.reshape(-1, in_dim)
+    return [(x2d @ params[f"W_{g}"] + params[f"b_{g}"]).reshape(batch, steps, -1) for g in gates]
+
+
+def _input_side_grads(params, x, dpre, gates, grads):
+    """Add the W and b gradients of each gate into ``grads`` with ``+=``; return the input gradient."""
+    x2d = x.reshape(-1, x.shape[-1])
+    dx = np.zeros_like(x2d)
+    for gate, dgate in zip(gates, dpre):
+        g2d = dgate.reshape(-1, dgate.shape[-1])
+        grads[f"W_{gate}"] += x2d.T @ g2d
+        grads[f"b_{gate}"] += g2d.sum(axis=0)
+        dx += g2d @ params[f"W_{gate}"].T
+    return dx.reshape(x.shape)
+
+
+def gru_bptt_cache_everything(params, x, d_out):
+    """(output, parameter gradients, input gradient) of a GRU layer with every step's state cached.
+
+    Each step caches z, r, h~, its own copy of the previous state and r*h;
+    every gradient is summed with ``+=`` into zeros. Bit for bit what
+    ``GRULayer`` computed before it kept each value once.
+    """
+    batch, steps, _ = x.shape
+    hidden = params["U_z"].shape[0]
+    xz, xr, xh = _projections(params, x, "zrh")
+    h = np.zeros((batch, hidden))
+    out = np.empty((batch, steps, hidden))
+    cache = []
+    for t in range(steps):
+        z = sigmoid_sign_split(xz[:, t] + h @ params["U_z"])
+        r = sigmoid_sign_split(xr[:, t] + h @ params["U_r"])
+        rh = r * h
+        hh = np.tanh(xh[:, t] + rh @ params["U_h"])
+        cache.append((z, r, hh, h, rh))
+        h = z * h + (1.0 - z) * hh
+        out[:, t] = h
+
+    grads = {key: np.zeros(value.shape) for key, value in params.items()}
+    dxz, dxr, dxh = (np.empty(d_out.shape) for _ in range(3))
+    dh_next = np.zeros((batch, hidden))
+    for t in reversed(range(steps)):
+        z, r, hh, h_prev, rh = cache[t]
+        dh = d_out[:, t] + dh_next
+        dz = dh * (h_prev - hh)
+        dhh = dh * (1.0 - z)
+        dh_prev = dh * z
+        da_hh = dhh * (1.0 - hh**2)
+        dxh[:, t] = da_hh
+        grads["U_h"] += rh.T @ da_hh
+        drh = da_hh @ params["U_h"].T
+        dr = drh * h_prev
+        dh_prev += drh * r
+        da_z = dz * z * (1.0 - z)
+        da_r = dr * r * (1.0 - r)
+        dxz[:, t] = da_z
+        dxr[:, t] = da_r
+        grads["U_z"] += h_prev.T @ da_z
+        grads["U_r"] += h_prev.T @ da_r
+        dh_prev += da_z @ params["U_z"].T + da_r @ params["U_r"].T
+        dh_next = dh_prev
+    return out, grads, _input_side_grads(params, x, (dxz, dxr, dxh), "zrh", grads)
+
+
+def lstm_bptt_cache_everything(params, x, d_out):
+    """(output, parameter gradients, input gradient) of an LSTM layer with every step's state cached.
+
+    Each step caches i, f, o, g, its own copy of the previous hidden state,
+    the previous cell state and tanh of the new one; every gradient is summed
+    with ``+=`` into zeros. Bit for bit what ``LSTMLayer`` computed before it
+    kept each value once.
+    """
+    gates = "ifog"
+    batch, steps, _ = x.shape
+    hidden = params["U_i"].shape[0]
+    pre = _projections(params, x, gates)
+    h = np.zeros((batch, hidden))
+    c = np.zeros((batch, hidden))
+    out = np.empty((batch, steps, hidden))
+    cache = []
+    for t in range(steps):
+        i, f, o = (sigmoid_sign_split(pre[k][:, t] + h @ params[f"U_{gate}"]) for k, gate in enumerate("ifo"))
+        g = np.tanh(pre[3][:, t] + h @ params["U_g"])
+        c_new = f * c + i * g
+        tanh_c = np.tanh(c_new)
+        cache.append((i, f, o, g, h, c, tanh_c))
+        h = o * tanh_c
+        c = c_new
+        out[:, t] = h
+
+    grads = {key: np.zeros(value.shape) for key, value in params.items()}
+    dpre = [np.empty(d_out.shape) for _ in gates]
+    dh_next = np.zeros((batch, hidden))
+    dc_next = np.zeros((batch, hidden))
+    for t in reversed(range(steps)):
+        i, f, o, g, h_prev, c_prev, tanh_c = cache[t]
+        dh = d_out[:, t] + dh_next
+        do = dh * tanh_c
+        dc = dh * o * (1.0 - tanh_c**2) + dc_next
+        di = dc * g
+        df = dc * c_prev
+        dg = dc * i
+        dc_next = dc * f
+        da = (di * i * (1.0 - i), df * f * (1.0 - f), do * o * (1.0 - o), dg * (1.0 - g**2))
+        dh_prev = np.zeros_like(dh)
+        for gate, dgate, da_gate in zip(gates, dpre, da):
+            dgate[:, t] = da_gate
+            grads[f"U_{gate}"] += h_prev.T @ da_gate
+            dh_prev += da_gate @ params[f"U_{gate}"].T
+        dh_next = dh_prev
+    return out, grads, _input_side_grads(params, x, dpre, gates, grads)
+
+
+def dense_summed(params, x, grad):
+    """(output, parameter gradients, input gradient) of ``x @ W + b``, each gradient summed with ``+=`` into zeros."""
+    x2d = x.reshape(-1, x.shape[-1])
+    g2d = grad.reshape(-1, grad.shape[-1])
+    grads = {key: np.zeros(value.shape) for key, value in params.items()}
+    grads["W"] += x2d.T @ g2d
+    grads["b"] += g2d.sum(axis=0)
+    out = (x2d @ params["W"] + params["b"]).reshape(grad.shape)
+    return out, grads, (g2d @ params["W"].T).reshape(x.shape)
+
+
+def dropout_float_mask(x, grad, rate, rng):
+    """(output, input gradient, float mask) of inverted dropout that keeps its float64 mask."""
+    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    return x * mask, grad * mask, mask
 
 
 def num_grad(loss_fn, arr: np.ndarray, eps: float = 1e-6) -> np.ndarray:

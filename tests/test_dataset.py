@@ -514,6 +514,64 @@ def test_file_track_checks_the_file_as_a_load_does(tmp_path):
         file_track(tmp_path / "nope.feat", "audio")
 
 
+def _affw(rows, cols, version=1, magic=b"AFFW", payload=None):
+    if payload is None:
+        payload = np.arange(rows * cols, dtype="<f4").tobytes()
+    return magic + struct.pack("<III", version, rows, cols) + payload
+
+
+def _with_nonfinite(value, row):
+    data = np.zeros((130, 168), dtype="<f4")
+    data[row, 7] = value
+    return _affw(130, 168, payload=data.tobytes())
+
+
+BROKEN_FILES = {
+    "empty": ("audio", b""),
+    "short header": ("audio", b"AFFW\x01\x00\x00"),
+    "bad magic": ("audio", _affw(2, 168, magic=b"WAFF")),
+    "version": ("audio", _affw(2, 168, version=2)),
+    "truncated": ("audio", _affw(3, 168)[:-10]),
+    "trailing bytes": ("audio", _affw(3, 168) + b"\x00\x00"),
+    "width": ("audio", _affw(70, 167)),
+    "unknown modality": ("thermal", _affw(3, 168)),
+    "nan in the last partial chunk": ("audio", _with_nonfinite(np.nan, 129)),
+    "inf in the first row": ("audio", _with_nonfinite(-np.inf, 0)),
+    "missing": ("audio", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_FILES))
+def test_file_track_refuses_a_broken_file_with_the_error_of_a_load(tmp_path, case):
+    modality, blob = BROKEN_FILES[case]
+    path = tmp_path / "a.feat"
+    if blob is not None:
+        path.write_bytes(blob)
+    errors = []
+    for read in (load_feature_track, file_track):
+        with pytest.raises(Exception) as err:
+            read(path, modality, "v")
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1]
+
+
+def test_file_track_holds_a_chunk_of_a_long_file_not_the_file(tmp_path, rng):
+    path = tmp_path / "long.feat"
+    with open(path, "wb") as fh:  # 5000 frames of expnet, 39 MiB, written 500 rows at a time
+        fh.write(_affw(5000, 2048, payload=b""))
+        for _ in range(10):
+            fh.write(rng.standard_normal((500, 2048), dtype=np.float32).tobytes())
+    tracemalloc.start()
+    try:
+        track = file_track(path, "expnet", "long")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert track.n_frames == 5000
+    # one [64 x 2048] float32 read buffer (0.5 MiB) and its finiteness mask
+    assert peak < 2 * 2**20, peak
+
+
 @pytest.mark.parametrize("change", sorted(FILE_CHANGES))
 def test_file_track_refuses_a_file_changed_after_it_was_checked(tmp_path, rng, change):
     path = tmp_path / "a.feat"

@@ -4,7 +4,7 @@ import pytest
 from affseq.errors import DomainError
 from affseq.nn import BatchNorm, Dense, Dropout, PReLU, Tanh
 
-from oracles import check_layer_gradients
+from oracles import check_layer_gradients, dropout_float_mask
 
 
 # --- dense -----------------------------------------------------------------
@@ -178,6 +178,21 @@ def test_dropout_backward_reuses_mask(rng):
     y = layer.forward(x, train=True)
     g = layer.backward(np.ones_like(x))
     np.testing.assert_array_equal(g, y)
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.25, 0.5])
+def test_dropout_keeps_a_boolean_mask_and_the_bits_of_the_float_mask(rate):
+    """Output and input gradient equal a float-mask dropout's, -0.0 of a dropped negative included."""
+    x, grad = np.random.default_rng(1).normal(size=(2, 4, 15, 32))
+    layer = Dropout(rate, "dr", np.random.default_rng(7))
+    out = layer.forward(x, train=True)
+    keep = layer._saved
+    assert keep.dtype == bool and keep.shape == x.shape
+    want_out, want_dx, mask = dropout_float_mask(x, grad, rate, np.random.default_rng(7))
+    np.testing.assert_array_equal(keep, mask != 0.0)
+    dx = layer.backward(grad)
+    for got, want in ((out, want_out), (dx, want_dx)):
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_dropout_rejects_rate_one(rng):

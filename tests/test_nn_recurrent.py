@@ -4,10 +4,19 @@ import numpy as np
 import pytest
 
 from affseq.errors import DomainError
-from affseq.nn import Bidirectional, GRULayer, LSTMLayer
+from affseq.nn import Bidirectional, Dense, GRULayer, LSTMLayer
 from affseq.nn.recurrent import _sigmoid
 
-from oracles import check_layer_gradients, gru_cell, num_grad, rel_err, sigmoid_sign_split
+from oracles import (
+    check_layer_gradients,
+    dense_summed,
+    gru_bptt_cache_everything,
+    gru_cell,
+    lstm_bptt_cache_everything,
+    num_grad,
+    rel_err,
+    sigmoid_sign_split,
+)
 
 
 def _sigmoid_probe(rng):
@@ -260,3 +269,70 @@ def test_backward_drops_the_state_it_read(rng, kind):
     layer.forward(x, train=True)
     layer.backward(np.ones_like(out), need_dx=False)
     assert all(leaf._saved is None for leaf in layer.sublayers() or [layer])
+
+
+# --- each value held once ----------------------------------------------------------
+
+def _same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+CACHE_EVERYTHING = {
+    "gru": (GRULayer, gru_bptt_cache_everything),
+    "lstm": (LSTMLayer, lstm_bptt_cache_everything),
+    "dense": (Dense, dense_summed),
+}
+TINY = 1e-170  # the square of TINY underflows to zero
+
+
+@pytest.mark.parametrize("upstream", ["normal", "tiny-negative"])
+@pytest.mark.parametrize("hidden", [2, 16, 64])
+@pytest.mark.parametrize("batch", [1, 4, 32])
+@pytest.mark.parametrize("kind", sorted(CACHE_EVERYTHING))
+def test_gradients_match_the_cache_everything_reference_bit_for_bit(rng, kind, batch, hidden, upstream):
+    """Output, parameter and input gradients equal the references' in value and sign bit.
+
+    The references cache every step's state and sum each weight product into
+    zeros with ``+=``; the layers read the previous state from their output
+    and write the product straight into the zeroed buffer. Window 0 is all
+    zero but for feature 0, which is TINY in every row. With TINY negative
+    upstream gradients the products of that feature underflow, and a fused
+    multiply-add GEMM returns -0.0 where the sum into zeros gives +0.0.
+    """
+    make, reference = CACHE_EVERYTHING[kind]
+    layer = make(24, hidden, kind, rng)
+    x = rng.normal(size=(batch, 15, 24))
+    x[0] = 0.0
+    x[..., 0] = TINY
+    out = layer.forward(x, train=True)
+    if upstream == "normal":
+        d_out = rng.normal(size=out.shape)
+    else:
+        d_out = -TINY * (1.0 + rng.random(out.shape))
+    want_out, want_grads, want_dx = reference(layer.params, x, d_out)
+    _same_bits(out, want_out)
+    _same_bits(layer.backward(d_out), want_dx)
+    assert layer.grads.keys() == want_grads.keys()
+    for key, want in want_grads.items():
+        _same_bits(layer.grads[key], want)
+
+
+def _saved_arrays(saved):
+    if isinstance(saved, np.ndarray):
+        return [saved]
+    return [a for item in saved for a in _saved_arrays(item)]
+
+
+@pytest.mark.parametrize("cell, per_step", [(GRULayer, 3), (LSTMLayer, 6)])
+def test_train_forward_keeps_the_input_the_output_and_the_step_cache_only(rng, cell, per_step):
+    """GRU: (z, r, h~) per step; LSTM: (i, f, o, g, c, tanh c'); no copy of a hidden state."""
+    batch, steps, hidden = 4, 6, 3
+    layer = cell(5, hidden, "rnn", rng)
+    x = rng.normal(size=(batch, steps, 5))
+    out = layer.forward(x, train=True)
+    saved = {id(a): a for a in _saved_arrays(layer._saved)}
+    assert id(x) in saved and id(out) in saved
+    assert all(a.base is None and a.dtype == np.float64 for a in saved.values())
+    cached = per_step * batch * steps * hidden * 8
+    assert sum(a.nbytes for a in saved.values()) == x.nbytes + out.nbytes + cached

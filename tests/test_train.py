@@ -444,8 +444,8 @@ def test_restored_model_draws_the_dropout_masks_of_the_checkpoint_seed(tmp_path,
     dropouts = [layer for m in modalities for layer in model.branches[m] if isinstance(layer, Dropout)]
     assert [layer.name for layer in dropouts] == ["audio.drop1", "audio.drop2", "facepose.drop1", "facepose.drop2"]
     for layer in dropouts:  # in the order the forward pass drew them
-        mask = layer._saved
-        np.testing.assert_array_equal(mask, (reference.random(mask.shape) >= layer.rate) / (1.0 - layer.rate))
+        keep = layer._saved
+        np.testing.assert_array_equal(keep, reference.random(keep.shape) >= layer.rate)
     assert model.rng.bit_generator.state == reference.bit_generator.state
 
 
