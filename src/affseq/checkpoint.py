@@ -12,7 +12,8 @@ Tensors are written in sorted-name order, so identical contents produce
 identical bytes, and a file whose names are repeated or out of order is
 rejected. Values are stored as float32; loading widens them, in file order,
 into one float64 buffer and returns reshaped views of it, and a load/save
-round trip is byte-exact. A save goes through a temp file in the
+round trip is byte-exact. A load reads the file once and never holds it whole
+(see ``load_checkpoint``). A save goes through a temp file in the
 target's directory, fsynced and then renamed over the target, so a failed
 write leaves the previous file intact; the directory is then fsynced, so the
 rename itself survives a power loss.
@@ -127,60 +128,103 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         os.close(dir_fd)
 
 
+_TRAILING_CHUNK = 1 << 16  # bytes per read of anything between the last tensor and the file CRC
+
+
 def load_checkpoint(path) -> Checkpoint:
-    """Read and verify an AFCK file.
+    """Read and verify an AFCK file in one pass, never holding its bytes whole.
 
-    The declared layout is walked against the file's length first
-    (TruncatedFileError), then the whole-file CRC and each tensor's CRC are
-    checked (ChecksumError), so a file cut short reads as truncated. Every
-    tensor is a float64 view of one buffer, which stays alive while any of
-    them does.
+    The declared layout is walked first, by seeks, against the file's length
+    (TruncatedFileError), so nothing of a declared size is allocated for a
+    file too short to hold it. Then the one float64 buffer is allocated, and
+    each payload is read once into a reused float32 staging buffer the size
+    of the largest tensor; from there it feeds the whole-file CRC and its own
+    CRC and is widened into its slice of the buffer. A read that comes up
+    short, because the file shrank, raises TruncatedFileError. The checks are
+    judged after the pass, in this order: the whole-file CRC (ChecksumError),
+    the config JSON, then each tensor in file order (its name's UTF-8, the
+    name order, its payload CRC), then trailing bytes. Every tensor is a
+    float64 view of the buffer, which stays alive while any of them does.
     """
+
+    def short(what: str, count: int, at: int) -> TruncatedFileError:
+        return TruncatedFileError(f"{path}: {what} needs {count} bytes at offset {at}, file too short")
+
     with open(path, "rb") as fh:
-        blob = fh.read()
-    view = memoryview(blob)  # slices of a view share the file's buffer, no copies
+        size = os.fstat(fh.fileno()).st_size
+        offset = 0
 
-    def need(offset: int, count: int, what: str) -> int:
-        if offset + count > len(blob) - 4:  # final 4 bytes are the file CRC
-            raise TruncatedFileError(
-                f"{path}: {what} needs {count} bytes at offset {offset}, file too short"
-            )
-        return offset + count
+        def take(count: int, what: str) -> bytes:
+            """The next ``count`` bytes of the layout, checked against the size before they are read."""
+            nonlocal offset
+            if offset + count > size - 4:  # final 4 bytes are the file CRC
+                raise short(what, count, offset)
+            data = fh.read(count)
+            if len(data) != count:
+                raise short(what, count, offset)
+            offset += count
+            return data
 
-    if len(blob) < 16:
-        raise TruncatedFileError(f"{path}: too short for a checkpoint header ({len(blob)} bytes)")
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise FileFormatError(f"{path}: bad magic {blob[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != CHECKPOINT_VERSION:
-        raise VersionMismatchError(f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}")
+        if size < 16:
+            raise TruncatedFileError(f"{path}: too short for a checkpoint header ({size} bytes)")
+        head = take(12, "checkpoint header")
+        if head[:4] != CHECKPOINT_MAGIC:
+            raise FileFormatError(f"{path}: bad magic {head[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
+        version, config_len = struct.unpack_from("<II", head, 4)
+        if version != CHECKPOINT_VERSION:
+            raise VersionMismatchError(f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}")
+        config_blob = take(config_len, "config blob")
+        count_field = take(4, "tensor count")
+        (tensor_count,) = struct.unpack("<I", count_field)
+        # the bytes around the payloads, in file order, for the whole-file CRC:
+        # gaps[0] ends with the first tensor's header, gaps[i] is tensor i's CRC
+        # and the next tensor's header
+        gaps = [head + config_blob + count_field]
+        entries = []
+        for _ in range(tensor_count):
+            name_field = take(2, "tensor name length")
+            raw_name = take(struct.unpack("<H", name_field)[0], "tensor name")
+            rank_field = take(1, "tensor rank")
+            dims_field = take(4 * rank_field[0], "tensor dims")
+            dims = struct.unpack(f"<{rank_field[0]}I", dims_field)
+            count = math.prod(dims)  # exact: np.prod wraps at 2**64, and a wrapped 0 passes the check
+            what = f"tensor {raw_name.decode('utf-8', 'backslashreplace')!r} payload"
+            if offset + 4 * count > size - 4:
+                raise short(what, 4 * count, offset)
+            entries.append((raw_name, dims, count, what, offset))
+            offset += 4 * count
+            fh.seek(offset)
+            gaps[-1] += name_field + raw_name + rank_field + dims_field
+            gaps.append(take(4, "tensor checksum"))
+        end = offset  # of the last tensor
 
-    offset = 8
-    (config_len,) = struct.unpack_from("<I", blob, offset)
-    offset = need(offset + 4, config_len, "config blob")
-    config_blob = view[offset - config_len : offset]
-    offset = need(offset, 4, "tensor count")
-    (tensor_count,) = struct.unpack_from("<I", blob, offset - 4)
-    entries = []
-    for _ in range(tensor_count):
-        offset = need(offset, 2, "tensor name length")
-        (name_len,) = struct.unpack_from("<H", blob, offset - 2)
-        offset = need(offset, name_len, "tensor name")
-        raw_name = blob[offset - name_len : offset]
-        offset = need(offset, 1, "tensor rank")
-        rank = blob[offset - 1]
-        offset = need(offset, 4 * rank, "tensor dims")
-        dims = struct.unpack_from(f"<{rank}I", blob, offset - 4 * rank)
-        count = math.prod(dims)  # exact: np.prod wraps at 2**64, and a wrapped 0 passes need()
-        shown = raw_name.decode("utf-8", "backslashreplace")
-        offset = need(offset, 4 * count, f"tensor {shown!r} payload")
-        payload = view[offset - 4 * count : offset]
-        offset = need(offset, 4, "tensor checksum")
-        (crc,) = struct.unpack_from("<I", blob, offset - 4)
-        entries.append((raw_name, dims, payload, crc))
+        # one np.empty for every widened payload, not one array per tensor: a fresh process
+        # takes fewer page faults, and NumPy advises huge pages for a buffer this large
+        values = np.empty(sum(entry[2] for entry in entries))
+        stage = np.empty(max((entry[2] for entry in entries), default=0), dtype="<f4")
+        crc = zlib.crc32(gaps[0])
+        intact = []  # whether each payload matches its CRC
+        start = 0
+        for (_, _, count, what, at), gap in zip(entries, gaps[1:]):
+            payload = stage[:count]
+            fh.seek(at)
+            if fh.readinto(payload) != payload.nbytes:
+                raise short(what, 4 * count, at)
+            crc = zlib.crc32(gap, zlib.crc32(payload, crc))
+            intact.append(zlib.crc32(payload) == struct.unpack("<I", gap[:4])[0])
+            values[start : start + count] = payload
+            start += count
+        fh.seek(end)
+        for at in range(end, size - 4, _TRAILING_CHUNK):
+            chunk = fh.read(min(_TRAILING_CHUNK, size - 4 - at))
+            if len(chunk) != min(_TRAILING_CHUNK, size - 4 - at):
+                raise short("trailing bytes", size - 4 - at, at)
+            crc = zlib.crc32(chunk, crc)
+        stored_crc = fh.read(4)
+        if len(stored_crc) != 4:
+            raise short("file CRC", 4, size - 4)
 
-    (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
-    if zlib.crc32(view[:-4]) != stored_crc:
+    if crc != struct.unpack("<I", stored_crc)[0]:
         raise ChecksumError(f"{path}: whole-file CRC mismatch")
 
     try:
@@ -190,13 +234,10 @@ def load_checkpoint(path) -> Checkpoint:
     if not isinstance(config, dict):
         raise FileFormatError(f"{path}: config blob is a JSON {type(config).__name__}, not an object")
 
-    # one np.empty for every widened payload, not one array per tensor: a fresh process
-    # takes fewer page faults, and NumPy advises huge pages for a buffer this large
-    values = np.empty(sum(len(payload) for _, _, payload, _ in entries) // 4)
-    start = 0
     tensors: dict[str, np.ndarray] = {}
     previous = None
-    for raw_name, dims, payload, crc in entries:
+    start = 0
+    for (raw_name, dims, count, _, _), ok in zip(entries, intact):
         try:
             name = raw_name.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -204,14 +245,12 @@ def load_checkpoint(path) -> Checkpoint:
         if previous is not None and name <= previous:
             raise FileFormatError(f"{path}: tensor {name!r} follows {previous!r}; names must be sorted and unique")
         previous = name
-        if zlib.crc32(payload) != crc:
+        if not ok:
             raise ChecksumError(f"{path}: payload CRC mismatch for tensor {name!r}")
-        tensor = values[start : start + len(payload) // 4]
-        tensor[:] = np.frombuffer(payload, dtype="<f4")
-        tensors[name] = tensor.reshape(dims)
-        start += tensor.size
+        tensors[name] = values[start : start + count].reshape(dims)
+        start += count
 
-    if offset != len(blob) - 4:
-        raise FileFormatError(f"{path}: {len(blob) - 4 - offset} unexpected bytes after tensors")
+    if end != size - 4:
+        raise FileFormatError(f"{path}: {size - 4 - end} unexpected bytes after tensors")
 
     return Checkpoint(config=config, tensors=tensors)

@@ -262,10 +262,11 @@ def _cmd_evaluate(opts: dict) -> int:
     rows = load_manifest(opts["manifest"])
     ckpt = load_checkpoint(opts["checkpoint"])
     report = evaluate_checkpoint(rows, ckpt, **_given(opts, "ccc_mode", "threads", "batch_size"))
-    sys.stdout.write(report.as_text())
+    # the file first: a report that cannot be written fails the command before stdout says anything
     if "report" in opts:
         opts["report"].parent.mkdir(parents=True, exist_ok=True)
         opts["report"].write_text(report.as_csv(), encoding="utf-8")
+    sys.stdout.write(report.as_text())
     return EXIT_OK
 
 

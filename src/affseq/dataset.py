@@ -1,14 +1,15 @@
 """Per-frame feature and label ingestion, windowing, and overlap merging.
 
 Feature matrices live in a small binary container (magic ``AFFW``); labels and
-manifests are CSV. A track is a row source of one of two kinds: a
-``FeatureTrack`` holds the float32 array read from disk, and a ``FileTrack``
-holds only where a checked file is and rereads its rows when asked. Both
-open as rows to slice (``open_rows``), so statistics and batch gathers run
-one loop over either kind. A window of ``SEQUENCE_LEN`` frames
+manifests are CSV. A feature file is checked once (``file_track``) and then
+kept as a ``FileTrack``: where the checked file is, not its rows, which are
+read back from disk when asked (``open_rows``). ``FeatureTrack`` is the
+check itself, of a modality, a width and finite values; ``load_feature_track``
+returns one holding a whole file's rows. A window of ``SEQUENCE_LEN`` frames
 (``SEQUENCE_OVERLAP`` frames of overlap) is a row of frame indices, and
-every stage after loading works on those integer rows plus arrays: a batch
-of windows is gathered into one buffer and z-scored with statistics drawn
+every stage after checking works on those integer rows plus arrays: a batch
+of windows (``gather_windows``) or a block of frames (``frame_block``) is
+read from the files into one buffer and z-scored with statistics drawn
 from the training split only, and the windows' predictions merge back to
 frame level by averaging, for each frame, every window position that holds
 it.
@@ -21,7 +22,7 @@ import csv
 import io
 import os
 import struct
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -54,7 +55,7 @@ _STD_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class FeatureTrack:
-    """One video's per-frame feature matrix for a single modality.
+    """A checked per-frame feature matrix of one modality: known modality, its width, finite values.
 
     ``data`` keeps the float32 it was read as (no widened copy is held);
     any other dtype becomes float64.
@@ -85,14 +86,6 @@ class FeatureTrack:
     @property
     def n_frames(self) -> int:
         return self.data.shape[0]
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.data.dtype
-
-    def open_rows(self):
-        """The track as rows to slice (``rows[lo:hi]``): here the array itself."""
-        return nullcontext(self.data)
 
 
 @dataclass(frozen=True)
@@ -134,7 +127,8 @@ class FileTrack:
 
 
 class _AffwRows:
-    """Rows ``lo:hi`` of an open AFFW file, one seek and read each, as a new float32 array."""
+    """Rows of an open AFFW file, one seek and read each: ``rows[lo:hi]`` as a new float32 array,
+    or ``read_into`` a buffer the caller reuses."""
 
     def __init__(self, track: FileTrack, fh):
         self._track, self._fh = track, fh
@@ -142,7 +136,10 @@ class _AffwRows:
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         lo, hi, _ = rows.indices(self._track.n_frames)
-        out = np.empty((max(hi - lo, 0), self._width), dtype=FileTrack.dtype)
+        return self.read_into(lo, np.empty((max(hi - lo, 0), self._width), dtype=FileTrack.dtype))
+
+    def read_into(self, lo: int, out: np.ndarray) -> np.ndarray:
+        """Rows ``lo`` to ``lo + len(out)`` into ``out``, a C-contiguous float32 [n x width]; returns it."""
         self._fh.seek(16 + lo * out.itemsize * self._width)
         if self._fh.readinto(out) != out.nbytes:
             raise self._track._changed("short read")
@@ -151,10 +148,6 @@ class _AffwRows:
 
 def _stamp(st: os.stat_result) -> tuple[int, int, int, int]:
     return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
-
-
-# What statistics and batch gathers read: ``modality``, ``n_frames``, ``dtype``, ``open_rows()``.
-RowSource = FeatureTrack | FileTrack
 
 
 @dataclass(frozen=True)
@@ -240,14 +233,14 @@ def load_feature_track(path, modality: str, video_id: str = "") -> FeatureTrack:
     return FeatureTrack(video_id=video_id, modality=modality, data=data)
 
 
-_CHECK_ROWS = 64  # rows per read when file_track checks a payload: its memory bound
+_READ_ROWS = 64  # rows per read when a file is checked or read back: the memory bound of each
 
 
 def file_track(path, modality: str, video_id: str = "") -> FileTrack:
     """Check the AFFW file at ``path`` as ``load_feature_track`` does, then keep only where it is.
 
     The header and size are checked first, then the modality and width,
-    then the payload's finiteness ``_CHECK_ROWS`` rows at a time through one
+    then the payload's finiteness ``_READ_ROWS`` rows at a time through one
     reused buffer, so a check holds one chunk, not the file; each failure
     raises what a load raises, with the same message. The file's identity is
     taken before it is read, so a change at any later time, even while it is
@@ -258,8 +251,8 @@ def file_track(path, modality: str, video_id: str = "") -> FileTrack:
         rows, cols = _affw_shape(path, fh.read(16), st.st_size)
         # a track's own checks: an empty one for the modality and width, then one per chunk
         FeatureTrack(video_id, modality, np.empty((0, cols), dtype="<f4"))
-        buf = np.empty((min(rows, _CHECK_ROWS), cols), dtype="<f4")
-        for lo in range(0, rows, _CHECK_ROWS):
+        buf = np.empty((min(rows, _READ_ROWS), cols), dtype="<f4")
+        for lo in range(0, rows, _READ_ROWS):
             chunk = buf[: rows - lo]
             got = fh.readinto(chunk)
             if got != chunk.nbytes:  # the file shrank after its size was read
@@ -419,13 +412,13 @@ class WindowIndex:
     """Windows over aligned feature tracks as integer arrays; no feature data is copied.
 
     Window ``j`` covers frame rows ``rows[j]`` of the tracks ``tracks[video[j]]``
-    (one ``{modality: RowSource}`` per video); ``targets`` and ``mask`` come
+    (one ``{modality: FileTrack}`` per video); ``targets`` and ``mask`` come
     from that video's labels. ``select`` with a slice, index array or boolean
     mask gives a sub-index over the same tracks, and ``gather_windows`` reads
     a modality's feature rows for a batch of windows.
     """
 
-    tracks: tuple[dict[str, RowSource], ...]
+    tracks: tuple[dict[str, FileTrack], ...]
     video: np.ndarray
     rows: np.ndarray
     targets: np.ndarray
@@ -440,7 +433,7 @@ class WindowIndex:
         )
 
 
-def build_windows(features: dict[str, RowSource], labels: LabelTrack | None = None) -> WindowIndex:
+def build_windows(features: dict[str, FileTrack], labels: LabelTrack | None = None) -> WindowIndex:
     """Window aligned tracks by frame rows; short tracks edge-replicate and mask."""
     if not features:
         raise DomainError("at least one feature modality is required")
@@ -459,7 +452,7 @@ def build_windows(features: dict[str, RowSource], labels: LabelTrack | None = No
 
 def concat_windows(parts: list[WindowIndex]) -> WindowIndex:
     """One index over every window of ``parts``, in order."""
-    tracks: list[dict[str, RowSource]] = []
+    tracks: list[dict[str, FileTrack]] = []
     columns = []
     for part in parts:
         columns.append((part.video + len(tracks), part.rows, part.targets, part.mask))
@@ -467,21 +460,21 @@ def concat_windows(parts: list[WindowIndex]) -> WindowIndex:
     return WindowIndex(tuple(tracks), *(np.concatenate(column) for column in zip(*columns)))
 
 
-def compute_stats(tracks: list[RowSource]) -> NormalizationStats:
+def compute_stats(tracks: list[FileTrack]) -> NormalizationStats:
     """Column mean/std per modality over the concatenated rows of ``tracks``.
 
     Standard deviations are population (1/N) and floored at 1e-8. The result
     has the bits of ``stacked.mean(0)`` and ``stacked.std(0)`` over the rows
     widened to float64 and stacked in track order, but no stacked copy is
     made: two passes over the rows (the sum, then the squared deviations from
-    the mean, as ``np.std`` does) each read and widen ``_STATS_CHUNK_ROWS``
-    rows at a time (see ``_sum_rows``), so a ``FileTrack`` is read twice and
-    never held whole.
+    the mean, as ``np.std`` does) each read and widen ``_READ_ROWS``
+    rows at a time (see ``_sum_rows``), so each file is read twice and never
+    held whole.
     """
     if not tracks:
         raise DomainError("cannot compute normalization statistics from zero tracks")
     stats = NormalizationStats()
-    by_modality: dict[str, list[RowSource]] = {}
+    by_modality: dict[str, list[FileTrack]] = {}
     for track in tracks:
         by_modality.setdefault(track.modality, []).append(track)
     for modality, sources in by_modality.items():
@@ -499,11 +492,8 @@ def compute_stats(tracks: list[RowSource]) -> NormalizationStats:
     return stats
 
 
-_STATS_CHUNK_ROWS = 64
-
-
-def _sum_rows(sources: list[RowSource], put) -> np.ndarray:
-    """Column sums of ``put(out, rows)`` over the sources' rows, in chunks of at most 64 rows.
+def _sum_rows(sources: list[FileTrack], put) -> np.ndarray:
+    """Column sums of ``put(out, rows)`` over the sources' rows, in chunks of at most ``_READ_ROWS`` rows.
 
     NumPy reduces a C-contiguous [rows x width] array over axis 0 by adding
     whole rows in order; its pairwise summation runs only along the
@@ -511,12 +501,14 @@ def _sum_rows(sources: list[RowSource], put) -> np.ndarray:
     chunk, continues the very additions of one ``sum(axis=0)`` over every
     row stacked, for any width above 1 (every modality's).
     """
-    buf = np.empty((_STATS_CHUNK_ROWS + 1, MODALITY_DIMS[sources[0].modality]))
+    width = MODALITY_DIMS[sources[0].modality]
+    buf = np.empty((_READ_ROWS + 1, width))
+    chunk = np.empty((_READ_ROWS, width), dtype=FileTrack.dtype)  # each read, as stored
     total = None
     for source in sources:
         with source.open_rows() as block:
-            for start in range(0, source.n_frames, _STATS_CHUNK_ROWS):
-                rows = block[start : start + _STATS_CHUNK_ROWS]
+            for start in range(0, source.n_frames, _READ_ROWS):
+                rows = block.read_into(start, chunk[: source.n_frames - start])
                 put(buf[1 : len(rows) + 1], rows)
                 if total is None:
                     total = np.add.reduce(buf[1 : len(rows) + 1], axis=0)
@@ -526,10 +518,11 @@ def _sum_rows(sources: list[RowSource], put) -> np.ndarray:
     return total
 
 
-def normalize(data: np.ndarray, modality: str, stats: NormalizationStats) -> np.ndarray:
+def normalize(data: np.ndarray, modality: str, stats: NormalizationStats, *, out=None) -> np.ndarray:
     """Z-score ``data`` (last axis = features) with ``modality``'s training-split statistics.
 
-    Returns a new float64 array. The arithmetic is float64 whatever the dtype
+    Returns a new float64 array, or writes ``out`` (float64, the shape of
+    ``data``) and returns it. The arithmetic is float64 whatever the dtype
     of ``data``, so float32 rows give the bits of their widened float64 copy.
     """
     if modality not in stats.mean:
@@ -537,7 +530,7 @@ def normalize(data: np.ndarray, modality: str, stats: NormalizationStats) -> np.
     mean = stats.mean[modality].astype(np.float64, copy=False)
     if mean.shape != (data.shape[-1],):
         raise DomainError(f"stats width {mean.shape} does not match feature width {data.shape[-1]}")
-    out = data - mean
+    out = np.subtract(data, mean, out=out)
     out /= np.maximum(stats.std[modality], _STD_FLOOR)
     return out
 
@@ -545,18 +538,17 @@ def normalize(data: np.ndarray, modality: str, stats: NormalizationStats) -> np.
 def gather_windows(windows: WindowIndex, modality: str, stats: NormalizationStats) -> np.ndarray:
     """Z-scored float64 batch [B x SEQUENCE_LEN x width] of ``modality`` over ``windows``.
 
-    Each video's track is opened once (``open_rows``) and closed before the
-    next, and each window reads its rows as stored (float32 as loaded): the
+    Each video's file is opened once (``open_rows``) and closed before the
+    next, and each window reads its rows as stored (float32): the
     contiguous run from its first row to its last, which ``window_rows``
     then repeats to pad a track shorter than ``SEQUENCE_LEN``. ``normalize``
     widens them in its subtraction, so the batch is bit-equal to stacking
     windows cut from normalized float64 tracks, without a widened or
-    normalized copy of any track, and a ``FileTrack`` reads only the batch.
+    normalized copy of any track, and only the batch is read.
     """
     videos = np.unique(windows.video)
     sources = [windows.tracks[v][modality] for v in videos]
-    dtype = np.result_type(*(source.dtype for source in sources))
-    rows = np.empty(windows.rows.shape + (MODALITY_DIMS[modality],), dtype=dtype)
+    rows = np.empty(windows.rows.shape + (MODALITY_DIMS[modality],), dtype=FileTrack.dtype)
     for v, source in zip(videos, sources):
         with source.open_rows() as data:
             for j in np.flatnonzero(windows.video == v):
@@ -565,6 +557,28 @@ def gather_windows(windows: WindowIndex, modality: str, stats: NormalizationStat
                 rows[j, :n] = data[first : last + 1]
                 rows[j, n:] = rows[j, n - 1]
     return normalize(rows, modality, stats)
+
+
+def frame_block(track: FileTrack, lo: int, stats: NormalizationStats, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (float64 [length x the file's width]) with the z-scored frames ``lo .. lo + length - 1``; return it.
+
+    Frames past the track's last repeat it, as ``window_rows`` clamps. The
+    file is opened once (``open_rows``) and read ``_READ_ROWS`` rows at a
+    time into one reused buffer of the file's width, and ``normalize``
+    z-scores each chunk straight into its rows of ``out``, so no float32 copy
+    of the block is made. The block has the bits of ``normalize`` over the
+    clamped rows, and statistics of another width raise as ``normalize`` does.
+    """
+    stop = min(lo + len(out), track.n_frames)
+    width = MODALITY_DIMS[track.modality]
+    chunk = np.empty((min(stop - lo, _READ_ROWS), width), dtype=FileTrack.dtype)  # each read, as stored
+    with track.open_rows() as rows:
+        for start in range(lo, stop, _READ_ROWS):
+            end = min(start + _READ_ROWS, stop)
+            read = rows.read_into(start, chunk[: end - start])
+            normalize(read, track.modality, stats, out=out[start - lo : end - lo])
+    out[stop - lo :] = out[stop - lo - 1]
+    return out
 
 
 def merge_window_predictions(rows: np.ndarray, pred: np.ndarray, n_frames: int) -> np.ndarray:

@@ -16,19 +16,21 @@ RMSprop. So training memory is the model, its gradients and optimizer caches
 and one batch, however large the train split is. A train file that is
 replaced, rewritten, touched or removed during the run fails the next batch
 that reads it with FileFormatError (exit 2). ``_validate_and_keep`` then
-scores the validation split from overlap-merged frame predictions, appends
-the epoch's ``history.csv`` line and saves ``best.ckpt`` on a strictly
-higher mean CCC. ``train`` drops the run before it reloads ``best.ckpt``, so
-the reload adds no peak memory.
+scores the validation split, whose files ``_start_run`` checked once, from
+overlap-merged frame predictions, appends the epoch's ``history.csv`` line
+and saves ``best.ckpt`` on a strictly higher mean CCC. ``train`` drops the
+run before it reloads ``best.ckpt``, so the reload adds no peak memory.
 
-Validation, evaluation and prediction stream the manifest one video at a time
-(load, predict, drop), so their memory does not grow with its length. They
-hand the model one z-scored frame block per batch and modality instead of
-gathered windows, at least ``SEQUENCE_LEN`` frames long, so each branch's
-first layer projects a frame once (see ``predict_video``). With a fixed seed
-and a fixed BLAS thread count the whole trajectory is bit-for-bit
-reproducible; worker threads only load videos ahead, never run the optimizer
-step.
+Validation, evaluation and prediction go one video at a time (check,
+predict, drop) and read each batch's frames from the files, so their memory
+grows with neither the manifest nor a video's length; a val or scored file
+that changes after its check fails the batch that reads it, as a train file
+does. They hand the model one z-scored frame block per batch and modality
+instead of gathered windows, at least ``SEQUENCE_LEN`` frames long, so each
+branch's first layer projects a frame once (see ``predict_video``). With a
+fixed seed and a fixed BLAS thread count the whole trajectory is bit-for-bit
+reproducible; worker threads only check videos ahead, never run the
+optimizer step.
 """
 
 from __future__ import annotations
@@ -43,21 +45,21 @@ import numpy as np
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .dataset import (
+    MODALITY_DIMS,
     SEQUENCE_LEN,
+    FileTrack,
     LabelTrack,
     ManifestRow,
     NormalizationStats,
-    RowSource,
     WindowIndex,
     build_windows,
     compute_stats,
     concat_windows,
     file_track,
+    frame_block,
     gather_windows,
-    load_feature_track,
     load_labels,
     merge_window_predictions,
-    normalize,
 )
 from .errors import ConfigError, CoverageError, DomainError, FileFormatError, NumericFaultError
 from .metrics import CCC_MODES, EvalReport, evaluate
@@ -100,22 +102,21 @@ class TrainConfig:
 
 @dataclass
 class VideoData:
-    """One manifest row's feature tracks (float32 as read, or the checked files) and labels."""
+    """One manifest row's checked feature files and its labels."""
 
     row: ManifestRow
-    features: dict[str, RowSource]
+    features: dict[str, FileTrack]
     labels: LabelTrack | None
 
 
-def _load_video(row: ManifestRow, modalities, need_labels: bool, on_disk: bool = False) -> VideoData:
-    """Check and load one row's tracks and labels; ``on_disk`` keeps only the checked files."""
-    load = file_track if on_disk else load_feature_track
+def _load_video(row: ManifestRow, modalities, need_labels: bool) -> VideoData:
+    """Check one row's feature files (``file_track``, a chunk of rows at a time) and load its labels."""
     features = {}
     for modality in modalities:
         path = row.features.get(modality)
         if path is None:
             raise CoverageError(f"{row.video_id}: manifest has no {modality} feature file")
-        track = load(path, modality, video_id=row.video_id)
+        track = file_track(path, modality, video_id=row.video_id)
         if track.n_frames != row.n_frames:
             raise DomainError(
                 f"{row.video_id}: {modality} track has {track.n_frames} frames, "
@@ -135,17 +136,17 @@ def _load_video(row: ManifestRow, modalities, need_labels: bool, on_disk: bool =
     return VideoData(row=row, features=features, labels=labels)
 
 
-def _stream_videos(rows, modalities, need_labels: bool, threads: int, on_disk: bool = False):
+def _stream_videos(rows, modalities, need_labels: bool, threads: int):
     """Yield each row's VideoData (``_load_video``) in row order.
 
-    With ``threads`` > 1, worker threads load at most ``threads`` videos ahead
-    of the one the caller holds, and never more than the machine has cores
-    (``os.cpu_count()``), so memory stays bounded by a few videos.
+    With ``threads`` > 1, worker threads check at most ``threads`` videos
+    ahead of the one the caller holds, and never more than the machine has
+    cores (``os.cpu_count()``).
     """
     threads = min(threads, os.cpu_count() or 1)
     if threads == 1 or len(rows) < 2:
         for row in rows:
-            yield _load_video(row, modalities, need_labels, on_disk)
+            yield _load_video(row, modalities, need_labels)
         return
     # imported here, not at module load: with the logging it loads, concurrent.futures
     # adds milliseconds to every process's start, and a one-thread run starts no pool
@@ -154,7 +155,7 @@ def _stream_videos(rows, modalities, need_labels: bool, threads: int, on_disk: b
     with ThreadPoolExecutor(max_workers=threads) as pool:
         ahead = deque()
         for row in rows:
-            ahead.append(pool.submit(_load_video, row, modalities, need_labels, on_disk))
+            ahead.append(pool.submit(_load_video, row, modalities, need_labels))
             if len(ahead) > threads:
                 yield ahead.popleft().result()
         while ahead:
@@ -166,35 +167,42 @@ def predict_video(
 ) -> np.ndarray:
     """Frame-level [n_frames x 2] predictions via windowing and overlap merge.
 
-    ``video`` holds the tracks as loaded. Each batch of windows reads one
-    frame block per modality, z-scored with ``stats``: the frames from the
-    batch's first row to its last, and never fewer than ``SEQUENCE_LEN``
-    (clamped to the last frame, as window rows are). ``Model.forward`` takes
-    the block and the windows' rows into it, so each branch's first layer
-    projects a frame once however many windows hold it. The floor keeps
-    each first-layer GEMM at or above one window's row count, the least a
-    per-window product has; with fewer rows BLAS may pick another kernel and
-    move low bits. A video shorter than a window gets its single window as
-    the block.
+    ``video`` holds the checked files. Each batch of windows reads one
+    frame block per modality from its file, z-scored with ``stats``
+    (``frame_block``): the frames from the batch's first row to its last,
+    and never fewer than ``SEQUENCE_LEN`` (clamped to the last frame, as
+    window rows are), so memory holds one batch's blocks however long the
+    video is. ``Model.forward`` takes the block and the windows' rows into
+    it, so each branch's first layer projects a frame once however many
+    windows hold it. The floor keeps each first-layer GEMM at or above one
+    window's row count, the least a per-window product has; with fewer rows
+    BLAS may pick another kernel and move low bits. A video shorter than a
+    window gets its single window as the block.
     """
     windows = build_windows(video.features)
-    last = video.row.n_frames - 1
+    batches = [windows.rows[i : i + batch_size] for i in range(0, len(windows), batch_size)]
+    # one buffer per modality, as long as the longest block and as wide as its file, which
+    # every batch refills: a new block per batch would take fresh pages from the heap each time
+    longest = max(max(rows.max() - rows.min() + 1, SEQUENCE_LEN) for rows in batches)
+    modalities = model.config.modalities()
+    buffers = {m: np.empty((longest, MODALITY_DIMS[m])) for m in modalities}
     pred = []
-    for i in range(0, len(windows), batch_size):
-        rows = windows.rows[i : i + batch_size]
-        lo, hi = rows.min(), rows.max()
-        block = np.minimum(np.arange(lo, lo + max(hi - lo + 1, SEQUENCE_LEN)), last)
-        frames = {m: normalize(video.features[m].data[block], m, stats) for m in model.config.modalities()}
+    for rows in batches:
+        lo = rows.min()
+        length = max(rows.max() - lo + 1, SEQUENCE_LEN)
+        frames = {m: frame_block(video.features[m], lo, stats, buffers[m][:length]) for m in modalities}
         pred.append(model.forward(frames, train=False, rows=rows - lo))
+    del frames, buffers  # the blocks go before the merge allocates
     return merge_window_predictions(windows.rows, np.concatenate(pred), video.row.n_frames)
 
 
-def _evaluate_rows(
-    model: Model, stats: NormalizationStats, rows, ccc_mode: str, batch_size: int, threads: int
+def _evaluate_videos(
+    model: Model, stats: NormalizationStats, videos, ccc_mode: str, batch_size: int
 ) -> EvalReport:
+    """Score the labelled ``videos`` (VideoData, in order) from their frame predictions."""
     predictions: dict[str, np.ndarray] = {}
     labels: dict[str, LabelTrack] = {}
-    for video in _stream_videos(rows, model.config.modalities(), need_labels=True, threads=threads):
+    for video in videos:
         predictions[video.row.video_id] = predict_video(model, video, batch_size, stats=stats)
         labels[video.row.video_id] = video.labels
     return evaluate(predictions, labels, ccc_mode=ccc_mode)
@@ -298,7 +306,7 @@ def train(manifest_rows: list[ManifestRow], config: TrainConfig, out_dir) -> tup
     save_checkpoint(out_dir / "best.ckpt", _make_checkpoint(run.model, run.stats, 0, None, config.seed))
     (out_dir / "history.csv").write_text(HISTORY_HEADER + "\n", encoding="utf-8", newline="")
     while run.epoch < config.epochs:
-        _validate_and_keep(run, val_rows, out_dir, _epoch(run))
+        _validate_and_keep(run, out_dir, _epoch(run))
     history = run.history
     del run  # the model and optimizer go before the reload, so it adds no peak
     return load_checkpoint(out_dir / "best.ckpt"), history
@@ -311,6 +319,7 @@ class _Run:
     config: TrainConfig
     stats: NormalizationStats
     windows: WindowIndex
+    val_videos: list[VideoData]  # the checked val files, scored after every epoch
     root_rng: np.random.Generator  # draws the model seed, then one permutation per shuffled epoch
     model: Model
     optimizer: RMSprop
@@ -324,17 +333,13 @@ def _start_run(train_rows, val_rows, config: TrainConfig) -> _Run:
 
     Each train and val file is checked a chunk of rows at a time
     (``file_track``), so no video is held whole: the run keeps a ``FileTrack``
-    per train file, and each batch reads its windows from the files.
+    per file, each train batch reads its windows from the files, and
+    validation reads each batch's frame blocks from them. A val video that
+    cannot load fails here, before training.
     """
     modalities = config.model.modalities()
-    train_videos = list(
-        _stream_videos(train_rows, modalities, need_labels=True, threads=config.threads, on_disk=True)
-    )
-    # Validation rereads its videos every epoch; a val video that cannot load
-    # fails here, before training, as well. Checked as the train files are, so
-    # no val video is held whole only to be dropped.
-    for _ in _stream_videos(val_rows, modalities, need_labels=True, threads=config.threads, on_disk=True):
-        pass
+    train_videos = list(_stream_videos(train_rows, modalities, need_labels=True, threads=config.threads))
+    val_videos = list(_stream_videos(val_rows, modalities, need_labels=True, threads=config.threads))
     stats = compute_stats([t for v in train_videos for t in v.features.values()])
     windows = concat_windows([build_windows(v.features, v.labels) for v in train_videos])
     windows = windows.select(windows.mask.any(axis=1))  # a window with no valid frame contributes no gradient
@@ -343,7 +348,7 @@ def _start_run(train_rows, val_rows, config: TrainConfig) -> _Run:
     root_rng = np.random.default_rng(config.seed)
     model = build(config.model, seed=int(root_rng.integers(2**63)))
     optimizer = RMSprop(model.params, model.grad_arena, lr=config.learning_rate)
-    return _Run(config, stats, windows, root_rng, model, optimizer)
+    return _Run(config, stats, windows, val_videos, root_rng, model, optimizer)
 
 
 def _epoch(run: _Run) -> float:
@@ -372,14 +377,14 @@ def _epoch(run: _Run) -> float:
     return total_sq / total_count
 
 
-def _validate_and_keep(run: _Run, val_rows, out_dir: Path, train_loss: float) -> None:
+def _validate_and_keep(run: _Run, out_dir: Path, train_loss: float) -> None:
     """Score the val split and append the epoch's ``history.csv`` line.
 
     ``best.ckpt`` is saved again only when the mean CCC is strictly higher
     than every earlier epoch's, so a tie keeps the earlier epoch.
     """
     config = run.config
-    report = _evaluate_rows(run.model, run.stats, val_rows, config.ccc_mode, config.batch_size, config.threads)
+    report = _evaluate_videos(run.model, run.stats, run.val_videos, config.ccc_mode, config.batch_size)
     line = _history_line(run.epoch, train_loss, report)
     run.history.append(line)
     with open(out_dir / "history.csv", "a", encoding="utf-8", newline="") as fh:
@@ -410,7 +415,8 @@ def evaluate_checkpoint(
     if not val_rows:
         raise ConfigError("manifest has no val rows to evaluate")
     model, stats = restore_model(ckpt)
-    return _evaluate_rows(model, stats, val_rows, ccc_mode, batch_size, threads)
+    videos = _stream_videos(val_rows, model.config.modalities(), need_labels=True, threads=threads)
+    return _evaluate_videos(model, stats, videos, ccc_mode, batch_size)
 
 
 def predict(
@@ -422,8 +428,9 @@ def predict(
 ) -> dict[str, Path]:
     """Write one ``<video_id>.csv`` of frame predictions per manifest row.
 
-    Rows stream one at a time: each video is loaded, predicted, written and
-    dropped before the next, so memory does not grow with the manifest.
+    Rows stream one at a time: each video's files are checked, read a batch
+    at a time, predicted, written and dropped before the next, so memory
+    grows with neither the manifest nor a video's length.
     """
     _check_inference_options(threads, batch_size)
     model, stats = restore_model(ckpt)

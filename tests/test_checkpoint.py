@@ -2,6 +2,7 @@ import builtins
 import os
 import stat
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -309,3 +310,59 @@ def test_failed_first_save_creates_no_file(tmp_path, rng, monkeypatch):
         save_checkpoint(tmp_path / "best.ckpt", _sample(rng))
     assert os.listdir(tmp_path) == []
 
+
+
+def _large(rng):
+    """Nine tensors of 1 MiB of float32 each but for one of 2 MiB: the file is 10 MiB."""
+    sizes = {f"param/t{i}": 2**18 * (2 if i == 3 else 1) for i in range(9)}
+    return Checkpoint(config={"seed": 1}, tensors={name: rng.normal(size=n) for name, n in sizes.items()})
+
+
+def test_load_holds_the_buffer_and_one_payload_not_the_file(tmp_path, rng):
+    path = tmp_path / "a.ckpt"
+    ckpt = _large(rng)
+    save_checkpoint(path, ckpt)
+    total = sum(t.size for t in ckpt.tensors.values())
+    largest = max(t.size for t in ckpt.tensors.values())
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * total + 4 * largest + 2**20, peak
+    for name, tensor in ckpt.tensors.items():
+        assert loaded.tensors[name].tobytes() == tensor.astype("<f4").astype(np.float64).tobytes()
+
+
+class _ShrinksAtFirstPayload:
+    """File proxy that cuts its file to half its length just before the first payload is read."""
+
+    def __init__(self, fh, path):
+        self._fh, self._path, self._cut = fh, path, False
+
+    def readinto(self, buffer):
+        if not self._cut:
+            self._cut = True
+            os.truncate(self._path, os.path.getsize(self._path) // 2)
+        return self._fh.readinto(buffer)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def test_file_that_shrinks_after_its_layout_was_walked_is_truncated(tmp_path, rng, monkeypatch):
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(path, _large(rng))
+    monkeypatch.setattr(
+        affseq.checkpoint, "open", lambda file, mode="r": _ShrinksAtFirstPayload(builtins.open(file, mode), file),
+        raising=False,
+    )
+    with pytest.raises(TruncatedFileError, match="file too short"):
+        load_checkpoint(path)

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import os
 import shutil
 import struct
 import tracemalloc
@@ -342,6 +343,53 @@ def test_train_input_changed_during_the_run_exits_2_with_one_error_line(tmp_path
     assert capsys.readouterr().err == f"error: {path}: feature file changed after it was checked ({reason})\n"
 
 
+def _open_descriptors():
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.mark.parametrize("change", ["touched", "rewritten", "truncated", "removed"])
+@pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+def test_val_or_scored_file_changed_after_its_check_exits_2_with_one_error_line(
+    tmp_path, rng, capsys, monkeypatch, command, change
+):
+    """A file changed between its check and the batch that reads it; read-ahead on two threads."""
+    manifest = _manifest(tmp_path, rng, videos=[("tr0", "train", 25), ("va0", "val", 20), ("va1", "val", 30)])
+    path = tmp_path / "corpus" / "va1.expnet.feat"
+    if command == "train":
+        argv = _train_args(manifest, tmp_path / "run", "--threads", "2")
+        real_start = train_module._start_run
+
+        def start_then_change(*args):
+            run = real_start(*args)
+            FILE_CHANGES[change](path)
+            return run
+
+        monkeypatch.setattr(train_module, "_start_run", start_then_change)
+    else:
+        assert main(_train_args(manifest, tmp_path / "run")) == 0
+        argv = [command, "--manifest", str(manifest), "--checkpoint", str(tmp_path / "run" / "best.ckpt"),
+                "--threads", "2"]
+        if command == "predict":
+            argv += ["--out", str(tmp_path / "preds")]
+        real_load = train_module._load_video
+
+        def load_then_change(row, *args):
+            video = real_load(row, *args)
+            if row.video_id == "va1":
+                FILE_CHANGES[change](path)
+            return video
+
+        monkeypatch.setattr(train_module, "_load_video", load_then_change)
+    capsys.readouterr()
+    before = _open_descriptors()
+    assert main(argv) == 2
+    assert _open_descriptors() == before
+    reason = {"removed": "No such file or directory"}.get(change, "replaced, rewritten or touched")
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: feature file changed after it was checked ({reason})\n"
+    assert captured.out == ""
+
+
 # --- manifest and label tables ----------------------------------------------------
 
 _MANIFEST_HEADER = "video_id,split,audio_path,expnet_path,facepose_path,label_path,n_frames"
@@ -510,6 +558,17 @@ def test_evaluate_writes_report_csv(trained, tmp_path, capsys):
     assert lines[0] == "metric,valence,arousal"
     assert lines[1].startswith("ccc,") and lines[2].startswith("mse,")
     assert len(lines) == 3
+
+
+def test_evaluate_report_that_cannot_be_written_fails_before_stdout(trained, tmp_path, capsys):
+    manifest, ckpt = trained
+    capsys.readouterr()
+    code = main(["evaluate", "--manifest", str(manifest), "--checkpoint", str(ckpt), "--report", str(tmp_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert str(tmp_path) in captured.err
 
 
 def test_evaluate_ccc_mode_choice_is_validated(trained, capsys):

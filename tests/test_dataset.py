@@ -1,4 +1,5 @@
 import struct
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -30,7 +31,15 @@ from affseq.errors import (
     WidthMismatchError,
 )
 
-from affseq.dataset import MODALITY_DIMS, FileTrack, concat_windows, file_track, gather_windows, window_rows
+from affseq.dataset import (
+    MODALITY_DIMS,
+    FileTrack,
+    concat_windows,
+    file_track,
+    frame_block,
+    gather_windows,
+    window_rows,
+)
 from conftest import FILE_CHANGES
 from oracles import merge_windows_loop, slice_and_pad_windows, window_starts_oracle
 
@@ -197,28 +206,36 @@ def test_window_starts_match_covering_oracle(n):
         assert covered.all()
 
 
-def _track(vid, modality, data):
-    return FeatureTrack(video_id=vid, modality=modality, data=np.asarray(data, dtype=np.float64))
+def _stored(data):
+    """``data`` as an AFFW file stores it: rounded to float32, widened back to float64."""
+    return np.asarray(data, dtype=np.float32).astype(np.float64)
 
 
-def _feature_set(n, rng, dims=(("audio", 168), ("expnet", 2048), ("facepose", 714))):
-    return {m: _track("v", m, rng.normal(size=(n, d))) for m, d in dims}
+def _track(tmp_path, vid, modality, data):
+    """``data`` written to an AFFW file and checked: the kind of track the engine windows and reads."""
+    path = tmp_path / f"{vid}.{modality}.feat"
+    write_feature_file(path, data)
+    return file_track(path, modality, vid)
 
 
-def test_build_windows_slices_match_source(rng):
-    features = {"audio": _track("v", "audio", rng.normal(size=(30, 168)))}
-    index = build_windows(features)
-    data = features["audio"].data
+def _rows(track):
+    """Every row of a checked file, as stored."""
+    with track.open_rows() as rows:
+        return rows[:]
+
+
+def test_build_windows_slices_match_source(tmp_path, rng):
+    data = _stored(rng.normal(size=(30, 168)))
+    index = build_windows({"audio": _track(tmp_path, "v", "audio", data)})
     assert index.rows[:, 0].tolist() == [0, 10, 15]
     for start, window in zip(index.rows[:, 0], data[index.rows]):
         np.testing.assert_array_equal(window, data[start : start + 15])
     assert index.mask.all()
 
 
-def test_build_windows_short_track_pads_and_masks(rng):
-    features = {"audio": _track("v", "audio", rng.normal(size=(10, 168)))}
-    index = build_windows(features)
-    data = features["audio"].data
+def test_build_windows_short_track_pads_and_masks(tmp_path, rng):
+    data = _stored(rng.normal(size=(10, 168)))
+    index = build_windows({"audio": _track(tmp_path, "v", "audio", data)})
     (window,) = data[index.rows]
     assert window.shape == (15, 168)
     np.testing.assert_array_equal(window[:10], data)
@@ -228,9 +245,9 @@ def test_build_windows_short_track_pads_and_masks(rng):
     np.testing.assert_array_equal(index.targets[0, 10:], 0.0)
 
 
-def test_build_windows_mask_propagates_invalid_labels(rng):
+def test_build_windows_mask_propagates_invalid_labels(tmp_path, rng):
     n = 30
-    features = {"audio": _track("v", "audio", rng.normal(size=(n, 168)))}
+    features = {"audio": _track(tmp_path, "v", "audio", rng.normal(size=(n, 168)))}
     valence = np.zeros(n)
     valence[12] = -5.0  # invalid frame sits inside windows starting at 0 and 10
     labels = LabelTrack(
@@ -249,9 +266,9 @@ def test_build_windows_mask_propagates_invalid_labels(rng):
                 assert mask[t]
 
 
-def test_build_windows_targets_from_labels(rng):
+def test_build_windows_targets_from_labels(tmp_path, rng):
     n = 20
-    features = {"audio": _track("v", "audio", rng.normal(size=(n, 168)))}
+    features = {"audio": _track(tmp_path, "v", "audio", rng.normal(size=(n, 168)))}
     labels = LabelTrack(
         video_id="v",
         valence=np.linspace(-1, 1, n),
@@ -263,10 +280,10 @@ def test_build_windows_targets_from_labels(rng):
     np.testing.assert_array_equal(index.targets[1, :, 0], labels.valence[5:20])
 
 
-def test_build_windows_rejects_length_mismatch(rng):
+def test_build_windows_rejects_length_mismatch(tmp_path, rng):
     features = {
-        "audio": _track("v", "audio", rng.normal(size=(20, 168))),
-        "expnet": _track("v", "expnet", rng.normal(size=(19, 2048))),
+        "audio": _track(tmp_path, "v", "audio", rng.normal(size=(20, 168))),
+        "expnet": _track(tmp_path, "v", "expnet", rng.normal(size=(19, 2048))),
     }
     with pytest.raises(DomainError):
         build_windows(features)
@@ -274,25 +291,25 @@ def test_build_windows_rejects_length_mismatch(rng):
 
 # --- normalization ------------------------------------------------------------------
 
-def test_compute_stats_population_moments(rng):
-    data = rng.normal(size=(50, 168)) * 3 + 1
-    stats = compute_stats([_track("v", "audio", data)])
+def test_compute_stats_population_moments(tmp_path, rng):
+    data = _stored(rng.normal(size=(50, 168)) * 3 + 1)
+    stats = compute_stats([_track(tmp_path, "v", "audio", data)])
     np.testing.assert_allclose(stats.mean["audio"], data.mean(axis=0), atol=1e-12)
     np.testing.assert_allclose(stats.std["audio"], data.std(axis=0), atol=1e-12)
 
 
-def test_normalize_mean_rows_to_zero(rng):
+def test_normalize_mean_rows_to_zero(tmp_path, rng):
     data = rng.normal(size=(8, 168))
-    stats = compute_stats([_track("v", "audio", data)])
+    stats = compute_stats([_track(tmp_path, "v", "audio", data)])
     constant = np.tile(stats.mean["audio"], (4, 1))
     out = normalize(constant, "audio", stats)
     np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
 
-def test_normalize_z_score_example():
+def test_normalize_z_score_example(tmp_path):
     data = np.zeros((2, 168))
     data[0, 0], data[1, 0] = 1.0, 3.0
-    stats = compute_stats([_track("v", "audio", data)])
+    stats = compute_stats([_track(tmp_path, "v", "audio", data)])
     assert stats.mean["audio"][0] == 2.0
     assert stats.std["audio"][0] == 1.0
     out = normalize(data, "audio", stats)
@@ -300,29 +317,37 @@ def test_normalize_z_score_example():
     assert out[1, 0] == 1.0
 
 
-def test_normalize_constant_column_floored(rng):
+def test_normalize_constant_column_floored(tmp_path, rng):
     data = np.full((6, 168), 7.0)
-    stats = compute_stats([_track("v", "audio", data)])
+    stats = compute_stats([_track(tmp_path, "v", "audio", data)])
     assert np.all(stats.std["audio"] == 1e-8)
     out = normalize(data, "audio", stats)
     assert np.all(np.isfinite(out))
     np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
 
-def test_normalized_train_split_has_unit_moments(rng):
-    tracks = [_track(f"v{i}", "audio", rng.normal(size=(n, 168)) * 2 + 5) for i, n in enumerate((30, 45))]
-    stats = compute_stats(tracks)
-    pooled = np.concatenate([normalize(t.data, t.modality, stats) for t in tracks], axis=0)
+def test_normalized_train_split_has_unit_moments(tmp_path, rng):
+    blocks = [_stored(rng.normal(size=(n, 168)) * 2 + 5) for n in (30, 45)]
+    stats = compute_stats([_track(tmp_path, f"v{i}", "audio", b) for i, b in enumerate(blocks)])
+    pooled = np.concatenate([normalize(b, "audio", stats) for b in blocks], axis=0)
     np.testing.assert_allclose(pooled.mean(axis=0), 0.0, atol=1e-10)
     np.testing.assert_allclose(pooled.std(axis=0), 1.0, atol=1e-10)
 
 
-def test_normalize_requires_matching_stats(rng):
-    stats = compute_stats([_track("v", "audio", rng.normal(size=(5, 168)))])
+def test_normalize_requires_matching_stats(tmp_path, rng):
+    stats = compute_stats([_track(tmp_path, "v", "audio", rng.normal(size=(5, 168)))])
     with pytest.raises(DomainError, match="modality 'expnet'"):
         normalize(rng.normal(size=(5, 2048)), "expnet", stats)
     with pytest.raises(DomainError, match="width 100"):
         normalize(rng.normal(size=(5, 100)), "audio", stats)
+
+
+def test_normalize_into_a_buffer_gives_the_bits_of_a_new_array(tmp_path, rng):
+    data = rng.normal(size=(9, 168)).astype(np.float32)
+    stats = compute_stats([_track(tmp_path, "v", "audio", rng.normal(size=(20, 168)) * 3 + 2)])
+    out = np.empty((9, 168))
+    assert normalize(data, "audio", stats, out=out) is out
+    _same_bits(out, normalize(data, "audio", stats))
 
 
 # --- float32 tracks, window index and batch gather -------------------------------------
@@ -344,17 +369,17 @@ def test_loaded_track_keeps_float32(tmp_path, rng):
     assert FeatureTrack("v", "audio", np.zeros((2, 168), dtype=np.int32)).data.dtype == np.float64
 
 
-def test_compute_stats_of_float32_tracks_equals_widened_copies(rng):
+def test_compute_stats_of_float32_tracks_equals_widened_copies(tmp_path, rng):
     tracks = [
-        FeatureTrack(f"v{i}", m, (rng.normal(size=(n, d)) * 3 + 1).astype(np.float32))
+        _track(tmp_path, f"v{i}", m, (rng.normal(size=(n, d)) * 3 + 1).astype(np.float32))
         for i, n in enumerate((23, 9, 40))
         for m, d in (("audio", 168), ("facepose", 714))
     ]
-    wide = [FeatureTrack(t.video_id, t.modality, t.data.astype(np.float64)) for t in tracks]
-    got, want = compute_stats(tracks), compute_stats(wide)
+    got = compute_stats(tracks)
     for modality in ("audio", "facepose"):
-        _same_bits(got.mean[modality], want.mean[modality])
-        _same_bits(got.std[modality], want.std[modality])
+        wide = np.concatenate([_rows(t).astype(np.float64) for t in tracks if t.modality == modality])
+        _same_bits(got.mean[modality], wide.mean(axis=0))
+        _same_bits(got.std[modality], np.maximum(wide.std(axis=0), 1e-8))
 
 
 @settings(max_examples=40, deadline=None)
@@ -371,27 +396,29 @@ def test_compute_stats_equals_the_stacked_reduction_bitwise(modality, lengths, s
     width = MODALITY_DIMS[modality]
     blocks = [(rng.normal(size=(n, width)) * rng.uniform(0.1, 50) + rng.uniform(-20, 20)).astype(np.float32)
               for n in lengths]
-    stats = compute_stats([FeatureTrack(f"v{i}", modality, b) for i, b in enumerate(blocks)])
+    with tempfile.TemporaryDirectory() as tmp:  # a fresh directory per example, not a fixture's
+        stats = compute_stats([_track(Path(tmp), f"v{i}", modality, b) for i, b in enumerate(blocks)])
     stacked = np.concatenate(blocks, axis=0, dtype=np.float64)
     _same_bits(stats.mean[modality], stacked.mean(axis=0))
     _same_bits(stats.std[modality], np.maximum(stacked.std(axis=0), 1e-8))
 
 
-def test_compute_stats_memory_is_set_by_a_chunk_not_the_split(rng):
-    tracks = [FeatureTrack(f"v{i}", "expnet", rng.normal(size=(300, 2048)).astype(np.float32)) for i in range(8)]
+def test_compute_stats_memory_is_set_by_a_chunk_not_the_split(tmp_path, rng):
+    tracks = [_track(tmp_path, f"v{i}", "expnet", rng.normal(size=(300, 2048))) for i in range(8)]
     tracemalloc.start()
     try:
         compute_stats(tracks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one [65 x 2048] float64 chunk buffer and a few row vectors; the split widened is 37.5 MiB
+    # one [65 x 2048] float64 chunk buffer, one [64 x 2048] float32 read and a few row
+    # vectors; the split widened is 37.5 MiB
     assert peak < 2 * 2**20, peak
 
 
-def test_compute_stats_rejects_zero_rows():
+def test_compute_stats_rejects_zero_rows(tmp_path):
     with pytest.raises(DomainError, match="zero rows"):
-        compute_stats([FeatureTrack("v", "audio", np.zeros((0, 168), dtype=np.float32))])
+        compute_stats([_track(tmp_path, "v", "audio", np.zeros((0, 168)))])
 
 
 def test_window_rows_clamp_to_the_last_frame():
@@ -402,40 +429,38 @@ def test_window_rows_clamp_to_the_last_frame():
     np.testing.assert_array_equal(rows, rows[:, :1] + np.arange(15))
 
 
-def test_gathered_batch_is_bit_equal_to_stacked_normalized_windows(rng):
-    """Long, exactly-15, short (padded) and partly unlabeled videos, float32 as loaded."""
+def test_gathered_batch_is_bit_equal_to_stacked_normalized_windows(tmp_path, rng):
+    """Long, exactly-15, short (padded) and partly unlabeled videos, read from their files."""
     lengths = {"long": 47, "exact": 15, "short": 9, "gaps": 33}
     videos = {}
     for vid, n in lengths.items():
-        features = {
-            m: FeatureTrack(vid, m, (rng.normal(size=(n, d)) * 2 + 0.5).astype(np.float32))
-            for m, d in (("audio", 168), ("facepose", 714))
-        }
+        data = {m: (rng.normal(size=(n, d)) * 2 + 0.5).astype(np.float32) for m, d in (("audio", 168), ("facepose", 714))}
+        features = {m: _track(tmp_path, vid, m, block) for m, block in data.items()}
         valence, arousal = rng.uniform(-1, 1, size=(2, n))
         if vid == "gaps":
             valence[10:25] = -5.0  # the whole window at start 10 is invalid
             arousal[3] = 7.0
         labels = LabelTrack(vid, valence, arousal, (np.abs(valence) <= 1) & (np.abs(arousal) <= 1))
-        videos[vid] = (features, labels)
-    stats = compute_stats([t for f, _ in videos.values() for t in f.values()])
+        videos[vid] = (features, data, labels)
+    stats = compute_stats([t for f, _, _ in videos.values() for t in f.values()])
 
-    index = concat_windows([build_windows(features, labels) for features, labels in videos.values()])
+    index = concat_windows([build_windows(features, labels) for features, _, labels in videos.values()])
     assert not index.mask[index.video == 3][1].any()  # the all-invalid window is indexed, not dropped
     for modality in ("audio", "facepose"):
         batch = gather_windows(index, modality, stats)
         shuffled = np.random.default_rng(5).permutation(len(index))
         _same_bits(gather_windows(index.select(shuffled), modality, stats), batch[shuffled])
         sliced = []
-        for features, labels in videos.values():
-            wide = normalize(features[modality].data.astype(np.float64), modality, stats)
+        for _, data, labels in videos.values():
+            wide = normalize(data[modality].astype(np.float64), modality, stats)
             starts = window_starts(labels.n_frames)
             sliced.append(slice_and_pad_windows(wide, labels.targets(), labels.valid, starts)[0])
         _same_bits(batch, np.concatenate(sliced))
 
     targets, masks = [], []
-    for features, labels in videos.values():
+    for _, data, labels in videos.values():
         _, tgt, mask = slice_and_pad_windows(
-            features["audio"].data, labels.targets(), labels.valid, window_starts(labels.n_frames)
+            data["audio"], labels.targets(), labels.valid, window_starts(labels.n_frames)
         )
         targets.append(tgt)
         masks.append(mask)
@@ -443,9 +468,9 @@ def test_gathered_batch_is_bit_equal_to_stacked_normalized_windows(rng):
     _same_bits(index.mask, np.concatenate(masks))
 
 
-def test_gather_windows_requires_matching_stats(rng):
-    stats = compute_stats([_track("v", "audio", rng.normal(size=(5, 168)))])
-    track = _track("v", "expnet", rng.normal(size=(20, 2048)))
+def test_gather_windows_requires_matching_stats(tmp_path, rng):
+    stats = compute_stats([_track(tmp_path, "v", "audio", rng.normal(size=(5, 168)))])
+    track = _track(tmp_path, "v", "expnet", rng.normal(size=(20, 2048)))
     with pytest.raises(DomainError, match="expnet"):
         gather_windows(build_windows({"expnet": track}), "expnet", stats)
 
@@ -453,14 +478,14 @@ def test_gather_windows_requires_matching_stats(rng):
 # --- file-backed tracks ------------------------------------------------------------------
 
 def _file_videos(tmp_path, rng, lengths):
-    """{video: ({modality: FeatureTrack}, {modality: FileTrack}, labels)} over the same files."""
+    """{video: ({modality: loaded array}, {modality: FileTrack}, labels)} over the same files."""
     videos = {}
     for vid, n in lengths.items():
         loaded, on_disk = {}, {}
         for modality, width in (("audio", 168), ("facepose", 714)):
             path = tmp_path / f"{vid}.{modality}.feat"
             write_feature_file(path, (rng.normal(size=(n, width)) * 2 + 0.5).astype(np.float32))
-            loaded[modality] = load_feature_track(path, modality, vid)
+            loaded[modality] = load_feature_track(path, modality, vid).data
             on_disk[modality] = file_track(path, modality, vid)
         valence, arousal = rng.uniform(-1, 1, size=(2, n))
         videos[vid] = (loaded, on_disk, LabelTrack(vid, valence, arousal, np.ones(n, dtype=bool)))
@@ -468,27 +493,51 @@ def _file_videos(tmp_path, rng, lengths):
 
 
 def test_file_tracks_give_the_stats_and_batches_of_loaded_tracks(tmp_path, rng):
-    """Long, exactly-15, short (padded) and 64-row videos, read back from their files."""
+    """Long, exactly-15, short (padded) and 64-row videos: file reads against whole loaded arrays."""
     videos = _file_videos(tmp_path, rng, {"long": 130, "exact": 15, "short": 9, "chunk": 64})
-    indices = []
-    for kind in (0, 1):
-        tracks = [t for v in videos.values() for t in v[kind].values()]
-        stats = compute_stats(tracks)
-        index = concat_windows([build_windows(v[kind], v[2]) for v in videos.values()])
-        indices.append((stats, index))
-    (stats, loaded), (file_stats, on_disk) = indices
-    assert not any(isinstance(t, FileTrack) for v in loaded.tracks for t in v.values())
-    assert all(isinstance(t, FileTrack) for v in on_disk.tracks for t in v.values())
-    shuffled = np.random.default_rng(3).permutation(len(loaded))
+    stats = compute_stats([t for _, on_disk, _ in videos.values() for t in on_disk.values()])
+    index = concat_windows([build_windows(on_disk, labels) for _, on_disk, labels in videos.values()])
+    assert all(isinstance(t, FileTrack) for v in index.tracks for t in v.values())
+    shuffled = np.random.default_rng(3).permutation(len(index))
     for modality in ("audio", "facepose"):
-        _same_bits(file_stats.mean[modality], stats.mean[modality])
-        _same_bits(file_stats.std[modality], stats.std[modality])
-        _same_bits(gather_windows(on_disk, modality, stats), gather_windows(loaded, modality, stats))
+        loaded = [v[0][modality] for v in videos.values()]
+        stacked = np.concatenate(loaded, dtype=np.float64)
+        _same_bits(stats.mean[modality], stacked.mean(axis=0))
+        _same_bits(stats.std[modality], np.maximum(stacked.std(axis=0), 1e-8))
+        # the windows of every video, cut from its loaded array and stacked in index order
+        want = normalize(np.concatenate([a[window_rows(len(a))] for a in loaded]), modality, stats)
+        _same_bits(gather_windows(index, modality, stats), want)
         for batch in (shuffled[:7], shuffled[7:]):
-            _same_bits(
-                gather_windows(on_disk.select(batch), modality, stats),
-                gather_windows(loaded.select(batch), modality, stats),
-            )
+            _same_bits(gather_windows(index.select(batch), modality, stats), want[batch])
+
+
+def test_frame_block_is_the_normalized_clamped_rows_of_the_file(tmp_path, rng):
+    """Blocks inside, across 64-row reads, at the end (clamped) and past a short track's end."""
+    data = (rng.normal(size=(150, 168)) * 2 + 0.5).astype(np.float32)
+    track = _track(tmp_path, "v", "audio", data)
+    stats = compute_stats([track])
+    for lo, length in ((0, 15), (10, 64), (3, 130), (60, 90), (140, 15), (149, 15), (0, 150)):
+        clamped = np.minimum(np.arange(lo, lo + length), 149)
+        out = np.empty((length, 168))
+        assert frame_block(track, lo, stats, out) is out
+        _same_bits(out, normalize(data[clamped], "audio", stats))
+    short = _track(tmp_path, "s", "audio", data[:6])
+    want = normalize(data[np.minimum(np.arange(15), 5)], "audio", stats)
+    _same_bits(frame_block(short, 0, stats, np.empty((15, 168))), want)
+
+
+def test_frame_block_reads_the_block_not_the_file(tmp_path, rng):
+    track = _track(tmp_path, "v", "expnet", rng.normal(size=(3000, 2048)))
+    stats = compute_stats([_track(tmp_path, "w", "expnet", rng.normal(size=(20, 2048)))])
+    block = np.empty((100, 2048))
+    tracemalloc.start()
+    try:
+        frame_block(track, 1000, stats, block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one [64 x 2048] float32 read (0.5 MiB); the file is 23.4 MiB
+    assert peak < 2**20, peak
 
 
 def test_file_track_reads_the_rows_it_was_asked_for(tmp_path, rng):

@@ -2,7 +2,8 @@
 
 ``forward(frames, rows=r)`` must give ``forward(frames[r])`` bit for bit at
 every level: the first layers alone, ``Model.forward`` and the whole
-``predict_video`` against the per-window path in ``oracles``. Both sides
+``predict_video``, which reads its blocks from the feature files, against
+the per-window path in ``oracles``. Both sides
 run on the installed BLAS at one thread count; CI also runs this file with
 two BLAS threads.
 """
@@ -15,11 +16,12 @@ import pytest
 from affseq.dataset import (
     MODALITY_DIMS,
     SEQUENCE_LEN,
-    FeatureTrack,
     ManifestRow,
     NormalizationStats,
     build_windows,
+    file_track,
     window_rows,
+    write_feature_file,
 )
 from affseq.errors import DomainError
 from affseq.model import ModelConfig, build
@@ -180,14 +182,20 @@ def stats():
     return out
 
 
+def _video(tmp_path, n_frames, seed):
+    """A video of random features in AFFW files, checked as scoring checks them."""
+    rng = np.random.default_rng(seed)
+    features = {}
+    for m, dim in MODALITY_DIMS.items():
+        path = tmp_path / f"v.{m}.feat"
+        write_feature_file(path, rng.normal(size=(n_frames, dim)).astype(np.float32))
+        features[m] = file_track(path, m, "v")
+    return VideoData(ManifestRow("v", "test", {}, None, n_frames), features, None)
+
+
 @pytest.mark.parametrize("n_frames", [1, 6, 9, 14, 15, 16, 24, 300, 997])
-def test_predict_video_equals_per_window_path_bitwise(full_width_model, stats, n_frames):
-    rng = np.random.default_rng(n_frames)
-    features = {
-        m: FeatureTrack("v", m, rng.normal(size=(n_frames, dim)).astype(np.float32))
-        for m, dim in MODALITY_DIMS.items()
-    }
-    video = VideoData(ManifestRow("v", "test", {}, None, n_frames), features, None)
+def test_predict_video_equals_per_window_path_bitwise(tmp_path, full_width_model, stats, n_frames):
+    video = _video(tmp_path, n_frames, seed=n_frames)
     # 7 splits a long video over many blocks and leaves a short last batch
     for batch_size in (32, 7):
         got = predict_video(full_width_model, video, batch_size, stats=stats)
@@ -195,15 +203,9 @@ def test_predict_video_equals_per_window_path_bitwise(full_width_model, stats, n
         np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=f"batch_size {batch_size}")
 
 
-def test_predict_video_keeps_nothing_allocated_after_it_returns(full_width_model, stats):
-    rng = np.random.default_rng(3)
-    n_frames = 300
-    features = {
-        m: FeatureTrack("v", m, rng.normal(size=(n_frames, dim)).astype(np.float32))
-        for m, dim in MODALITY_DIMS.items()
-    }
-    video = VideoData(ManifestRow("v", "test", {}, None, n_frames), features, None)
-    n_windows = len(build_windows(features))
+def test_predict_video_keeps_nothing_allocated_after_it_returns(tmp_path, full_width_model, stats):
+    video = _video(tmp_path, 300, seed=3)
+    n_windows = len(build_windows(video.features))
     assert n_windows <= 32  # one batch
     tracemalloc.start()
     try:

@@ -295,6 +295,20 @@ def test_a_train_file_changed_during_the_run_fails_the_next_epoch(tmp_path, rng,
         train_module._epoch(run)
 
 
+def test_each_file_is_checked_once_a_run_and_validation_reuses_the_val_files(tmp_path, rng, monkeypatch):
+    rows = _corpus(tmp_path, rng)
+    checked = []
+    real_load = train_module._load_video
+
+    def load(row, *args):
+        checked.append(row.video_id)
+        return real_load(row, *args)
+
+    monkeypatch.setattr(train_module, "_load_video", load)
+    train(rows, TrainConfig(epochs=3, batch_size=4, model=_small_model()), tmp_path / "run")
+    assert checked == [r.video_id for r in rows]
+
+
 def test_each_batch_opens_each_train_file_once_and_closes_it(tmp_path, rng, monkeypatch):
     run, _ = _started_run(tmp_path, rng)
     opened = []
@@ -559,6 +573,55 @@ def test_predict_peak_memory_does_not_grow_with_the_manifest(tmp_path, rng):
     assert long - short < one_video // 4, (short, long)
 
 
+def _append_long_video(manifest, video_id, n_frames, rng):
+    """Add a val video of ``n_frames`` random frames to ``manifest``, its files written 500 rows at a time."""
+    root = manifest.parent
+    cells = []
+    for modality, width in MODALITY_DIMS.items():
+        path = root / f"{video_id}.{modality}.feat"
+        with open(path, "wb") as fh:
+            fh.write(b"AFFW" + np.array([1, n_frames, width], dtype="<u4").tobytes())
+            for lo in range(0, n_frames, 500):
+                fh.write(rng.standard_normal((min(500, n_frames - lo), width), dtype=np.float32).tobytes())
+        cells.append(path.name)
+    write_label_csv(root / f"{video_id}.labels.csv", smooth_labels(n_frames))
+    with open(manifest, "a", encoding="utf-8") as fh:
+        fh.write(f"{video_id},val,{','.join(cells)},{video_id}.labels.csv,{n_frames}\n")
+
+
+def test_no_command_peak_grows_with_the_length_of_a_val_video(tmp_path, rng, capsys):
+    """A 9000-frame val video beside a 300-frame one: train, evaluate and predict read it a batch at a time.
+
+    Held whole, as float32, its three tracks would be 100.6 MiB.
+    """
+    short = make_corpus(tmp_path / "corpus", [("tr0", "train", 60), ("va0", "val", 300)], rng)
+    long = short.with_name("long.csv")
+    long.write_bytes(short.read_bytes())
+    _append_long_video(long, "va1", 9000, rng)
+    ckpt = tmp_path / "short" / "best.ckpt"
+
+    def argv(command, manifest, out):
+        if command == "train":
+            return ["train", "--manifest", str(manifest), "--out", str(tmp_path / out), "--epochs", "1",
+                    "--seed", "1", "--model.width-scale", "16"]
+        args = [command, "--manifest", str(manifest), "--checkpoint", str(ckpt)]
+        return args + (["--out", str(tmp_path / out)] if command == "predict" else [])
+
+    def peak(command, manifest, out):
+        tracemalloc.start()
+        try:
+            assert main(argv(command, manifest, out)) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    peak("train", short, "short")  # also warms every import and cache up
+    for command in ("train", "evaluate", "predict"):
+        without, with_long = peak(command, short, f"{command}-a"), peak(command, long, f"{command}-b")
+        assert with_long - without < 2 * 2**20, (command, without, with_long)
+
+
 @pytest.mark.parametrize(
     "threads, cpus", [(2, None), (3, None), (64, 2)], ids=["2", "3", "64-on-2-cpus"]
 )
@@ -705,3 +768,18 @@ def test_legacy_checkpoint_restores_unchanged_and_predicts(tmp_path, rng, capsys
     out = tmp_path / "preds"
     assert main(["predict", "--manifest", str(manifest), "--checkpoint", str(LEGACY_CKPT), "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == ["a.csv", "b.csv"]
+
+
+@pytest.mark.parametrize("dims", [TINY_DIMS, dict(audio_dim=170, expnet_dim=2048, facepose_dim=714)])
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_scoring_files_of_another_width_than_the_model_fails_on_the_stats_width(
+    tmp_path, rng, capsys, dims, command
+):
+    # the checkpoint is consistent in itself; only the standard-width files disagree with it
+    save_checkpoint(tmp_path / "m.ckpt", _model_checkpoint(ModelConfig(width_scale=32, **dims))[2])
+    manifest = make_corpus(tmp_path / "corpus", [("a", "val", 40)], rng)
+    extra = ["--out", str(tmp_path / "preds")] if command == "predict" else []
+    assert main([command, "--manifest", str(manifest), "--checkpoint", str(tmp_path / "m.ckpt"), *extra]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: stats width ({dims['audio_dim']},) does not match feature width 168\n"

@@ -21,15 +21,19 @@ The matrix:
 - ``train`` of the full-width ``gru`` and ``bilstm`` fusion models, shuffled,
   with a partial last batch, and of ``gru`` again with ``--threads 2``;
 - ``predict`` with each checkpoint at batch 32, and at batch 7 with
-  ``--threads 3``;
+  ``--threads 3``; one val video (``va2``, 340 frames, 34 windows) is longer
+  than one batch at either size, so scoring reads it as several frame
+  blocks;
 - ``evaluate`` with each checkpoint in both CCC modes;
 - the standing error cases: usage and option errors, config files (one of
   them not UTF-8, one holding a NUL), ``AFFSEQ_THREADS``, bad WAV input,
   every manifest and label table rule (tables that are not UTF-8 or hold a
   NUL included, and a NUL ``video_id`` given to ``predict``), broken feature
-  files and broken checkpoints: a flipped byte, a file cut in half, and a
-  ``best.ckpt`` re-saved with ``"expnet_dim": 10000000``, an input width its
-  tensors do not have, given to ``evaluate`` and to ``predict``.
+  files and broken checkpoints: a flipped byte, a file cut in half, and,
+  each with its whole-file CRC refixed, a flipped payload byte, two tensors
+  out of name order, trailing bytes after the last tensor and a ``best.ckpt``
+  re-saved with ``"expnet_dim": 10000000``, an input width its tensors do
+  not have, given to ``evaluate`` and to ``predict``.
 
 Standard library and NumPy only; the inputs come from ``perfbench/inputs.py``
 (``feature_corpus`` and ``wav_corpus``, seed 4242).
@@ -40,6 +44,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import struct
@@ -64,6 +69,7 @@ VIDEOS = [
     Video("tr2", "train", 12),
     Video("va0", "val", 45),
     Video("va1", "val", 9),
+    Video("va2", "val", 340),
 ]
 CLIPS = [Video("a0", "val", 30), Video("a1", "val", 7)]
 DSP_FLAGS = ["--n-fft", "512", "--stft-hop", "128", "--n-mels", "40", "--n-mfcc", "13"]
@@ -105,14 +111,37 @@ def _main_commands() -> list[tuple[str, list[str], dict]]:
     return cmds
 
 
+def _refixed(body: bytes) -> bytes:
+    """An AFCK file of ``body``, everything before the whole-file CRC, and that CRC."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def _with_model_key(ckpt: bytes, key: str, value) -> bytes:
     """``ckpt``, an AFCK file, with one key of its model config set and the whole-file CRC refixed."""
     (config_len,) = struct.unpack_from("<I", ckpt, 8)
     config = json.loads(ckpt[12 : 12 + config_len])
     config["model"][key] = value
     blob = json.dumps(config, sort_keys=True).encode("utf-8")
-    body = ckpt[:8] + struct.pack("<I", len(blob)) + blob + ckpt[12 + config_len : -4]
-    return body + struct.pack("<I", zlib.crc32(body))
+    return _refixed(ckpt[:8] + struct.pack("<I", len(blob)) + blob + ckpt[12 + config_len : -4])
+
+
+def _tensor_spans(ckpt: bytes) -> list[tuple[int, int, int]]:
+    """(start, payload start, end) in ``ckpt``, an AFCK file, of each tensor entry, in file order."""
+    (config_len,) = struct.unpack_from("<I", ckpt, 8)
+    offset = 12 + config_len
+    (count,) = struct.unpack_from("<I", ckpt, offset)
+    offset += 4
+    spans = []
+    for _ in range(count):
+        start = offset
+        (name_len,) = struct.unpack_from("<H", ckpt, offset)
+        offset += 2 + name_len
+        rank = ckpt[offset]
+        dims = struct.unpack_from(f"<{rank}I", ckpt, offset + 1)
+        payload = offset + 1 + 4 * rank
+        offset = payload + 4 * math.prod(dims) + 4  # the payload, then its CRC
+        spans.append((start, payload, offset))
+    return spans
 
 
 def _write_broken_inputs(work: Path) -> list[str]:
@@ -135,6 +164,14 @@ def _write_broken_inputs(work: Path) -> list[str]:
     (work / "broken" / "flipped.ckpt").write_bytes(bytes(flipped))
     (work / "broken" / "truncated.ckpt").write_bytes(ckpt[: len(ckpt) // 2])
     (work / "broken" / "wrong-width.ckpt").write_bytes(_with_model_key(ckpt, "expnet_dim", 10_000_000))
+    spans = _tensor_spans(ckpt)
+    body = bytearray(ckpt[:-4])
+    body[spans[len(spans) // 2][1]] ^= 0x01
+    (work / "broken" / "payload-flipped.ckpt").write_bytes(_refixed(bytes(body)))
+    (first, _, second), (_, _, third) = spans[0], spans[1]
+    swapped = ckpt[:first] + ckpt[second:third] + ckpt[first:second] + ckpt[third:-4]
+    (work / "broken" / "out-of-order.ckpt").write_bytes(_refixed(swapped))
+    (work / "broken" / "trailing-bytes.ckpt").write_bytes(_refixed(ckpt[:-4] + bytes(3)))
     (corpus / "truncated.audio.feat").write_bytes((corpus / "tr0.audio.feat").read_bytes()[:-7])
     inputs.write_affw(corpus / "narrow.audio.feat", np.zeros((60, 10)))
 
@@ -227,6 +264,11 @@ def _error_commands(manifests: list[str]) -> list[tuple[str, list[str], dict]]:
         ("checkpoint-missing", [*evaluate, "runs/nope/best.ckpt"], {}),
         ("checkpoint-flipped-byte", [*evaluate, "broken/flipped.ckpt"], {}),
         ("checkpoint-truncated", [*evaluate, "broken/truncated.ckpt"], {}),
+        ("checkpoint-payload-flipped", [*evaluate, "broken/payload-flipped.ckpt"], {}),
+        ("checkpoint-out-of-order", [*evaluate, "broken/out-of-order.ckpt"], {}),
+        ("checkpoint-trailing-bytes", [*evaluate, "broken/trailing-bytes.ckpt"], {}),
+        ("checkpoint-payload-flipped-predict", ["predict", "--manifest", MANIFEST, "--checkpoint",
+                                                "broken/payload-flipped.ckpt", "--out", "errors/flipped-preds"], {}),
         ("checkpoint-wrong-width", [*evaluate, "broken/wrong-width.ckpt"], {}),
         ("checkpoint-wrong-width-predict", ["predict", "--manifest", MANIFEST, "--checkpoint",
                                             "broken/wrong-width.ckpt", "--out", "errors/wide-preds"], {}),
