@@ -48,10 +48,15 @@ CHECKPOINT_VERSION = 1
 
 @dataclass
 class Checkpoint:
-    """Config echo plus named tensors, as ``train._slots`` lays them out."""
+    """Config echo plus named tensors, as ``train._slots`` lays them out.
+
+    ``path`` is the file it was loaded from (None if it was not), for
+    messages that name it.
+    """
 
     config: dict
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
+    path: str | None = field(default=None, compare=False)
 
     def model_config(self) -> ModelConfig:
         """The stored model config; FileFormatError if the section is missing or malformed."""
@@ -253,4 +258,4 @@ def load_checkpoint(path) -> Checkpoint:
     if end != size - 4:
         raise FileFormatError(f"{path}: {size - 4 - end} unexpected bytes after tensors")
 
-    return Checkpoint(config=config, tensors=tensors)
+    return Checkpoint(config=config, tensors=tensors, path=str(path))

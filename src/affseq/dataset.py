@@ -2,10 +2,13 @@
 
 Feature matrices live in a small binary container (magic ``AFFW``); labels and
 manifests are CSV. A feature file is checked once (``file_track``) and then
-kept as a ``FileTrack``: where the checked file is, not its rows, which are
-read back from disk when asked (``open_rows``). ``FeatureTrack`` is the
-check itself, of a modality, a width and finite values; ``load_feature_track``
-returns one holding a whole file's rows. A window of ``SEQUENCE_LEN`` frames
+kept as a ``FileTrack``: where the checked file is and its width, not its
+rows, which are read back from disk when asked (``open_rows``). A file's
+width is the column count in its header; no table fixes it, and a reader
+given files, a buffer or statistics of unequal widths raises
+WidthMismatchError naming the file. ``FeatureTrack`` is the check itself, of
+a modality and finite values; ``load_feature_track`` returns one holding a
+whole file's rows. A window of ``SEQUENCE_LEN`` frames
 (``SEQUENCE_OVERLAP`` frames of overlap) is a row of frame indices, and
 every stage after checking works on those integer rows plus arrays: a batch
 of windows (``gather_windows``) or a block of frames (``frame_block``) is
@@ -39,6 +42,9 @@ from .errors import (
     WidthMismatchError,
 )
 
+# The manifest's modalities, in column order, and the default width of each: the
+# widths of the paper's features, which ``ModelConfig`` starts from. A feature
+# file's own width is the one in its header.
 MODALITY_DIMS = {"audio": 168, "expnet": 2048, "facepose": 714}
 
 SEQUENCE_LEN = 15
@@ -55,7 +61,7 @@ _STD_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class FeatureTrack:
-    """A checked per-frame feature matrix of one modality: known modality, its width, finite values.
+    """A checked per-frame feature matrix of one modality: known modality, at least one column, finite values.
 
     ``data`` keeps the float32 it was read as (no widened copy is held);
     any other dtype becomes float64.
@@ -73,12 +79,8 @@ class FeatureTrack:
             data = data.astype(np.float64, copy=False)
         if data.ndim != 2:
             raise DomainError(f"feature track must be 2-D, got shape {data.shape}")
-        want = MODALITY_DIMS[self.modality]
-        if data.shape[1] != want:
-            raise WidthMismatchError(
-                f"{self.video_id or '<track>'}: modality {self.modality!r} expects width "
-                f"{want}, got {data.shape[1]}"
-            )
+        if data.shape[1] < 1:
+            raise WidthMismatchError(f"{self.video_id or '<track>'}: {self.modality} feature track has no columns")
         if not np.all(np.isfinite(data)):
             raise DomainError(f"{self.video_id or '<track>'}: feature track has non-finite entries")
         object.__setattr__(self, "data", data)
@@ -92,23 +94,25 @@ class FeatureTrack:
 class FileTrack:
     """A checked AFFW feature file whose rows are read back from disk on demand.
 
-    It holds no feature data (see ``file_track``). ``stamp`` is the file's
-    device, inode, size and mtime in ns from before it was checked; the
-    file must still match it whenever ``open_rows`` opens or closes it, so no
-    row is read from bytes that were not checked.
+    It holds no feature data (see ``file_track``). ``width`` is the column
+    count of its header. ``stamp`` is the file's device, inode, size and
+    mtime in ns from before it was checked; the file must still match it
+    whenever ``open_rows`` opens or closes it, so no row is read from bytes
+    that were not checked.
     """
 
     video_id: str
     modality: str
     path: Path
     n_frames: int
+    width: int
     stamp: tuple[int, int, int, int]
 
-    dtype = np.dtype("<f4")  # the stored rows, as ``rows[lo:hi]`` returns them
+    dtype = np.dtype("<f4")  # the stored rows, as ``read_into`` reads them
 
     @contextmanager
     def open_rows(self):
-        """The file, opened and checked, as rows to slice (``rows[lo:hi]``); closed on exit."""
+        """The file, opened and checked, as rows to read (``read_into``); closed on exit."""
         try:
             fh = open(self.path, "rb")
         except OSError as exc:
@@ -125,24 +129,27 @@ class FileTrack:
     def _changed(self, reason: str) -> FileFormatError:
         return FileFormatError(f"{self.path}: feature file changed after it was checked ({reason})")
 
+    def check_width(self, width: int, of: str) -> None:
+        """Raise WidthMismatchError naming this file unless ``width``, the width of ``of``, is its own."""
+        if width != self.width:
+            raise WidthMismatchError(
+                f"{self.path}: {self.modality} width {self.width} does not match width {width} of {of}"
+            )
+
 
 class _AffwRows:
-    """Rows of an open AFFW file, one seek and read each: ``rows[lo:hi]`` as a new float32 array,
-    or ``read_into`` a buffer the caller reuses."""
+    """Rows of an open AFFW file, one seek and read each into a buffer the caller owns (``read_into``)."""
 
     def __init__(self, track: FileTrack, fh):
         self._track, self._fh = track, fh
-        self._width = MODALITY_DIMS[track.modality]
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        lo, hi, _ = rows.indices(self._track.n_frames)
-        return self.read_into(lo, np.empty((max(hi - lo, 0), self._width), dtype=FileTrack.dtype))
 
     def read_into(self, lo: int, out: np.ndarray) -> np.ndarray:
-        """Rows ``lo`` to ``lo + len(out)`` into ``out``, a C-contiguous float32 [n x width]; returns it."""
-        self._fh.seek(16 + lo * out.itemsize * self._width)
+        """Rows ``lo`` to ``lo + len(out)`` into ``out``, a C-contiguous float32 [n x the file's width]; returns it."""
+        track = self._track
+        track.check_width(out.shape[-1], "the read buffer")
+        self._fh.seek(16 + lo * out.itemsize * track.width)
         if self._fh.readinto(out) != out.nbytes:
-            raise self._track._changed("short read")
+            raise track._changed("short read")
         return out
 
 
@@ -225,7 +232,7 @@ def _affw_shape(path, head: bytes, size: int) -> tuple[int, int]:
 
 
 def load_feature_track(path, modality: str, video_id: str = "") -> FeatureTrack:
-    """Read an AFFW feature file, checking magic, version, size, and width."""
+    """Read an AFFW feature file, checking magic, version, size, modality and finiteness."""
     with open(path, "rb") as fh:
         blob = fh.read()
     rows, cols = _affw_shape(path, blob, len(blob))
@@ -236,21 +243,27 @@ def load_feature_track(path, modality: str, video_id: str = "") -> FeatureTrack:
 _READ_ROWS = 64  # rows per read when a file is checked or read back: the memory bound of each
 
 
-def file_track(path, modality: str, video_id: str = "") -> FileTrack:
+def file_track(path, modality: str, video_id: str = "", expect: tuple[int, str] | None = None) -> FileTrack:
     """Check the AFFW file at ``path`` as ``load_feature_track`` does, then keep only where it is.
 
-    The header and size are checked first, then the modality and width,
-    then the payload's finiteness ``_READ_ROWS`` rows at a time through one
-    reused buffer, so a check holds one chunk, not the file; each failure
-    raises what a load raises, with the same message. The file's identity is
-    taken before it is read, so a change at any later time, even while it is
-    being checked, makes ``FileTrack.open_rows`` refuse it.
+    The header and size are checked first, then the modality and, with
+    ``expect`` given as ``(width, source)``, that the header's width is
+    ``width``, the width of ``source`` (WidthMismatchError names both). Then
+    the payload's finiteness is checked ``_READ_ROWS`` rows at a time
+    through one reused buffer, so a check holds one chunk, not the file;
+    each failure raises what a load raises, with the same message. The
+    file's identity is taken before it is read, so a change at any later
+    time, even while it is being checked, makes ``FileTrack.open_rows``
+    refuse it.
     """
     with open(path, "rb") as fh:
         st = os.fstat(fh.fileno())
         rows, cols = _affw_shape(path, fh.read(16), st.st_size)
-        # a track's own checks: an empty one for the modality and width, then one per chunk
+        track = FileTrack(video_id, modality, Path(path), rows, cols, _stamp(st))
+        # a track's own checks: an empty one for the modality, then one per chunk
         FeatureTrack(video_id, modality, np.empty((0, cols), dtype="<f4"))
+        if expect is not None:
+            track.check_width(*expect)
         buf = np.empty((min(rows, _READ_ROWS), cols), dtype="<f4")
         for lo in range(0, rows, _READ_ROWS):
             chunk = buf[: rows - lo]
@@ -260,7 +273,7 @@ def file_track(path, modality: str, video_id: str = "") -> FileTrack:
                     f"{path}: expected {4 * rows * cols} payload bytes, found {4 * lo * cols + got}"
                 )
             FeatureTrack(video_id, modality, chunk)
-    return FileTrack(video_id, modality, Path(path), rows, _stamp(st))
+    return track
 
 
 def read_text(path, error: type[AffseqError]) -> str:
@@ -469,7 +482,8 @@ def compute_stats(tracks: list[FileTrack]) -> NormalizationStats:
     made: two passes over the rows (the sum, then the squared deviations from
     the mean, as ``np.std`` does) each read and widen ``_READ_ROWS``
     rows at a time (see ``_sum_rows``), so each file is read twice and never
-    held whole.
+    held whole. The tracks of a modality must share one width
+    (WidthMismatchError names the first file that does not).
     """
     if not tracks:
         raise DomainError("cannot compute normalization statistics from zero tracks")
@@ -499,9 +513,9 @@ def _sum_rows(sources: list[FileTrack], put) -> np.ndarray:
     whole rows in order; its pairwise summation runs only along the
     contiguous axis. So the running sum, carried in as row 0 above the next
     chunk, continues the very additions of one ``sum(axis=0)`` over every
-    row stacked, for any width above 1 (every modality's).
+    row stacked, for any width above 1 (one column may be summed pairwise).
     """
-    width = MODALITY_DIMS[sources[0].modality]
+    width = _shared_width(sources)
     buf = np.empty((_READ_ROWS + 1, width))
     chunk = np.empty((_READ_ROWS, width), dtype=FileTrack.dtype)  # each read, as stored
     total = None
@@ -516,6 +530,22 @@ def _sum_rows(sources: list[FileTrack], put) -> np.ndarray:
                     buf[0] = total
                     total = np.add.reduce(buf[: len(rows) + 1], axis=0)
     return total
+
+
+def _shared_width(tracks: list[FileTrack], stats: NormalizationStats | None = None) -> int:
+    """The width of ``tracks``, files of one modality, which each of them and their ``stats`` must have.
+
+    WidthMismatchError names the first file whose width is not the first
+    track's, or the first track if its statistics in ``stats`` are of
+    another width; statistics ``stats`` lacks are left to ``normalize``.
+    """
+    first = tracks[0]
+    for track in tracks[1:]:
+        track.check_width(first.width, first.path)
+    mean = None if stats is None else stats.mean.get(first.modality)
+    if mean is not None:
+        first.check_width(np.size(mean), f"the {first.modality} statistics")
+    return first.width
 
 
 def normalize(data: np.ndarray, modality: str, stats: NormalizationStats, *, out=None) -> np.ndarray:
@@ -544,17 +574,18 @@ def gather_windows(windows: WindowIndex, modality: str, stats: NormalizationStat
     then repeats to pad a track shorter than ``SEQUENCE_LEN``. ``normalize``
     widens them in its subtraction, so the batch is bit-equal to stacking
     windows cut from normalized float64 tracks, without a widened or
-    normalized copy of any track, and only the batch is read.
+    normalized copy of any track, and only the batch is read. The files and
+    their statistics must share one width (``_shared_width``).
     """
     videos = np.unique(windows.video)
     sources = [windows.tracks[v][modality] for v in videos]
-    rows = np.empty(windows.rows.shape + (MODALITY_DIMS[modality],), dtype=FileTrack.dtype)
+    rows = np.empty(windows.rows.shape + (_shared_width(sources, stats),), dtype=FileTrack.dtype)
     for v, source in zip(videos, sources):
         with source.open_rows() as data:
             for j in np.flatnonzero(windows.video == v):
                 first, last = windows.rows[j, 0], windows.rows[j, -1]
                 n = last - first + 1
-                rows[j, :n] = data[first : last + 1]
+                data.read_into(first, rows[j, :n])
                 rows[j, n:] = rows[j, n - 1]
     return normalize(rows, modality, stats)
 
@@ -567,10 +598,12 @@ def frame_block(track: FileTrack, lo: int, stats: NormalizationStats, out: np.nd
     time into one reused buffer of the file's width, and ``normalize``
     z-scores each chunk straight into its rows of ``out``, so no float32 copy
     of the block is made. The block has the bits of ``normalize`` over the
-    clamped rows, and statistics of another width raise as ``normalize`` does.
+    clamped rows. ``out`` or statistics of another width than the file's
+    raise WidthMismatchError naming it.
     """
+    width = _shared_width([track], stats)
+    track.check_width(out.shape[-1], "the block buffer")
     stop = min(lo + len(out), track.n_frames)
-    width = MODALITY_DIMS[track.modality]
     chunk = np.empty((min(stop - lo, _READ_ROWS), width), dtype=FileTrack.dtype)  # each read, as stored
     with track.open_rows() as rows:
         for start in range(lo, stop, _READ_ROWS):

@@ -1,9 +1,10 @@
 """Frame-aligned audio feature extraction.
 
 An audio clip is split into one overlapping segment per video frame, and each
-segment is reduced to a 168-dim feature vector: the first 40 orthonormal
-DCT-II coefficients of the time-averaged log-mel spectrum (MFCC) concatenated
-with the 128-dim averaged log-mel spectrum itself. The STFT is NumPy's real
+segment is reduced to a feature vector of ``n_mfcc + n_mels`` columns, 168
+by default: the first ``n_mfcc`` (40) orthonormal DCT-II coefficients of the
+time-averaged log-mel spectrum (MFCC) concatenated with the ``n_mels``-band
+(128) averaged log-mel spectrum itself. The STFT is NumPy's real
 FFT of periodic-Hann-windowed rows; the filterbank uses the Slaney mel scale
 with triangle-area normalization.
 

@@ -1,7 +1,8 @@
 """Multi-branch sequence regression models for valence/arousal prediction.
 
 The fusion network processes three modalities separately and concatenates
-their 64-dim sequence outputs before a shared time-distributed head:
+their 64-dim sequence outputs before a shared time-distributed head (input
+widths are the defaults; a trained model's are those of its train files):
 
   audio    [B x 15 x 168]  -> GRU(128)+PReLU+Drop -> GRU(64)+PReLU+Drop -> BN
   expnet   [B x 15 x 2048] -> GRU(256)+PReLU -> GRU(256)+PReLU -> GRU(64)+PReLU -> BN
@@ -54,6 +55,8 @@ class ModelConfig:
     variant: str = "fusion"
     cell: str = "gru"
     dropout: float = 0.25
+    # input widths: a trained model takes them from its train files, so these defaults
+    # (the paper's feature widths) matter only to a config built in code
     audio_dim: int = MODALITY_DIMS["audio"]
     expnet_dim: int = MODALITY_DIMS["expnet"]
     facepose_dim: int = MODALITY_DIMS["facepose"]

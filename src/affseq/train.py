@@ -5,7 +5,10 @@ window index of the train split, the shuffle generator ``root_rng``, the model,
 its optimizer, the epochs completed, the best mean val CCC and the history
 lines. ``_start_run`` checks every train and val file once, with a load's
 checks but 64 rows at a time (``dataset.file_track``), and builds the run,
-drawing the model seed from ``root_rng`` before any permutation. It keeps
+drawing the model seed from ``root_rng`` before any permutation. Each
+modality's input width is the width of the first train row's file, and
+every other train and val file must have it; evaluation and prediction
+take the widths from the checkpoint's model. It keeps
 no feature data: the window index refers to the train split's files
 (``dataset.FileTrack``), and the statistics are read from them 64 rows at a
 time. ``_epoch`` advances the run by one pass: it shuffles the
@@ -38,14 +41,13 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .dataset import (
-    MODALITY_DIMS,
     SEQUENCE_LEN,
     FileTrack,
     LabelTrack,
@@ -109,14 +111,19 @@ class VideoData:
     labels: LabelTrack | None
 
 
-def _load_video(row: ManifestRow, modalities, need_labels: bool) -> VideoData:
-    """Check one row's feature files (``file_track``, a chunk of rows at a time) and load its labels."""
+# Per modality, the input width every feature file must have and what set it
+# (``dataset.file_track``'s ``expect``), or None where nothing has set it yet.
+_Widths = dict[str, tuple[int, str] | None]
+
+
+def _load_video(row: ManifestRow, widths: _Widths, need_labels: bool) -> VideoData:
+    """Check one row's file of each modality in ``widths`` (``file_track``, a chunk of rows at a time) and load its labels."""
     features = {}
-    for modality in modalities:
+    for modality, expect in widths.items():
         path = row.features.get(modality)
         if path is None:
             raise CoverageError(f"{row.video_id}: manifest has no {modality} feature file")
-        track = file_track(path, modality, video_id=row.video_id)
+        track = file_track(path, modality, video_id=row.video_id, expect=expect)
         if track.n_frames != row.n_frames:
             raise DomainError(
                 f"{row.video_id}: {modality} track has {track.n_frames} frames, "
@@ -136,7 +143,7 @@ def _load_video(row: ManifestRow, modalities, need_labels: bool) -> VideoData:
     return VideoData(row=row, features=features, labels=labels)
 
 
-def _stream_videos(rows, modalities, need_labels: bool, threads: int):
+def _stream_videos(rows, widths: _Widths, need_labels: bool, threads: int):
     """Yield each row's VideoData (``_load_video``) in row order.
 
     With ``threads`` > 1, worker threads check at most ``threads`` videos
@@ -146,7 +153,7 @@ def _stream_videos(rows, modalities, need_labels: bool, threads: int):
     threads = min(threads, os.cpu_count() or 1)
     if threads == 1 or len(rows) < 2:
         for row in rows:
-            yield _load_video(row, modalities, need_labels)
+            yield _load_video(row, widths, need_labels)
         return
     # imported here, not at module load: with the logging it loads, concurrent.futures
     # adds milliseconds to every process's start, and a one-thread run starts no pool
@@ -155,7 +162,7 @@ def _stream_videos(rows, modalities, need_labels: bool, threads: int):
     with ThreadPoolExecutor(max_workers=threads) as pool:
         ahead = deque()
         for row in rows:
-            ahead.append(pool.submit(_load_video, row, modalities, need_labels))
+            ahead.append(pool.submit(_load_video, row, widths, need_labels))
             if len(ahead) > threads:
                 yield ahead.popleft().result()
         while ahead:
@@ -185,7 +192,7 @@ def predict_video(
     # every batch refills: a new block per batch would take fresh pages from the heap each time
     longest = max(max(rows.max() - rows.min() + 1, SEQUENCE_LEN) for rows in batches)
     modalities = model.config.modalities()
-    buffers = {m: np.empty((longest, MODALITY_DIMS[m])) for m in modalities}
+    buffers = {m: np.empty((longest, video.features[m].width)) for m in modalities}
     pred = []
     for rows in batches:
         lo = rows.min()
@@ -194,6 +201,12 @@ def predict_video(
         pred.append(model.forward(frames, train=False, rows=rows - lo))
     del frames, buffers  # the blocks go before the merge allocates
     return merge_window_predictions(windows.rows, np.concatenate(pred), video.row.n_frames)
+
+
+def _checkpoint_widths(model: Model, ckpt: Checkpoint) -> _Widths:
+    """The input width of each modality the restored ``model`` reads, set by ``ckpt``."""
+    source = f"the checkpoint {ckpt.path}" if ckpt.path else "the checkpoint"
+    return {m: (model.config.input_dim(m), source) for m in model.config.modalities()}
 
 
 def _evaluate_videos(
@@ -290,8 +303,10 @@ def _history_line(epoch: int, train_loss: float, report: EvalReport) -> str:
 def train(manifest_rows: list[ManifestRow], config: TrainConfig, out_dir) -> tuple[Checkpoint, list[str]]:
     """Train per the config; writes ``best.ckpt`` and ``history.csv`` under ``out_dir``.
 
-    Returns the best checkpoint (reloaded from disk, so its tensors carry
-    exactly the stored float32 values) and the history rows.
+    The model's input widths are those of the first train row's feature
+    files, whatever ``config.model`` says (see ``_start_run``). Returns the
+    best checkpoint (reloaded from disk, so its tensors carry exactly the
+    stored float32 values) and the history rows.
     """
     out_dir = Path(out_dir)
     train_rows = [r for r in manifest_rows if r.split == "train"]
@@ -335,11 +350,17 @@ def _start_run(train_rows, val_rows, config: TrainConfig) -> _Run:
     (``file_track``), so no video is held whole: the run keeps a ``FileTrack``
     per file, each train batch reads its windows from the files, and
     validation reads each batch's frame blocks from them. A val video that
-    cannot load fails here, before training.
+    cannot load fails here, before training. The first train row's file of
+    each modality sets that modality's width, in the run's model config;
+    every later train or val file of another width fails its check, in row
+    order, before its payload is read.
     """
-    modalities = config.model.modalities()
-    train_videos = list(_stream_videos(train_rows, modalities, need_labels=True, threads=config.threads))
-    val_videos = list(_stream_videos(val_rows, modalities, need_labels=True, threads=config.threads))
+    first = _load_video(train_rows[0], dict.fromkeys(config.model.modalities()), True)
+    widths = {m: (track.width, str(track.path)) for m, track in first.features.items()}
+    config = replace(config, model=replace(config.model, **{f"{m}_dim": w for m, (w, _) in widths.items()}))
+    rest = _stream_videos(train_rows[1:], widths, need_labels=True, threads=config.threads)
+    train_videos = [first, *rest]
+    val_videos = list(_stream_videos(val_rows, widths, need_labels=True, threads=config.threads))
     stats = compute_stats([t for v in train_videos for t in v.features.values()])
     windows = concat_windows([build_windows(v.features, v.labels) for v in train_videos])
     windows = windows.select(windows.mask.any(axis=1))  # a window with no valid frame contributes no gradient
@@ -415,7 +436,7 @@ def evaluate_checkpoint(
     if not val_rows:
         raise ConfigError("manifest has no val rows to evaluate")
     model, stats = restore_model(ckpt)
-    videos = _stream_videos(val_rows, model.config.modalities(), need_labels=True, threads=threads)
+    videos = _stream_videos(val_rows, _checkpoint_widths(model, ckpt), need_labels=True, threads=threads)
     return _evaluate_videos(model, stats, videos, ccc_mode, batch_size)
 
 
@@ -437,9 +458,9 @@ def predict(
     # only after the restore, so a checkpoint that does not fit leaves no empty directory
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    modalities = model.config.modalities()
+    widths = _checkpoint_widths(model, ckpt)
     written: dict[str, Path] = {}
-    for video in _stream_videos(manifest_rows, modalities, need_labels=False, threads=threads):
+    for video in _stream_videos(manifest_rows, widths, need_labels=False, threads=threads):
         frames = predict_video(model, video, batch_size, stats=stats)
         path = out_dir / f"{video.row.video_id}.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import affseq.train as train_module
 from affseq.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from affseq.cli import main
-from affseq.dataset import load_feature_track
+from affseq.dataset import file_track, load_feature_track
 from affseq.dsp import DspParams
 from affseq.errors import FileFormatError, TruncatedFileError
 
@@ -240,7 +240,11 @@ def half_silent_wav(tmp_path_factory):
     )
 )
 def test_extract_audio_exit_codes_property(half_silent_wav, options):
-    """Any mix of boundary option values ends in 0/2/3/4 with one error: line, no traceback."""
+    """Any mix of boundary option values ends in 0/2/3/4 with one error: line, no traceback.
+
+    A file written (exit 0) is ``n_mfcc + n_mels`` columns wide in its header,
+    and the engine's file check takes it as an audio track of that width.
+    """
     out = half_silent_wav.with_suffix(".feat")
     out.unlink(missing_ok=True)
     argv = ["extract-audio", "--wav", str(half_silent_wav), "--out", str(out), "--frames", options["frames"] or "4"]
@@ -256,9 +260,28 @@ def test_extract_audio_exit_codes_property(half_silent_wav, options):
     assert "Traceback" not in err
     if code == 0:
         assert out.exists() and "rows=" in stdout.getvalue()
+        width = sum(int(options[key]) if options[key] is not None else getattr(DspParams(), key)
+                    for key in ("n_mfcc", "n_mels"))
+        assert struct.unpack_from("<III", out.read_bytes(), 4)[2] == width
+        assert file_track(out, "audio", expect=(width, "the keys")).width == width
     else:
         assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
         assert not out.exists()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_mels=st.integers(1, 128), data=st.data())
+def test_extract_audio_writes_a_file_of_its_keys_width_that_the_engine_takes(half_silent_wav, n_mels, data):
+    """Every ``--n-mels``/``--n-mfcc`` pair exits 0 with ``n_mfcc + n_mels`` columns, read back at that width."""
+    n_mfcc = data.draw(st.integers(1, n_mels), label="n_mfcc")
+    out = half_silent_wav.with_name("keys.feat")
+    out.unlink(missing_ok=True)
+    argv = ["extract-audio", "--wav", str(half_silent_wav), "--out", str(out), "--frames", "4",
+            "--n-mels", str(n_mels), "--n-mfcc", str(n_mfcc)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert struct.unpack_from("<III", out.read_bytes(), 4) == (1, 4, n_mfcc + n_mels)
+    assert file_track(out, "audio", expect=(n_mfcc + n_mels, "the keys")).width == n_mfcc + n_mels
 
 
 # --- train -----------------------------------------------------------------

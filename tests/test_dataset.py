@@ -65,11 +65,23 @@ def test_feature_header_layout(tmp_path):
     assert len(blob) == 16 + 4 * 2 * 5
 
 
-def test_feature_width_mismatch(tmp_path):
+def test_feature_width_is_the_one_in_the_header(tmp_path):
     path = tmp_path / "w.feat"
-    write_feature_file(path, np.zeros((3, 167)))
-    with pytest.raises(WidthMismatchError):
-        load_feature_track(path, "audio")
+    write_feature_file(path, np.ones((3, 53)))
+    assert load_feature_track(path, "audio").data.shape == (3, 53)
+    track = file_track(path, "audio", "v")
+    assert (track.n_frames, track.width) == (3, 53)
+    assert file_track(path, "audio", "v", expect=(53, "x.feat")).width == 53
+
+
+def test_file_track_refuses_another_width_than_expected_before_reading_the_payload(tmp_path):
+    path = tmp_path / "w.feat"
+    data = np.zeros((3, 167), dtype="<f4")
+    data[1, 2] = np.nan  # a check that read the payload would fail on this instead
+    write_feature_file(path, data)
+    with pytest.raises(WidthMismatchError) as err:
+        file_track(path, "audio", "v", expect=(168, "tr0.audio.feat"))
+    assert str(err.value) == f"{path}: audio width 167 does not match width 168 of tr0.audio.feat"
 
 
 def test_feature_truncated_names_expected_bytes(tmp_path):
@@ -221,7 +233,7 @@ def _track(tmp_path, vid, modality, data):
 def _rows(track):
     """Every row of a checked file, as stored."""
     with track.open_rows() as rows:
-        return rows[:]
+        return rows.read_into(0, np.empty((track.n_frames, track.width), dtype=track.dtype))
 
 
 def test_build_windows_slices_match_source(tmp_path, rng):
@@ -475,6 +487,41 @@ def test_gather_windows_requires_matching_stats(tmp_path, rng):
         gather_windows(build_windows({"expnet": track}), "expnet", stats)
 
 
+def _wide_and_narrow(tmp_path, rng):
+    """Two checked audio files of 20 frames, one 168 and one 53 columns wide."""
+    return (_track(tmp_path, "wide", "audio", rng.normal(size=(20, 168))),
+            _track(tmp_path, "narrow", "audio", rng.normal(size=(20, 53))))
+
+
+def _width_error(call) -> str:
+    with pytest.raises(WidthMismatchError) as err:
+        call()
+    return str(err.value)
+
+
+def test_readers_refuse_files_of_unequal_widths_naming_the_file(tmp_path, rng):
+    wide, narrow = _wide_and_narrow(tmp_path, rng)
+    message = f"{narrow.path}: audio width 53 does not match width 168 of {wide.path}"
+    assert _width_error(lambda: compute_stats([wide, narrow])) == message
+    index = concat_windows([build_windows({"audio": wide}), build_windows({"audio": narrow})])
+    assert _width_error(lambda: gather_windows(index, "audio", compute_stats([wide]))) == message
+
+
+def test_readers_refuse_statistics_or_a_buffer_of_another_width_naming_the_file(tmp_path, rng):
+    wide, narrow = _wide_and_narrow(tmp_path, rng)
+    stats = compute_stats([wide])
+    message = f"{narrow.path}: audio width 53 does not match width 168 of the audio statistics"
+    assert _width_error(lambda: gather_windows(build_windows({"audio": narrow}), "audio", stats)) == message
+    assert _width_error(lambda: frame_block(narrow, 0, stats, np.empty((15, 53)))) == message
+    assert _width_error(lambda: frame_block(wide, 0, stats, np.empty((15, 53)))) == (
+        f"{wide.path}: audio width 168 does not match width 53 of the block buffer"
+    )
+    with wide.open_rows() as rows:
+        assert _width_error(lambda: rows.read_into(0, np.empty((15, 53), dtype="<f4"))) == (
+            f"{wide.path}: audio width 168 does not match width 53 of the read buffer"
+        )
+
+
 # --- file-backed tracks ------------------------------------------------------------------
 
 def _file_videos(tmp_path, rng, lengths):
@@ -544,10 +591,10 @@ def test_file_track_reads_the_rows_it_was_asked_for(tmp_path, rng):
     data = rng.normal(size=(70, 168)).astype(np.float32)
     write_feature_file(tmp_path / "a.feat", data)
     track = file_track(tmp_path / "a.feat", "audio", "a")
-    assert (track.n_frames, track.dtype, track.video_id) == (70, np.float32, "a")
+    assert (track.n_frames, track.width, track.dtype, track.video_id) == (70, 168, np.float32, "a")
     with track.open_rows() as rows:
-        for lo, hi in ((0, 15), (55, 70), (64, 200), (3, 3)):
-            _same_bits(rows[lo:hi], data[lo:hi])
+        for lo, hi in ((0, 15), (55, 70), (64, 70), (3, 3)):
+            _same_bits(rows.read_into(lo, np.empty((hi - lo, 168), dtype=track.dtype)), data[lo:hi])
 
 
 def test_file_track_checks_the_file_as_a_load_does(tmp_path):
@@ -555,9 +602,6 @@ def test_file_track_checks_the_file_as_a_load_does(tmp_path):
     write_feature_file(path, np.zeros((4, 168)))
     path.write_bytes(path.read_bytes()[:-1])
     with pytest.raises(TruncatedFileError, match="payload bytes"):
-        file_track(path, "audio")
-    write_feature_file(path, np.zeros((4, 10)))
-    with pytest.raises(WidthMismatchError):
         file_track(path, "audio")
     with pytest.raises(FileNotFoundError):
         file_track(tmp_path / "nope.feat", "audio")
@@ -582,7 +626,7 @@ BROKEN_FILES = {
     "version": ("audio", _affw(2, 168, version=2)),
     "truncated": ("audio", _affw(3, 168)[:-10]),
     "trailing bytes": ("audio", _affw(3, 168) + b"\x00\x00"),
-    "width": ("audio", _affw(70, 167)),
+    "no columns": ("audio", _affw(70, 0)),
     "unknown modality": ("thermal", _affw(3, 168)),
     "nan in the last partial chunk": ("audio", _with_nonfinite(np.nan, 129)),
     "inf in the first row": ("audio", _with_nonfinite(-np.inf, 0)),
@@ -629,7 +673,7 @@ def test_file_track_refuses_a_file_changed_after_it_was_checked(tmp_path, rng, c
     FILE_CHANGES[change](path)
     with pytest.raises(FileFormatError, match=f"^{path}: feature file changed after it was checked"):
         with track.open_rows() as rows:
-            rows[0:15]
+            rows.read_into(0, np.empty((15, 168), dtype=track.dtype))
 
 
 @pytest.mark.parametrize("change", ["rewritten", "touched"])
@@ -640,7 +684,7 @@ def test_file_track_refuses_a_file_changed_while_its_rows_are_read(tmp_path, rng
     with pytest.raises(FileFormatError, match="changed after it was checked"):
         with track.open_rows() as rows:
             FILE_CHANGES[change](path)
-            rows[0:15]
+            rows.read_into(0, np.empty((15, 168), dtype=track.dtype))
 
 
 # --- overlap merge --------------------------------------------------------------------

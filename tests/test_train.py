@@ -12,6 +12,7 @@ import affseq.dataset as dataset_module
 import affseq.nn.layers
 import affseq.nn.recurrent
 import affseq.train as train_module
+from affseq import write_feature_file
 from affseq.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from affseq.cli import main
 from affseq.dataset import MODALITY_DIMS, SEQUENCE_LEN, FileTrack, NormalizationStats, load_manifest, window_rows
@@ -37,7 +38,7 @@ def _tensors(model):
 
 
 def _small_model(**kw):
-    # canonical input widths (the loader enforces them); narrow layers for speed
+    # narrow layers for speed; train takes the input widths from the corpus files
     return ModelConfig(width_scale=32, **kw)
 
 
@@ -441,7 +442,7 @@ def test_scoring_a_restored_model_builds_no_random_generator(tmp_path, rng, monk
 
     monkeypatch.setattr(np.random, "default_rng", forbidden)
     model, stats = restore_model(ckpt)
-    video = train_module._load_video(rows[-1], model.config.modalities(), need_labels=True)
+    video = train_module._load_video(rows[-1], dict.fromkeys(model.config.modalities()), need_labels=True)
     assert train_module.predict_video(model, video, stats=stats).shape == (video.row.n_frames, 2)
     assert evaluate_checkpoint(rows, ckpt).n_frames_evaluated == 20
     for vid, path in predict(rows, ckpt, tmp_path / "unseeded").items():
@@ -666,7 +667,7 @@ def test_threaded_loading_holds_at_most_threads_videos_ahead(tmp_path, rng, monk
 def test_predict_video_keeps_batch_size_third_and_takes_stats_by_keyword(tmp_path, rng):
     rows, ckpt = _scoring_corpus(tmp_path, rng, n_val=1)
     model, stats = restore_model(ckpt)
-    video = train_module._load_video(rows[1], model.config.modalities(), need_labels=False)
+    video = train_module._load_video(rows[1], dict.fromkeys(model.config.modalities()), need_labels=False)
     frames = train_module.predict_video(model, video, 7, stats=stats)
     assert frames.shape == (rows[1].n_frames, 2)
     with pytest.raises(TypeError, match="stats"):
@@ -772,14 +773,63 @@ def test_legacy_checkpoint_restores_unchanged_and_predicts(tmp_path, rng, capsys
 
 @pytest.mark.parametrize("dims", [TINY_DIMS, dict(audio_dim=170, expnet_dim=2048, facepose_dim=714)])
 @pytest.mark.parametrize("command", ["predict", "evaluate"])
-def test_scoring_files_of_another_width_than_the_model_fails_on_the_stats_width(
-    tmp_path, rng, capsys, dims, command
+def test_scoring_files_of_another_width_than_the_model_fails_on_the_file_width(
+    tmp_path, rng, capsys, monkeypatch, dims, command
 ):
     # the checkpoint is consistent in itself; only the standard-width files disagree with it
-    save_checkpoint(tmp_path / "m.ckpt", _model_checkpoint(ModelConfig(width_scale=32, **dims))[2])
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, _model_checkpoint(ModelConfig(width_scale=32, **dims))[2])
     manifest = make_corpus(tmp_path / "corpus", [("a", "val", 40)], rng)
+    monkeypatch.setattr(train_module, "predict_video", _never)  # the check comes before any model work
     extra = ["--out", str(tmp_path / "preds")] if command == "predict" else []
-    assert main([command, "--manifest", str(manifest), "--checkpoint", str(tmp_path / "m.ckpt"), *extra]) == 3
+    assert main([command, "--manifest", str(manifest), "--checkpoint", str(ckpt), *extra]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: stats width ({dims['audio_dim']},) does not match feature width 168\n"
+    assert err == (
+        f"error: {manifest.parent / 'a.audio.feat'}: audio width 168 does not match "
+        f"width {dims['audio_dim']} of the checkpoint {ckpt}\n"
+    )
+    if command == "predict":
+        assert not any((tmp_path / "preds").iterdir())
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("reached")
+
+
+_TRAIN_SPLIT = [("tr0", "train", 30), ("tr1", "train", 25), ("va0", "val", 20)]
+
+
+def test_train_takes_each_width_from_the_first_train_file_and_scoring_from_the_checkpoint(tmp_path, rng, capsys):
+    manifest = make_corpus(tmp_path / "corpus", _TRAIN_SPLIT, rng, dims=dict(MODALITY_DIMS, audio=53))
+    run = tmp_path / "run"
+    train_args = ["--epochs", "1", "--model.width-scale", "32"]
+    assert main(["train", "--manifest", str(manifest), "--out", str(run), *train_args]) == 0
+    ckpt = load_checkpoint(run / "best.ckpt")
+    assert (ckpt.config["model"]["audio_dim"], ckpt.config["model"]["expnet_dim"]) == (53, 2048)
+    assert ckpt.tensors["norm/audio/mean"].shape == (53,)
+    scoring = ["--manifest", str(manifest), "--checkpoint", str(run / "best.ckpt")]
+    assert main(["evaluate", *scoring]) == 0
+    assert main(["predict", *scoring, "--out", str(tmp_path / "preds")]) == 0
+    assert sorted(p.name for p in (tmp_path / "preds").iterdir()) == ["tr0.csv", "tr1.csv", "va0.csv"]
+    # a library caller's widths give way to the files' too
+    config = TrainConfig(epochs=0, model=_small_model(audio_dim=6))
+    ckpt, _ = train(load_manifest(manifest), config, tmp_path / "lib")
+    assert ckpt.config["model"]["audio_dim"] == 53
+
+
+@pytest.mark.parametrize("odd", ["tr1", "va0"])
+def test_train_refuses_a_file_of_another_width_than_the_first_train_file(tmp_path, rng, capsys, monkeypatch, odd):
+    manifest = make_corpus(tmp_path / "corpus", _TRAIN_SPLIT, rng)
+    n_frames = {vid: n for vid, _, n in _TRAIN_SPLIT}[odd]
+    write_feature_file(manifest.parent / f"{odd}.audio.feat", rng.normal(size=(n_frames, 53)))
+    monkeypatch.setattr(train_module, "compute_stats", _never)  # the check comes before any statistics
+    run = tmp_path / "run"
+    assert main(["train", "--manifest", str(manifest), "--out", str(run), "--model.width-scale", "32"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: {manifest.parent / f'{odd}.audio.feat'}: audio width 53 does not match "
+        f"width 168 of {manifest.parent / 'tr0.audio.feat'}\n"
+    )
+    assert not run.exists()

@@ -20,6 +20,10 @@ The matrix:
   which is longer than the clips' segments, so every STFT row is zero-padded;
 - ``train`` of the full-width ``gru`` and ``bilstm`` fusion models, shuffled,
   with a partial last batch, and of ``gru`` again with ``--threads 2``;
+- a corpus of the clips (``a0`` train, ``a1`` val) whose audio is their
+  ``--n-mels 40 --n-mfcc 13`` extraction, 53 columns (``audio/keys.csv``):
+  ``train`` of ``gru`` for one epoch, then ``evaluate`` and ``predict`` with
+  its checkpoint;
 - ``predict`` with each checkpoint at batch 32, and at batch 7 with
   ``--threads 3``; one val video (``va2``, 340 frames, 34 windows) is longer
   than one batch at either size, so scoring reads it as several frame
@@ -33,7 +37,11 @@ The matrix:
   each with its whole-file CRC refixed, a flipped payload byte, two tensors
   out of name order, trailing bytes after the last tensor and a ``best.ckpt``
   re-saved with ``"expnet_dim": 10000000``, an input width its tensors do
-  not have, given to ``evaluate`` and to ``predict``.
+  not have, given to ``evaluate`` and to ``predict``;
+- feature widths that disagree: ``train`` on ``audio/mixed.csv``, the clips'
+  corpus with 53-column audio in its train row and 168-column audio in its
+  val row, and the 53-column checkpoint given to ``evaluate`` and to
+  ``predict`` on the 168-column corpus.
 
 Standard library and NumPy only; the inputs come from ``perfbench/inputs.py``
 (``feature_corpus`` and ``wav_corpus``, seed 4242).
@@ -79,12 +87,23 @@ PADDED_FLAGS = ["--n-fft", "4096"]
 TRAIN_FLAGS = ["--epochs", "2", "--batch-size", "5", "--learning-rate", "1e-3", "--seed", "7"]
 COMMANDS = ("extract-audio", "train", "evaluate", "predict")
 MANIFEST = "corpus/manifest.csv"
+KEYS_MANIFEST = "audio/keys.csv"  # CLIPS with their DSP_FLAGS audio: 53 columns
+KEYS_TRAIN_FLAGS = ["--epochs", "1", "--batch-size", "5", "--learning-rate", "1e-3", "--seed", "7"]
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 
 
 def _write_inputs(work: Path) -> None:
     inputs.feature_corpus(work / "corpus", SEED, VIDEOS, SIGNAL)
     inputs.wav_corpus(work / "wav", SEED, CLIPS, SIGNAL)
+    (work / "audio").mkdir()
+    for name, val_audio in (("keys", "keys"), ("mixed", "default")):
+        lines = [inputs.MANIFEST_HEADER]
+        for clip, split in zip(CLIPS, ("train", "val")):
+            audio = f"{clip.video_id}/{val_audio if split == 'val' else 'keys'}.feat"  # as extracted below
+            wav = f"../wav/{clip.video_id}"
+            cells = [audio, f"{wav}.expnet.feat", f"{wav}.facepose.feat", f"{wav}.labels.csv", str(clip.n_frames)]
+            lines.append(",".join([clip.video_id, split, *cells]))
+        (work / "audio" / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _main_commands() -> list[tuple[str, list[str], dict]]:
@@ -108,6 +127,11 @@ def _main_commands() -> list[tuple[str, list[str], dict]]:
             cmds.append((f"evaluate-{cell}-{mode}", report, {}))
     threaded = ["train", "--manifest", MANIFEST, "--out", "runs/gru-t2", "--model.cell", "gru", *TRAIN_FLAGS]
     cmds.append(("train-gru-t2", [*threaded, "--threads", "2"], {}))
+    keys = ["--manifest", KEYS_MANIFEST]
+    cmds.append(("train-keys-gru", ["train", *keys, "--out", "runs/keys", "--model.cell", "gru", *KEYS_TRAIN_FLAGS], {}))
+    scoring = [*keys, "--checkpoint", "runs/keys/best.ckpt"]
+    cmds.append(("evaluate-keys", ["evaluate", *scoring, "--report", "reports/keys.csv"], {}))
+    cmds.append(("predict-keys", ["predict", *scoring, "--out", "preds/keys"], {}))
     return cmds
 
 
@@ -272,6 +296,10 @@ def _error_commands(manifests: list[str]) -> list[tuple[str, list[str], dict]]:
         ("checkpoint-wrong-width", [*evaluate, "broken/wrong-width.ckpt"], {}),
         ("checkpoint-wrong-width-predict", ["predict", "--manifest", MANIFEST, "--checkpoint",
                                             "broken/wrong-width.ckpt", "--out", "errors/wide-preds"], {}),
+        ("width-mixed-train", ["train", "--manifest", "audio/mixed.csv", "--out", "errors/mixed"], {}),
+        ("width-keys-checkpoint", [*evaluate, "runs/keys/best.ckpt"], {}),
+        ("width-keys-checkpoint-predict", ["predict", "--manifest", MANIFEST, "--checkpoint", "runs/keys/best.ckpt",
+                                           "--out", "errors/keys-preds"], {}),
         *((f"table-{name}", ["train", "--manifest", f"corpus/{name}.csv", "--out", f"errors/{name}"], {})
           for name in manifests),
         ("table-nul-id-predict", ["predict", "--manifest", "corpus/nul-id.csv", "--checkpoint", "runs/gru/best.ckpt",
