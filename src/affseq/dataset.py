@@ -1,19 +1,20 @@
 """Per-frame feature and label ingestion, windowing, and overlap merging.
 
 Feature matrices live in a small binary container (magic ``AFFW``); labels and
-manifests are CSV. A feature file is checked once (``file_track``) and then
-kept as a ``FileTrack``: where the checked file is and its width, not its
-rows, which are read back from disk when asked (``open_rows``). A file's
+manifests are CSV. A feature file is checked once, ``_READ_ROWS`` rows at a
+time (``file_track``: header, size, modality, columns, finite values), and
+then kept as a ``FileTrack``: where the checked file is and its width, not
+its rows, which are read back from disk when asked (``open_rows``). A file's
 width is the column count in its header; no table fixes it, and a reader
 given files, a buffer or statistics of unequal widths raises
-WidthMismatchError naming the file. ``FeatureTrack`` is the check itself, of
-a modality and finite values; ``load_feature_track`` returns one holding a
-whole file's rows. A window of ``SEQUENCE_LEN`` frames
-(``SEQUENCE_OVERLAP`` frames of overlap) is a row of frame indices, and
-every stage after checking works on those integer rows plus arrays: a batch
-of windows (``gather_windows``) or a block of frames (``frame_block``) is
-read from the files into one buffer and z-scored with statistics drawn
-from the training split only, and the windows' predictions merge back to
+WidthMismatchError naming the file. ``load_feature_track`` is a checked
+file's rows read whole, as a ``FeatureTrack``. A window of ``SEQUENCE_LEN``
+frames (``SEQUENCE_OVERLAP`` frames of overlap) is a row of frame indices,
+and every stage after checking works on those integer rows plus arrays. One
+reader, ``frame_block``, reads frames from a file and z-scores them with
+statistics drawn from the training split only: scoring reads a batch's
+block of frames with it, and a training batch (``gather_windows``) is a
+stack of one block per window. The windows' predictions merge back to
 frame level by averaging, for each frame, every window position that holds
 it.
 """
@@ -61,33 +62,11 @@ _STD_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class FeatureTrack:
-    """A checked per-frame feature matrix of one modality: known modality, at least one column, finite values.
-
-    ``data`` keeps the float32 it was read as (no widened copy is held);
-    any other dtype becomes float64.
-    """
+    """A feature file's rows, read whole by ``load_feature_track``: float32 [n_frames x width]."""
 
     video_id: str
     modality: str
     data: np.ndarray
-
-    def __post_init__(self):
-        if self.modality not in MODALITY_DIMS:
-            raise DomainError(f"unknown modality {self.modality!r}")
-        data = np.asarray(self.data)
-        if data.dtype != np.float32:
-            data = data.astype(np.float64, copy=False)
-        if data.ndim != 2:
-            raise DomainError(f"feature track must be 2-D, got shape {data.shape}")
-        if data.shape[1] < 1:
-            raise WidthMismatchError(f"{self.video_id or '<track>'}: {self.modality} feature track has no columns")
-        if not np.all(np.isfinite(data)):
-            raise DomainError(f"{self.video_id or '<track>'}: feature track has non-finite entries")
-        object.__setattr__(self, "data", data)
-
-    @property
-    def n_frames(self) -> int:
-        return self.data.shape[0]
 
 
 @dataclass(frozen=True)
@@ -138,7 +117,7 @@ class FileTrack:
 
 
 class _AffwRows:
-    """Rows of an open AFFW file, one seek and read each into a buffer the caller owns (``read_into``)."""
+    """Rows of an open AFFW file, one seek and read each into a buffer the caller owns (``read_into``, ``chunks``)."""
 
     def __init__(self, track: FileTrack, fh):
         self._track, self._fh = track, fh
@@ -151,6 +130,16 @@ class _AffwRows:
         if self._fh.readinto(out) != out.nbytes:
             raise track._changed("short read")
         return out
+
+    def chunks(self, lo: int, stop: int, buf: np.ndarray):
+        """Yield ``(start, rows)`` over rows ``lo`` to ``stop - 1``, ``_READ_ROWS`` rows at a time.
+
+        Each chunk is read into the head of ``buf`` (float32, at least
+        ``min(stop - lo, _READ_ROWS)`` rows of the file's width), which the
+        next chunk overwrites.
+        """
+        for start in range(lo, stop, _READ_ROWS):
+            yield start, self.read_into(start, buf[: stop - start])
 
 
 def _stamp(st: os.stat_result) -> tuple[int, int, int, int]:
@@ -231,40 +220,34 @@ def _affw_shape(path, head: bytes, size: int) -> tuple[int, int]:
     return rows, cols
 
 
-def load_feature_track(path, modality: str, video_id: str = "") -> FeatureTrack:
-    """Read an AFFW feature file, checking magic, version, size, modality and finiteness."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    rows, cols = _affw_shape(path, blob, len(blob))
-    data = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=16).reshape(rows, cols)
-    return FeatureTrack(video_id=video_id, modality=modality, data=data)
-
-
 _READ_ROWS = 64  # rows per read when a file is checked or read back: the memory bound of each
 
 
 def file_track(path, modality: str, video_id: str = "", expect: tuple[int, str] | None = None) -> FileTrack:
-    """Check the AFFW file at ``path`` as ``load_feature_track`` does, then keep only where it is.
+    """Check the AFFW file at ``path``, then keep only where it is.
 
-    The header and size are checked first, then the modality and, with
-    ``expect`` given as ``(width, source)``, that the header's width is
-    ``width``, the width of ``source`` (WidthMismatchError names both). Then
-    the payload's finiteness is checked ``_READ_ROWS`` rows at a time
-    through one reused buffer, so a check holds one chunk, not the file;
-    each failure raises what a load raises, with the same message. The
-    file's identity is taken before it is read, so a change at any later
-    time, even while it is being checked, makes ``FileTrack.open_rows``
-    refuse it.
+    The header and size are checked first (``_affw_shape``), then that the
+    modality is known (DomainError) and the file has a column
+    (WidthMismatchError) and, with ``expect`` given as ``(width, source)``,
+    that the header's width is ``width``, the width of ``source``
+    (WidthMismatchError names both). Then the payload's finiteness is
+    checked ``_READ_ROWS`` rows at a time through one reused buffer, so a
+    check holds one chunk, not the file (DomainError). The file's identity
+    is taken before it is read, so a change at any later time, even while it
+    is being checked, makes ``FileTrack.open_rows`` refuse it.
     """
     with open(path, "rb") as fh:
         st = os.fstat(fh.fileno())
         rows, cols = _affw_shape(path, fh.read(16), st.st_size)
+        if modality not in MODALITY_DIMS:
+            raise DomainError(f"unknown modality {modality!r}")
+        name = video_id or "<track>"
+        if cols < 1:
+            raise WidthMismatchError(f"{name}: {modality} feature track has no columns")
         track = FileTrack(video_id, modality, Path(path), rows, cols, _stamp(st))
-        # a track's own checks: an empty one for the modality, then one per chunk
-        FeatureTrack(video_id, modality, np.empty((0, cols), dtype="<f4"))
         if expect is not None:
             track.check_width(*expect)
-        buf = np.empty((min(rows, _READ_ROWS), cols), dtype="<f4")
+        buf = np.empty((min(rows, _READ_ROWS), cols), dtype=track.dtype)
         for lo in range(0, rows, _READ_ROWS):
             chunk = buf[: rows - lo]
             got = fh.readinto(chunk)
@@ -272,8 +255,17 @@ def file_track(path, modality: str, video_id: str = "", expect: tuple[int, str] 
                 raise TruncatedFileError(
                     f"{path}: expected {4 * rows * cols} payload bytes, found {4 * lo * cols + got}"
                 )
-            FeatureTrack(video_id, modality, chunk)
+            if not np.all(np.isfinite(chunk)):
+                raise DomainError(f"{name}: feature track has non-finite entries")
     return track
+
+
+def load_feature_track(path, modality: str, video_id: str = "") -> FeatureTrack:
+    """The AFFW file at ``path``, checked (``file_track``), then read whole in one ``read_into``."""
+    track = file_track(path, modality, video_id)
+    with track.open_rows() as rows:
+        data = rows.read_into(0, np.empty((track.n_frames, track.width), dtype=track.dtype))
+    return FeatureTrack(video_id, modality, data)
 
 
 def read_text(path, error: type[AffseqError]) -> str:
@@ -521,8 +513,7 @@ def _sum_rows(sources: list[FileTrack], put) -> np.ndarray:
     total = None
     for source in sources:
         with source.open_rows() as block:
-            for start in range(0, source.n_frames, _READ_ROWS):
-                rows = block.read_into(start, chunk[: source.n_frames - start])
+            for _, rows in block.chunks(0, source.n_frames, chunk):
                 put(buf[1 : len(rows) + 1], rows)
                 if total is None:
                     total = np.add.reduce(buf[1 : len(rows) + 1], axis=0)
@@ -568,26 +559,20 @@ def normalize(data: np.ndarray, modality: str, stats: NormalizationStats, *, out
 def gather_windows(windows: WindowIndex, modality: str, stats: NormalizationStats) -> np.ndarray:
     """Z-scored float64 batch [B x SEQUENCE_LEN x width] of ``modality`` over ``windows``.
 
-    Each video's file is opened once (``open_rows``) and closed before the
-    next, and each window reads its rows as stored (float32): the
-    contiguous run from its first row to its last, which ``window_rows``
-    then repeats to pad a track shorter than ``SEQUENCE_LEN``. ``normalize``
-    widens them in its subtraction, so the batch is bit-equal to stacking
-    windows cut from normalized float64 tracks, without a widened or
-    normalized copy of any track, and only the batch is read. The files and
-    their statistics must share one width (``_shared_width``).
+    Window ``j`` of the batch is the frame block (``frame_block``) of its
+    video's file from its first row, so a track shorter than
+    ``SEQUENCE_LEN`` repeats its last frame as ``window_rows`` clamps, and
+    the batch is bit-equal to stacking windows cut from normalized float64
+    tracks. Each window's file is opened for its read and closed before the
+    next, and besides the batch only one window's rows, as stored, are
+    held. The files and their statistics must share one width
+    (``_shared_width``).
     """
-    videos = np.unique(windows.video)
-    sources = [windows.tracks[v][modality] for v in videos]
-    rows = np.empty(windows.rows.shape + (_shared_width(sources, stats),), dtype=FileTrack.dtype)
-    for v, source in zip(videos, sources):
-        with source.open_rows() as data:
-            for j in np.flatnonzero(windows.video == v):
-                first, last = windows.rows[j, 0], windows.rows[j, -1]
-                n = last - first + 1
-                data.read_into(first, rows[j, :n])
-                rows[j, n:] = rows[j, n - 1]
-    return normalize(rows, modality, stats)
+    sources = [windows.tracks[v][modality] for v in np.unique(windows.video)]
+    out = np.empty(windows.rows.shape + (_shared_width(sources, stats),))
+    for block, v, lo in zip(out, windows.video, windows.rows[:, 0]):
+        frame_block(windows.tracks[v][modality], lo, stats, block)
+    return out
 
 
 def frame_block(track: FileTrack, lo: int, stats: NormalizationStats, out: np.ndarray) -> np.ndarray:
@@ -595,21 +580,19 @@ def frame_block(track: FileTrack, lo: int, stats: NormalizationStats, out: np.nd
 
     Frames past the track's last repeat it, as ``window_rows`` clamps. The
     file is opened once (``open_rows``) and read ``_READ_ROWS`` rows at a
-    time into one reused buffer of the file's width, and ``normalize``
-    z-scores each chunk straight into its rows of ``out``, so no float32 copy
-    of the block is made. The block has the bits of ``normalize`` over the
-    clamped rows. ``out`` or statistics of another width than the file's
-    raise WidthMismatchError naming it.
+    time into one reused buffer of the file's width (``chunks``), and
+    ``normalize`` z-scores each chunk straight into its rows of ``out``, so
+    no float32 copy of the block is made. The block has the bits of
+    ``normalize`` over the clamped rows. ``out`` or statistics of another
+    width than the file's raise WidthMismatchError naming it.
     """
     width = _shared_width([track], stats)
     track.check_width(out.shape[-1], "the block buffer")
     stop = min(lo + len(out), track.n_frames)
     chunk = np.empty((min(stop - lo, _READ_ROWS), width), dtype=FileTrack.dtype)  # each read, as stored
     with track.open_rows() as rows:
-        for start in range(lo, stop, _READ_ROWS):
-            end = min(start + _READ_ROWS, stop)
-            read = rows.read_into(start, chunk[: end - start])
-            normalize(read, track.modality, stats, out=out[start - lo : end - lo])
+        for start, read in rows.chunks(lo, stop, chunk):
+            normalize(read, track.modality, stats, out=out[start - lo : start - lo + len(read)])
     out[stop - lo :] = out[stop - lo - 1]
     return out
 

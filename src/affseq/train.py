@@ -3,8 +3,8 @@
 A training run is one ``_Run``: the config, the normalization statistics and
 window index of the train split, the shuffle generator ``root_rng``, the model,
 its optimizer, the epochs completed, the best mean val CCC and the history
-lines. ``_start_run`` checks every train and val file once, with a load's
-checks but 64 rows at a time (``dataset.file_track``), and builds the run,
+lines. ``_start_run`` checks every train and val file once, 64 rows at a
+time (``dataset.file_track``), and builds the run,
 drawing the model seed from ``root_rng`` before any permutation. Each
 modality's input width is the width of the first train row's file, and
 every other train and val file must have it; evaluation and prediction
@@ -13,16 +13,17 @@ no feature data: the window index refers to the train split's files
 (``dataset.FileTrack``), and the statistics are read from them 64 rows at a
 time. ``_epoch`` advances the run by one pass: it shuffles the
 window index with ``root_rng``, reads each batch's windows from the feature
-files (each file opened at most once a batch and closed before the next),
-z-scores them, runs masked-MSE backprop, clips the gradients and applies
-RMSprop. So training memory is the model, its gradients and optimizer caches
-and one batch, however large the train split is. A train file that is
-replaced, rewritten, touched or removed during the run fails the next batch
-that reads it with FileFormatError (exit 2). ``_validate_and_keep`` then
-scores the validation split, whose files ``_start_run`` checked once, from
-overlap-merged frame predictions, appends the epoch's ``history.csv`` line
-and saves ``best.ckpt`` on a strictly higher mean CCC. ``train`` drops the
-run before it reloads ``best.ckpt``, so the reload adds no peak memory.
+files (``gather_windows``: each window's file opened for its read and closed
+before the next window's), z-scores them, runs masked-MSE backprop, clips
+the gradients and applies RMSprop. So training memory is the model, its
+gradients and optimizer caches and one batch, however large the train split
+is. A train file that is replaced, rewritten, touched or removed during the
+run fails the next batch that reads it with FileFormatError (exit 2).
+``_validate_and_keep`` then scores the validation split, whose files
+``_start_run`` checked once, from overlap-merged frame predictions, appends
+the epoch's ``history.csv`` line and saves ``best.ckpt`` on a strictly
+higher mean CCC. ``train`` drops the run before it reloads ``best.ckpt``, so
+the reload adds no peak memory.
 
 Validation, evaluation and prediction go one video at a time (check,
 predict, drop) and read each batch's frames from the files, so their memory
@@ -451,17 +452,19 @@ def predict(
 
     Rows stream one at a time: each video's files are checked, read a batch
     at a time, predicted, written and dropped before the next, so memory
-    grows with neither the manifest nor a video's length.
+    grows with neither the manifest nor a video's length. ``out_dir`` is
+    made just before the first CSV is written, so a run that fails before
+    then, or has no row to predict, leaves no directory.
     """
     _check_inference_options(threads, batch_size)
     model, stats = restore_model(ckpt)
-    # only after the restore, so a checkpoint that does not fit leaves no empty directory
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     widths = _checkpoint_widths(model, ckpt)
     written: dict[str, Path] = {}
     for video in _stream_videos(manifest_rows, widths, need_labels=False, threads=threads):
         frames = predict_video(model, video, batch_size, stats=stats)
+        if not written:
+            out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"{video.row.video_id}.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("frame,valence,arousal\n")

@@ -1,9 +1,10 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is written from the defining formulas, deliberately not
-sharing code paths with the package: naive DFT, direct-formula CCC, CCC in
-exact rational arithmetic, a covering-set windowing oracle, slice-and-pad window cutting, a per-window
-overlap merge, a pointwise mel filterbank, a sign-split sigmoid, a single GRU step, a
+sharing code paths with the package: a whole-file AFFW reader, naive DFT,
+direct-formula CCC, CCC in exact rational arithmetic, a covering-set
+windowing oracle, slice-and-pad window cutting, a per-window overlap merge,
+a pointwise mel filterbank, a sign-split sigmoid, a single GRU step, a
 per-tensor RMSprop step, and central finite-difference gradient helpers. Bitwise
 layer references keep the earlier cache-everything design: GRU and LSTM
 backpropagation through time that caches every step's state (the previous
@@ -26,6 +27,14 @@ import struct
 from fractions import Fraction
 
 import numpy as np
+
+
+def read_affw(path) -> np.ndarray:
+    """The float32 [rows x cols] payload of the AFFW file at ``path``: the header's shape, then the bytes after its 16."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    _, rows, cols = struct.unpack_from("<III", blob, 4)
+    return np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=16).reshape(rows, cols)
 
 
 def naive_dft(x: np.ndarray) -> np.ndarray:
@@ -511,7 +520,7 @@ def fit_reference(manifest_rows, config):
     Returns ``(history lines, best epoch, best mean CCC or None, tensors)``,
     the tensors as float32 under the names a checkpoint stores them by.
     """
-    from affseq.dataset import load_feature_track, load_labels
+    from affseq.dataset import load_labels
     from affseq.metrics import evaluate
     from affseq.model import build
     from affseq.nn import masked_mse
@@ -519,7 +528,7 @@ def fit_reference(manifest_rows, config):
     modalities = config.model.modalities()
 
     def load(row):
-        tracks = {m: load_feature_track(row.features[m], m).data.astype(np.float64) for m in modalities}
+        tracks = {m: read_affw(row.features[m]).astype(np.float64) for m in modalities}
         return row.video_id, tracks, load_labels(row.label_path)
 
     train_videos = [load(row) for row in manifest_rows if row.split == "train"]

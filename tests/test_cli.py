@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import affseq.train as train_module
 from affseq.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from affseq.cli import main
-from affseq.dataset import file_track, load_feature_track
+from affseq.dataset import file_track, load_feature_track, write_feature_file
 from affseq.dsp import DspParams
 from affseq.errors import FileFormatError, TruncatedFileError
 
@@ -768,6 +768,42 @@ def test_predict_on_bad_checkpoint_leaves_no_out_dir(trained, tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "preds").exists()
+
+
+@pytest.mark.parametrize(
+    "audio, code, message",
+    [("nope.audio.feat", 2, "nope.audio.feat"), ("cut.audio.feat", 2, "payload bytes"),
+     ("narrow.audio.feat", 3, "audio width 10 does not match width 168")],
+    ids=["missing", "broken", "wrong-width"],
+)
+def test_predict_whose_first_video_fails_leaves_no_out_dir(trained, tmp_path, capsys, audio, code, message):
+    manifest, ckpt = trained
+    corpus = manifest.parent
+    (corpus / "cut.audio.feat").write_bytes((corpus / "tr0.audio.feat").read_bytes()[:-7])
+    write_feature_file(corpus / "narrow.audio.feat", np.zeros((25, 10)))
+    header, tr0, va0 = manifest.read_text(encoding="utf-8").splitlines()
+    cells = tr0.split(",")
+    cells[2] = audio
+    first_fails = _rewrite_manifest(manifest, "first-fails.csv", [header, ",".join(cells), va0])
+    out = tmp_path / "preds" / "nested"
+    capsys.readouterr()
+    assert main(["predict", "--manifest", str(first_fails), "--checkpoint", str(ckpt), "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert message in captured.err and "Traceback" not in captured.err
+    assert not (tmp_path / "preds").exists()
+
+
+def test_predict_of_a_manifest_without_rows_writes_no_out_dir(trained, tmp_path, capsys):
+    manifest, ckpt = trained
+    header = manifest.read_text(encoding="utf-8").splitlines()[0]
+    no_rows = _rewrite_manifest(manifest, "no-rows.csv", [header])
+    out = tmp_path / "preds"
+    capsys.readouterr()
+    assert main(["predict", "--manifest", str(no_rows), "--checkpoint", str(ckpt), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"{out}: wrote 0 prediction files\n"
+    assert not out.exists()
 
 
 def _afck(*tensors) -> bytes:

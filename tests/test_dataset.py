@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affseq import (
-    FeatureTrack,
     LabelTrack,
     build_windows,
     compute_stats,
@@ -41,7 +40,7 @@ from affseq.dataset import (
     window_rows,
 )
 from conftest import FILE_CHANGES
-from oracles import merge_windows_loop, slice_and_pad_windows, window_starts_oracle
+from oracles import merge_windows_loop, read_affw, slice_and_pad_windows, window_starts_oracle
 
 
 # --- feature file format -------------------------------------------------------
@@ -119,18 +118,6 @@ def test_feature_trailing_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00\x00")
     with pytest.raises(FileFormatError):
         load_feature_track(path, "audio")
-
-
-def test_feature_track_rejects_nonfinite():
-    data = np.zeros((2, 168))
-    data[1, 3] = np.nan
-    with pytest.raises(DomainError):
-        FeatureTrack(video_id="v", modality="audio", data=data)
-
-
-def test_feature_track_rejects_unknown_modality():
-    with pytest.raises(DomainError):
-        FeatureTrack(video_id="v", modality="thermal", data=np.zeros((2, 10)))
 
 
 # --- labels ----------------------------------------------------------------------
@@ -376,9 +363,6 @@ def test_loaded_track_keeps_float32(tmp_path, rng):
     track = load_feature_track(path, "audio")
     assert track.data.dtype == np.float32
     np.testing.assert_array_equal(track.data, data)
-    assert FeatureTrack("v", "audio", data).data.dtype == np.float32
-    assert FeatureTrack("v", "audio", np.zeros((2, 168), dtype=np.float16)).data.dtype == np.float64
-    assert FeatureTrack("v", "audio", np.zeros((2, 168), dtype=np.int32)).data.dtype == np.float64
 
 
 def test_compute_stats_of_float32_tracks_equals_widened_copies(tmp_path, rng):
@@ -525,14 +509,14 @@ def test_readers_refuse_statistics_or_a_buffer_of_another_width_naming_the_file(
 # --- file-backed tracks ------------------------------------------------------------------
 
 def _file_videos(tmp_path, rng, lengths):
-    """{video: ({modality: loaded array}, {modality: FileTrack}, labels)} over the same files."""
+    """{video: ({modality: the file's rows, read whole}, {modality: FileTrack}, labels)} over the same files."""
     videos = {}
     for vid, n in lengths.items():
         loaded, on_disk = {}, {}
         for modality, width in (("audio", 168), ("facepose", 714)):
             path = tmp_path / f"{vid}.{modality}.feat"
             write_feature_file(path, (rng.normal(size=(n, width)) * 2 + 0.5).astype(np.float32))
-            loaded[modality] = load_feature_track(path, modality, vid).data
+            loaded[modality] = read_affw(path)
             on_disk[modality] = file_track(path, modality, vid)
         valence, arousal = rng.uniform(-1, 1, size=(2, n))
         videos[vid] = (loaded, on_disk, LabelTrack(vid, valence, arousal, np.ones(n, dtype=bool)))
@@ -587,6 +571,26 @@ def test_frame_block_reads_the_block_not_the_file(tmp_path, rng):
     assert peak < 2**20, peak
 
 
+def test_gathered_batch_holds_the_batch_and_one_window_read(tmp_path, rng):
+    """32 expnet windows of two files: the float64 batch, one [15 x 2048] float32 read, little more."""
+    tracks = [_track(tmp_path, vid, "expnet", rng.normal(size=(n, 2048))) for vid, n in (("a", 330), ("b", 9))]
+    stats = compute_stats(tracks)
+    index = concat_windows([build_windows({"expnet": t}) for t in tracks])
+    index = index.select(np.random.default_rng(2).permutation(len(index))[:32])
+    assert len(index) == 32
+    gather_windows(index.select([0]), "expnet", stats)  # NumPy's one-time setup of np.unique is not the batch's
+    batch_bytes, read_bytes = 32 * 15 * 2048 * 8, 15 * 2048 * 4
+    tracemalloc.start()
+    try:
+        batch = gather_windows(index, "expnet", stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch.nbytes == batch_bytes
+    # slack: the float32-to-float64 cast buffer of the z-scoring subtraction (about one read)
+    assert peak < batch_bytes + read_bytes + 2**18, peak
+
+
 def test_file_track_reads_the_rows_it_was_asked_for(tmp_path, rng):
     data = rng.normal(size=(70, 168)).astype(np.float32)
     write_feature_file(tmp_path / "a.feat", data)
@@ -619,33 +623,34 @@ def _with_nonfinite(value, row):
     return _affw(130, 168, payload=data.tobytes())
 
 
+# (modality, file bytes or None for no file, the error class and its message with {path})
 BROKEN_FILES = {
-    "empty": ("audio", b""),
-    "short header": ("audio", b"AFFW\x01\x00\x00"),
-    "bad magic": ("audio", _affw(2, 168, magic=b"WAFF")),
-    "version": ("audio", _affw(2, 168, version=2)),
-    "truncated": ("audio", _affw(3, 168)[:-10]),
-    "trailing bytes": ("audio", _affw(3, 168) + b"\x00\x00"),
-    "no columns": ("audio", _affw(70, 0)),
-    "unknown modality": ("thermal", _affw(3, 168)),
-    "nan in the last partial chunk": ("audio", _with_nonfinite(np.nan, 129)),
-    "inf in the first row": ("audio", _with_nonfinite(-np.inf, 0)),
-    "missing": ("audio", None),
+    "empty": ("audio", b"", TruncatedFileError, "{path}: AFFW header needs 16 bytes, found 0"),
+    "short header": ("audio", b"AFFW\x01\x00\x00", TruncatedFileError, "{path}: AFFW header needs 16 bytes, found 7"),
+    "bad magic": ("audio", _affw(2, 168, magic=b"WAFF"), FileFormatError, "{path}: bad magic b'WAFF', expected b'AFFW'"),
+    "version": ("audio", _affw(2, 168, version=2), VersionMismatchError, "{path}: AFFW version 2, expected 1"),
+    "truncated": ("audio", _affw(3, 168)[:-10], TruncatedFileError, "{path}: expected 2016 payload bytes, found 2006"),
+    "trailing bytes": ("audio", _affw(3, 168) + b"\x00\x00", FileFormatError, "{path}: 2 trailing bytes after payload"),
+    "no columns": ("audio", _affw(70, 0), WidthMismatchError, "v: audio feature track has no columns"),
+    "unknown modality": ("thermal", _affw(3, 168), DomainError, "unknown modality 'thermal'"),
+    "nan in the last partial chunk": (
+        "audio", _with_nonfinite(np.nan, 129), DomainError, "v: feature track has non-finite entries"
+    ),
+    "inf in the first row": ("audio", _with_nonfinite(-np.inf, 0), DomainError, "v: feature track has non-finite entries"),
+    "missing": ("audio", None, FileNotFoundError, "[Errno 2] No such file or directory: '{path}'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BROKEN_FILES))
 def test_file_track_refuses_a_broken_file_with_the_error_of_a_load(tmp_path, case):
-    modality, blob = BROKEN_FILES[case]
+    modality, blob, error, message = BROKEN_FILES[case]
     path = tmp_path / "a.feat"
     if blob is not None:
         path.write_bytes(blob)
-    errors = []
     for read in (load_feature_track, file_track):
-        with pytest.raises(Exception) as err:
+        with pytest.raises(error) as err:
             read(path, modality, "v")
-        errors.append((type(err.value), str(err.value)))
-    assert errors[0] == errors[1]
+        assert (type(err.value), str(err.value)) == (error, message.format(path=path))
 
 
 def test_file_track_holds_a_chunk_of_a_long_file_not_the_file(tmp_path, rng):

@@ -19,7 +19,8 @@ The matrix:
   --stft-hop 128 --n-mels 40 --n-mfcc 13``, and with ``--n-fft 4096``,
   which is longer than the clips' segments, so every STFT row is zero-padded;
 - ``train`` of the full-width ``gru`` and ``bilstm`` fusion models, shuffled,
-  with a partial last batch, and of ``gru`` again with ``--threads 2``;
+  with a partial last batch, and of ``gru`` again with ``--threads 2`` and
+  with ``--shuffle false``, whose batches hold runs of windows of one video;
 - a corpus of the clips (``a0`` train, ``a1`` val) whose audio is their
   ``--n-mels 40 --n-mfcc 13`` extraction, 53 columns (``audio/keys.csv``):
   ``train`` of ``gru`` for one epoch, then ``evaluate`` and ``predict`` with
@@ -127,6 +128,8 @@ def _main_commands() -> list[tuple[str, list[str], dict]]:
             cmds.append((f"evaluate-{cell}-{mode}", report, {}))
     threaded = ["train", "--manifest", MANIFEST, "--out", "runs/gru-t2", "--model.cell", "gru", *TRAIN_FLAGS]
     cmds.append(("train-gru-t2", [*threaded, "--threads", "2"], {}))
+    unshuffled = ["train", "--manifest", MANIFEST, "--out", "runs/gru-unshuffled", "--model.cell", "gru", *TRAIN_FLAGS]
+    cmds.append(("train-gru-unshuffled", [*unshuffled, "--shuffle", "false"], {}))
     keys = ["--manifest", KEYS_MANIFEST]
     cmds.append(("train-keys-gru", ["train", *keys, "--out", "runs/keys", "--model.cell", "gru", *KEYS_TRAIN_FLAGS], {}))
     scoring = [*keys, "--checkpoint", "runs/keys/best.ckpt"]
