@@ -1,20 +1,21 @@
 """Per-frame feature and label ingestion, windowing, and overlap merging.
 
 Feature matrices live in a small binary container (magic ``AFFW``); labels and
-manifests are CSV. A feature file is checked once, ``_READ_ROWS`` rows at a
-time (``file_track``: header, size, modality, columns, finite values), and
-then kept as a ``FileTrack``: where the checked file is and its width, not
-its rows, which are read back from disk when asked (``open_rows``). A file's
+manifests are CSV. A feature file is checked once (``file_track``: header,
+size, modality, columns, finite values) and then kept as a ``FileTrack``:
+where the checked file is and its width, not its rows. One method,
+``FileTrack.chunks``, reads every payload ``_READ_ROWS`` rows at a time,
+the check's included, and refuses a file changed since its check. A file's
 width is the column count in its header; no table fixes it, and a reader
 given files, a buffer or statistics of unequal widths raises
 WidthMismatchError naming the file. ``load_feature_track`` is a checked
 file's rows read whole, as a ``FeatureTrack``. A window of ``SEQUENCE_LEN``
 frames (``SEQUENCE_OVERLAP`` frames of overlap) is a row of frame indices,
-and every stage after checking works on those integer rows plus arrays. One
-reader, ``frame_block``, reads frames from a file and z-scores them with
+and every stage after checking works on those integer rows plus arrays.
+``frame_block`` reads a block of frames from a file and z-scores it with
 statistics drawn from the training split only: scoring reads a batch's
-block of frames with it, and a training batch (``gather_windows``) is a
-stack of one block per window. The windows' predictions merge back to
+frames as one block, and a training batch (``gather_windows``) is a stack
+of one block per window. The windows' predictions merge back to
 frame level by averaging, for each frame, every window position that holds
 it.
 """
@@ -26,7 +27,6 @@ import csv
 import io
 import os
 import struct
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -76,8 +76,8 @@ class FileTrack:
     It holds no feature data (see ``file_track``). ``width`` is the column
     count of its header. ``stamp`` is the file's device, inode, size and
     mtime in ns from before it was checked; the file must still match it
-    whenever ``open_rows`` opens or closes it, so no row is read from bytes
-    that were not checked.
+    whenever ``chunks`` opens it and after its last chunk, so no row is read
+    from bytes that were not checked.
     """
 
     video_id: str
@@ -87,18 +87,30 @@ class FileTrack:
     width: int
     stamp: tuple[int, int, int, int]
 
-    dtype = np.dtype("<f4")  # the stored rows, as ``read_into`` reads them
+    dtype = np.dtype("<f4")  # the stored rows, as ``chunks`` reads them
 
-    @contextmanager
-    def open_rows(self):
-        """The file, opened and checked, as rows to read (``read_into``); closed on exit."""
+    def chunks(self, lo: int, stop: int, buf: np.ndarray):
+        """Yield ``(start, rows)`` over rows ``lo`` to ``stop - 1``, ``_READ_ROWS`` rows at a time.
+
+        The one reader of a payload. Each chunk is read into the head of
+        ``buf`` (C-contiguous float32 of the file's width, at least
+        ``min(stop - lo, _READ_ROWS)`` rows), which the next chunk
+        overwrites. The file is open only while the chunks are taken: a
+        consumer that stops early closes it when it drops the generator.
+        """
+        self.check_width(buf.shape[-1], "the read buffer")
         try:
             fh = open(self.path, "rb")
         except OSError as exc:
             raise self._changed(exc.strerror) from None
         with fh:
             self._check(fh)
-            yield _AffwRows(self, fh)
+            for start in range(lo, stop, _READ_ROWS):
+                rows = buf[: min(stop - start, _READ_ROWS)]
+                fh.seek(16 + start * 4 * self.width)
+                if fh.readinto(rows) != rows.nbytes:
+                    raise self._changed("short read")
+                yield start, rows
             self._check(fh)  # bytes written while the rows were read fail here
 
     def _check(self, fh) -> None:
@@ -114,32 +126,6 @@ class FileTrack:
             raise WidthMismatchError(
                 f"{self.path}: {self.modality} width {self.width} does not match width {width} of {of}"
             )
-
-
-class _AffwRows:
-    """Rows of an open AFFW file, one seek and read each into a buffer the caller owns (``read_into``, ``chunks``)."""
-
-    def __init__(self, track: FileTrack, fh):
-        self._track, self._fh = track, fh
-
-    def read_into(self, lo: int, out: np.ndarray) -> np.ndarray:
-        """Rows ``lo`` to ``lo + len(out)`` into ``out``, a C-contiguous float32 [n x the file's width]; returns it."""
-        track = self._track
-        track.check_width(out.shape[-1], "the read buffer")
-        self._fh.seek(16 + lo * out.itemsize * track.width)
-        if self._fh.readinto(out) != out.nbytes:
-            raise track._changed("short read")
-        return out
-
-    def chunks(self, lo: int, stop: int, buf: np.ndarray):
-        """Yield ``(start, rows)`` over rows ``lo`` to ``stop - 1``, ``_READ_ROWS`` rows at a time.
-
-        Each chunk is read into the head of ``buf`` (float32, at least
-        ``min(stop - lo, _READ_ROWS)`` rows of the file's width), which the
-        next chunk overwrites.
-        """
-        for start in range(lo, stop, _READ_ROWS):
-            yield start, self.read_into(start, buf[: stop - start])
 
 
 def _stamp(st: os.stat_result) -> tuple[int, int, int, int]:
@@ -231,40 +217,35 @@ def file_track(path, modality: str, video_id: str = "", expect: tuple[int, str] 
     (WidthMismatchError) and, with ``expect`` given as ``(width, source)``,
     that the header's width is ``width``, the width of ``source``
     (WidthMismatchError names both). Then the payload's finiteness is
-    checked ``_READ_ROWS`` rows at a time through one reused buffer, so a
-    check holds one chunk, not the file (DomainError). The file's identity
-    is taken before it is read, so a change at any later time, even while it
-    is being checked, makes ``FileTrack.open_rows`` refuse it.
+    checked through ``FileTrack.chunks``, the reader every later read uses,
+    into one reused buffer, so a check holds one chunk, not the file
+    (DomainError). The file's identity is taken before it is read, so a
+    change at any later time, even while it is being checked, makes
+    ``chunks`` refuse it.
     """
     with open(path, "rb") as fh:
         st = os.fstat(fh.fileno())
         rows, cols = _affw_shape(path, fh.read(16), st.st_size)
-        if modality not in MODALITY_DIMS:
-            raise DomainError(f"unknown modality {modality!r}")
-        name = video_id or "<track>"
-        if cols < 1:
-            raise WidthMismatchError(f"{name}: {modality} feature track has no columns")
-        track = FileTrack(video_id, modality, Path(path), rows, cols, _stamp(st))
-        if expect is not None:
-            track.check_width(*expect)
-        buf = np.empty((min(rows, _READ_ROWS), cols), dtype=track.dtype)
-        for lo in range(0, rows, _READ_ROWS):
-            chunk = buf[: rows - lo]
-            got = fh.readinto(chunk)
-            if got != chunk.nbytes:  # the file shrank after its size was read
-                raise TruncatedFileError(
-                    f"{path}: expected {4 * rows * cols} payload bytes, found {4 * lo * cols + got}"
-                )
-            if not np.all(np.isfinite(chunk)):
-                raise DomainError(f"{name}: feature track has non-finite entries")
+    if modality not in MODALITY_DIMS:
+        raise DomainError(f"unknown modality {modality!r}")
+    name = video_id or "<track>"
+    if cols < 1:
+        raise WidthMismatchError(f"{name}: {modality} feature track has no columns")
+    track = FileTrack(video_id, modality, Path(path), rows, cols, _stamp(st))
+    if expect is not None:
+        track.check_width(*expect)
+    for _, chunk in track.chunks(0, rows, np.empty((min(rows, _READ_ROWS), cols), dtype=track.dtype)):
+        if not np.all(np.isfinite(chunk)):
+            raise DomainError(f"{name}: feature track has non-finite entries")
     return track
 
 
 def load_feature_track(path, modality: str, video_id: str = "") -> FeatureTrack:
-    """The AFFW file at ``path``, checked (``file_track``), then read whole in one ``read_into``."""
+    """The AFFW file at ``path``, checked (``file_track``), then its chunks copied into one array."""
     track = file_track(path, modality, video_id)
-    with track.open_rows() as rows:
-        data = rows.read_into(0, np.empty((track.n_frames, track.width), dtype=track.dtype))
+    data = np.empty((track.n_frames, track.width), dtype=track.dtype)
+    for start, rows in track.chunks(0, track.n_frames, np.empty((_READ_ROWS, track.width), dtype=track.dtype)):
+        data[start : start + len(rows)] = rows
     return FeatureTrack(video_id, modality, data)
 
 
@@ -507,36 +488,21 @@ def _sum_rows(sources: list[FileTrack], put) -> np.ndarray:
     chunk, continues the very additions of one ``sum(axis=0)`` over every
     row stacked, for any width above 1 (one column may be summed pairwise).
     """
-    width = _shared_width(sources)
-    buf = np.empty((_READ_ROWS + 1, width))
-    chunk = np.empty((_READ_ROWS, width), dtype=FileTrack.dtype)  # each read, as stored
+    first = sources[0]
+    for source in sources[1:]:
+        source.check_width(first.width, first.path)
+    buf = np.empty((_READ_ROWS + 1, first.width))
+    chunk = np.empty((_READ_ROWS, first.width), dtype=FileTrack.dtype)  # each read, as stored
     total = None
     for source in sources:
-        with source.open_rows() as block:
-            for _, rows in block.chunks(0, source.n_frames, chunk):
-                put(buf[1 : len(rows) + 1], rows)
-                if total is None:
-                    total = np.add.reduce(buf[1 : len(rows) + 1], axis=0)
-                else:
-                    buf[0] = total
-                    total = np.add.reduce(buf[: len(rows) + 1], axis=0)
+        for _, rows in source.chunks(0, source.n_frames, chunk):
+            put(buf[1 : len(rows) + 1], rows)
+            if total is None:
+                total = np.add.reduce(buf[1 : len(rows) + 1], axis=0)
+            else:
+                buf[0] = total
+                total = np.add.reduce(buf[: len(rows) + 1], axis=0)
     return total
-
-
-def _shared_width(tracks: list[FileTrack], stats: NormalizationStats | None = None) -> int:
-    """The width of ``tracks``, files of one modality, which each of them and their ``stats`` must have.
-
-    WidthMismatchError names the first file whose width is not the first
-    track's, or the first track if its statistics in ``stats`` are of
-    another width; statistics ``stats`` lacks are left to ``normalize``.
-    """
-    first = tracks[0]
-    for track in tracks[1:]:
-        track.check_width(first.width, first.path)
-    mean = None if stats is None else stats.mean.get(first.modality)
-    if mean is not None:
-        first.check_width(np.size(mean), f"the {first.modality} statistics")
-    return first.width
 
 
 def normalize(data: np.ndarray, modality: str, stats: NormalizationStats, *, out=None) -> np.ndarray:
@@ -565,11 +531,11 @@ def gather_windows(windows: WindowIndex, modality: str, stats: NormalizationStat
     the batch is bit-equal to stacking windows cut from normalized float64
     tracks. Each window's file is opened for its read and closed before the
     next, and besides the batch only one window's rows, as stored, are
-    held. The files and their statistics must share one width
-    (``_shared_width``).
+    held. The batch is as wide as the index's first file; each window's
+    ``frame_block`` refuses a file of another width than the statistics or
+    the batch, naming it. An empty index gives an empty batch.
     """
-    sources = [windows.tracks[v][modality] for v in np.unique(windows.video)]
-    out = np.empty(windows.rows.shape + (_shared_width(sources, stats),))
+    out = np.empty(windows.rows.shape + (windows.tracks[0][modality].width,))
     for block, v, lo in zip(out, windows.video, windows.rows[:, 0]):
         frame_block(windows.tracks[v][modality], lo, stats, block)
     return out
@@ -579,20 +545,21 @@ def frame_block(track: FileTrack, lo: int, stats: NormalizationStats, out: np.nd
     """Fill ``out`` (float64 [length x the file's width]) with the z-scored frames ``lo .. lo + length - 1``; return it.
 
     Frames past the track's last repeat it, as ``window_rows`` clamps. The
-    file is opened once (``open_rows``) and read ``_READ_ROWS`` rows at a
-    time into one reused buffer of the file's width (``chunks``), and
-    ``normalize`` z-scores each chunk straight into its rows of ``out``, so
-    no float32 copy of the block is made. The block has the bits of
+    file is read ``_READ_ROWS`` rows at a time into one reused buffer of the
+    file's width (``FileTrack.chunks``), and ``normalize`` z-scores each
+    chunk straight into its rows of ``out``, so no float32 copy of the block
+    is made. The block has the bits of
     ``normalize`` over the clamped rows. ``out`` or statistics of another
     width than the file's raise WidthMismatchError naming it.
     """
-    width = _shared_width([track], stats)
+    mean = stats.mean.get(track.modality)  # statistics it lacks are left to ``normalize``
+    if mean is not None:
+        track.check_width(np.size(mean), f"the {track.modality} statistics")
     track.check_width(out.shape[-1], "the block buffer")
     stop = min(lo + len(out), track.n_frames)
-    chunk = np.empty((min(stop - lo, _READ_ROWS), width), dtype=FileTrack.dtype)  # each read, as stored
-    with track.open_rows() as rows:
-        for start, read in rows.chunks(lo, stop, chunk):
-            normalize(read, track.modality, stats, out=out[start - lo : start - lo + len(read)])
+    chunk = np.empty((min(stop - lo, _READ_ROWS), track.width), dtype=FileTrack.dtype)  # each read, as stored
+    for start, read in track.chunks(lo, stop, chunk):
+        normalize(read, track.modality, stats, out=out[start - lo : start - lo + len(read)])
     out[stop - lo :] = out[stop - lo - 1]
     return out
 

@@ -1,3 +1,4 @@
+import os
 import struct
 import tempfile
 import tracemalloc
@@ -219,8 +220,7 @@ def _track(tmp_path, vid, modality, data):
 
 def _rows(track):
     """Every row of a checked file, as stored."""
-    with track.open_rows() as rows:
-        return rows.read_into(0, np.empty((track.n_frames, track.width), dtype=track.dtype))
+    return read_affw(track.path)
 
 
 def test_build_windows_slices_match_source(tmp_path, rng):
@@ -471,6 +471,13 @@ def test_gather_windows_requires_matching_stats(tmp_path, rng):
         gather_windows(build_windows({"expnet": track}), "expnet", stats)
 
 
+def test_gather_windows_of_no_window_is_an_empty_batch(tmp_path, rng):
+    track = _track(tmp_path, "v", "audio", rng.normal(size=(20, 168)))
+    index = build_windows({"audio": track})
+    batch = gather_windows(index.select([]), "audio", compute_stats([track]))
+    assert (batch.shape, batch.dtype) == ((0, 15, 168), np.float64)
+
+
 def _wide_and_narrow(tmp_path, rng):
     """Two checked audio files of 20 frames, one 168 and one 53 columns wide."""
     return (_track(tmp_path, "wide", "audio", rng.normal(size=(20, 168))),
@@ -485,10 +492,13 @@ def _width_error(call) -> str:
 
 def test_readers_refuse_files_of_unequal_widths_naming_the_file(tmp_path, rng):
     wide, narrow = _wide_and_narrow(tmp_path, rng)
-    message = f"{narrow.path}: audio width 53 does not match width 168 of {wide.path}"
-    assert _width_error(lambda: compute_stats([wide, narrow])) == message
+    assert _width_error(lambda: compute_stats([wide, narrow])) == (
+        f"{narrow.path}: audio width 53 does not match width 168 of {wide.path}"
+    )
     index = concat_windows([build_windows({"audio": wide}), build_windows({"audio": narrow})])
-    assert _width_error(lambda: gather_windows(index, "audio", compute_stats([wide]))) == message
+    assert _width_error(lambda: gather_windows(index, "audio", compute_stats([wide]))) == (
+        f"{narrow.path}: audio width 53 does not match width 168 of the audio statistics"
+    )
 
 
 def test_readers_refuse_statistics_or_a_buffer_of_another_width_naming_the_file(tmp_path, rng):
@@ -500,10 +510,9 @@ def test_readers_refuse_statistics_or_a_buffer_of_another_width_naming_the_file(
     assert _width_error(lambda: frame_block(wide, 0, stats, np.empty((15, 53)))) == (
         f"{wide.path}: audio width 168 does not match width 53 of the block buffer"
     )
-    with wide.open_rows() as rows:
-        assert _width_error(lambda: rows.read_into(0, np.empty((15, 53), dtype="<f4"))) == (
-            f"{wide.path}: audio width 168 does not match width 53 of the read buffer"
-        )
+    assert _width_error(lambda: next(wide.chunks(0, 15, np.empty((15, 53), dtype="<f4")))) == (
+        f"{wide.path}: audio width 168 does not match width 53 of the read buffer"
+    )
 
 
 # --- file-backed tracks ------------------------------------------------------------------
@@ -578,7 +587,7 @@ def test_gathered_batch_holds_the_batch_and_one_window_read(tmp_path, rng):
     index = concat_windows([build_windows({"expnet": t}) for t in tracks])
     index = index.select(np.random.default_rng(2).permutation(len(index))[:32])
     assert len(index) == 32
-    gather_windows(index.select([0]), "expnet", stats)  # NumPy's one-time setup of np.unique is not the batch's
+    gather_windows(index.select([0]), "expnet", stats)  # NumPy's one-time setup is not the batch's
     batch_bytes, read_bytes = 32 * 15 * 2048 * 8, 15 * 2048 * 4
     tracemalloc.start()
     try:
@@ -596,9 +605,11 @@ def test_file_track_reads_the_rows_it_was_asked_for(tmp_path, rng):
     write_feature_file(tmp_path / "a.feat", data)
     track = file_track(tmp_path / "a.feat", "audio", "a")
     assert (track.n_frames, track.width, track.dtype, track.video_id) == (70, 168, np.float32, "a")
-    with track.open_rows() as rows:
-        for lo, hi in ((0, 15), (55, 70), (64, 70), (3, 3)):
-            _same_bits(rows.read_into(lo, np.empty((hi - lo, 168), dtype=track.dtype)), data[lo:hi])
+    buf = np.empty((64, 168), dtype=track.dtype)
+    for lo, hi in ((0, 15), (55, 70), (64, 70), (3, 3), (0, 70), (3, 70)):
+        read = [(start, rows.copy()) for start, rows in track.chunks(lo, hi, buf)]
+        assert [start for start, _ in read] == list(range(lo, hi, 64))
+        _same_bits(np.concatenate([rows for _, rows in read] or [buf[:0]]), data[lo:hi])
 
 
 def test_file_track_checks_the_file_as_a_load_does(tmp_path):
@@ -677,8 +688,7 @@ def test_file_track_refuses_a_file_changed_after_it_was_checked(tmp_path, rng, c
     track = file_track(path, "audio")
     FILE_CHANGES[change](path)
     with pytest.raises(FileFormatError, match=f"^{path}: feature file changed after it was checked"):
-        with track.open_rows() as rows:
-            rows.read_into(0, np.empty((15, 168), dtype=track.dtype))
+        next(track.chunks(0, 15, np.empty((15, 168), dtype=track.dtype)))
 
 
 @pytest.mark.parametrize("change", ["rewritten", "touched"])
@@ -686,10 +696,35 @@ def test_file_track_refuses_a_file_changed_while_its_rows_are_read(tmp_path, rng
     path = tmp_path / "a.feat"
     write_feature_file(path, rng.normal(size=(20, 168)))
     track = file_track(path, "audio")
-    with pytest.raises(FileFormatError, match="changed after it was checked"):
-        with track.open_rows() as rows:
-            FILE_CHANGES[change](path)
-            rows.read_into(0, np.empty((15, 168), dtype=track.dtype))
+    chunks = track.chunks(0, 20, np.empty((20, 168), dtype=track.dtype))
+    next(chunks)
+    FILE_CHANGES[change](path)
+    with pytest.raises(FileFormatError, match=r"changed after it was checked \(replaced, rewritten or touched\)"):
+        next(chunks)  # the check after the last chunk
+
+
+def _open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to count open files")
+def test_a_reader_that_stops_early_closes_its_file(tmp_path, rng):
+    """A consumer that raises inside ``chunks`` leaves no file open, though the error is still held."""
+    data = rng.normal(size=(200, 168)).astype(np.float32)
+    data[0, 7] = np.nan  # the first of four chunks
+    path = tmp_path / "nan.feat"
+    write_feature_file(path, data)
+    before = _open_descriptors()
+    with pytest.raises(DomainError, match="non-finite") as nan_error:
+        file_track(path, "audio", "v")
+    assert _open_descriptors() == before, nan_error.value
+
+    track = _track(tmp_path, "v", "expnet", rng.normal(size=(200, 2048)))
+    stats = compute_stats([_track(tmp_path, "v", "audio", rng.normal(size=(5, 168)))])
+    before = _open_descriptors()
+    with pytest.raises(DomainError, match="no normalization statistics") as stats_error:
+        frame_block(track, 0, stats, np.empty((150, 2048)))
+    assert _open_descriptors() == before, stats_error.value
 
 
 # --- overlap merge --------------------------------------------------------------------

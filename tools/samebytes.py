@@ -19,8 +19,10 @@ The matrix:
   --stft-hop 128 --n-mels 40 --n-mfcc 13``, and with ``--n-fft 4096``,
   which is longer than the clips' segments, so every STFT row is zero-padded;
 - ``train`` of the full-width ``gru`` and ``bilstm`` fusion models, shuffled,
-  with a partial last batch, and of ``gru`` again with ``--threads 2`` and
-  with ``--shuffle false``, whose batches hold runs of windows of one video;
+  with a partial last batch; of ``bilstm`` again with ``--threads 2``; and of
+  ``gru`` again with ``--threads 2``, with ``--threads 3`` and with
+  ``--shuffle false``, whose batches hold runs of windows of one video. With
+  more than one thread, worker threads check the files;
 - a corpus of the clips (``a0`` train, ``a1`` val) whose audio is their
   ``--n-mels 40 --n-mfcc 13`` extraction, 53 columns (``audio/keys.csv``):
   ``train`` of ``gru`` for one epoch, then ``evaluate`` and ``predict`` with
@@ -34,11 +36,14 @@ The matrix:
   them not UTF-8, one holding a NUL), ``AFFSEQ_THREADS``, bad WAV input,
   every manifest and label table rule (tables that are not UTF-8 or hold a
   NUL included, and a NUL ``video_id`` given to ``predict``), broken feature
-  files and broken checkpoints: a flipped byte, a file cut in half, and,
-  each with its whole-file CRC refixed, a flipped payload byte, two tensors
-  out of name order, trailing bytes after the last tensor and a ``best.ckpt``
-  re-saved with ``"expnet_dim": 10000000``, an input width its tensors do
-  not have, given to ``evaluate`` and to ``predict``;
+  files (missing, truncated, narrow, and non-finite: ``tr0``'s expnet with a
+  NaN in its first row and ``va2``'s with a NaN in its last, partial 64-row
+  chunk, each given to ``train`` and to ``predict``) and broken checkpoints:
+  a flipped byte, a file cut in half, and, each with its whole-file CRC
+  refixed, a flipped payload byte, two tensors out of name order, trailing
+  bytes after the last tensor and a ``best.ckpt`` re-saved with
+  ``"expnet_dim": 10000000``, an input width its tensors do not have, given
+  to ``evaluate`` and to ``predict``;
 - feature widths that disagree: ``train`` on ``audio/mixed.csv``, the clips'
   corpus with 53-column audio in its train row and 168-column audio in its
   val row, and the 53-column checkpoint given to ``evaluate`` and to
@@ -90,6 +95,8 @@ COMMANDS = ("extract-audio", "train", "evaluate", "predict")
 MANIFEST = "corpus/manifest.csv"
 KEYS_MANIFEST = "audio/keys.csv"  # CLIPS with their DSP_FLAGS audio: 53 columns
 KEYS_TRAIN_FLAGS = ["--epochs", "1", "--batch-size", "5", "--learning-rate", "1e-3", "--seed", "7"]
+# manifests whose expnet file holds a NaN: tr0's in its first row, va2's in its last, partial 64-row chunk
+NON_FINITE = ("non-finite-first-row", "non-finite-last-chunk")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 
 
@@ -126,8 +133,9 @@ def _main_commands() -> list[tuple[str, list[str], dict]]:
         for mode in ("concat", "per-video-mean"):
             report = ["evaluate", *scoring, "--ccc-mode", mode, "--report", f"reports/{cell}-{mode}.csv"]
             cmds.append((f"evaluate-{cell}-{mode}", report, {}))
-    threaded = ["train", "--manifest", MANIFEST, "--out", "runs/gru-t2", "--model.cell", "gru", *TRAIN_FLAGS]
-    cmds.append(("train-gru-t2", [*threaded, "--threads", "2"], {}))
+    for cell, threads in (("gru", "2"), ("gru", "3"), ("bilstm", "2")):
+        threaded = ["train", "--manifest", MANIFEST, "--out", f"runs/{cell}-t{threads}", "--model.cell", cell]
+        cmds.append((f"train-{cell}-t{threads}", [*threaded, *TRAIN_FLAGS, "--threads", threads], {}))
     unshuffled = ["train", "--manifest", MANIFEST, "--out", "runs/gru-unshuffled", "--model.cell", "gru", *TRAIN_FLAGS]
     cmds.append(("train-gru-unshuffled", [*unshuffled, "--shuffle", "false"], {}))
     keys = ["--manifest", KEYS_MANIFEST]
@@ -171,11 +179,19 @@ def _tensor_spans(ckpt: bytes) -> list[tuple[int, int, int]]:
     return spans
 
 
+def _with_nan(src: Path, dst: Path, row: int) -> None:
+    """A copy at ``dst`` of ``src``, an AFFW file, with a NaN in column 0 of row ``row``."""
+    blob = bytearray(src.read_bytes())
+    (cols,) = struct.unpack_from("<I", blob, 12)
+    struct.pack_into("<f", blob, 16 + 4 * row * cols, math.nan)
+    dst.write_bytes(bytes(blob))
+
+
 def _write_broken_inputs(work: Path) -> list[str]:
     """Broken config files, WAV, checkpoints, feature and label files, and manifests.
 
     Returns the names of the manifests, each written as ``corpus/<name>.csv``
-    beside the good one; only its first row (``tr0``, train) or its splits differ.
+    beside the good one; only one row (``tr0``, train, unless named) or its splits differ.
     """
     corpus = work / "corpus"
     (work / "config").mkdir()
@@ -201,6 +217,8 @@ def _write_broken_inputs(work: Path) -> list[str]:
     (work / "broken" / "trailing-bytes.ckpt").write_bytes(_refixed(ckpt[:-4] + bytes(3)))
     (corpus / "truncated.audio.feat").write_bytes((corpus / "tr0.audio.feat").read_bytes()[:-7])
     inputs.write_affw(corpus / "narrow.audio.feat", np.zeros((60, 10)))
+    _with_nan(corpus / "tr0.expnet.feat", corpus / "nan-first-row.expnet.feat", 0)
+    _with_nan(corpus / "va2.expnet.feat", corpus / "nan-last-chunk.expnet.feat", 337)
 
     header, *rows = (corpus / "manifest.csv").read_text(encoding="utf-8").splitlines()
     first, rest = rows[0].split(","), rows[1:]
@@ -209,8 +227,11 @@ def _write_broken_inputs(work: Path) -> list[str]:
     def lines(*body):
         return "".join(line + "\n" for line in body)
 
-    def with_cell(index, value):
-        return lines(header, ",".join([*first[:index], value, *first[index + 1 :]]), *rest)
+    def with_cell(index, value, video="tr0"):
+        at = next(i for i, row in enumerate(rows) if row.startswith(f"{video},"))
+        cells = rows[at].split(",")
+        cells[index] = value
+        return lines(header, *rows[:at], ",".join(cells), *rows[at + 1 :])
 
     def as_bytes(text):
         return text if isinstance(text, bytes) else text.encode("utf-8")
@@ -235,6 +256,8 @@ def _write_broken_inputs(work: Path) -> list[str]:
         "empty-feature-cell": with_cell(2, ""),
         "truncated-feature": with_cell(2, "truncated.audio.feat"),
         "narrow-feature": with_cell(2, "narrow.audio.feat"),
+        NON_FINITE[0]: with_cell(3, "nan-first-row.expnet.feat"),
+        NON_FINITE[1]: with_cell(3, "nan-last-chunk.expnet.feat", video="va2"),
         "unlabeled-train": with_cell(5, ""),
         "missing-labels": with_cell(5, "nope.labels.csv"),
         "label-header": with_labels("label-header", lines("frame,v,a", *label_rows)),
@@ -305,6 +328,9 @@ def _error_commands(manifests: list[str]) -> list[tuple[str, list[str], dict]]:
                                            "--out", "errors/keys-preds"], {}),
         *((f"table-{name}", ["train", "--manifest", f"corpus/{name}.csv", "--out", f"errors/{name}"], {})
           for name in manifests),
+        *((f"table-{name}-predict", ["predict", "--manifest", f"corpus/{name}.csv", "--checkpoint",
+                                     "runs/gru/best.ckpt", "--out", f"errors/{name}-preds"], {})
+          for name in NON_FINITE),
         ("table-nul-id-predict", ["predict", "--manifest", "corpus/nul-id.csv", "--checkpoint", "runs/gru/best.ckpt",
                                   "--out", "errors/nul-id-preds"], {}),
     ]
