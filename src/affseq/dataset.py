@@ -10,14 +10,13 @@ width is the column count in its header; no table fixes it, and a reader
 given files, a buffer or statistics of unequal widths raises
 WidthMismatchError naming the file. ``load_feature_track`` is a checked
 file's rows read whole, as a ``FeatureTrack``. A window of ``SEQUENCE_LEN``
-frames (``SEQUENCE_OVERLAP`` frames of overlap) is a row of frame indices,
-and every stage after checking works on those integer rows plus arrays.
+frames (``SEQUENCE_OVERLAP`` frames of overlap) is a ``(video, start)`` pair
+of a ``WindowIndex``, which derives its row of frame indices when read.
 ``frame_block`` reads a block of frames from a file and z-scores it with
 statistics drawn from the training split only: scoring reads a batch's
 frames as one block, and a training batch (``gather_windows``) is a stack
-of one block per window. The windows' predictions merge back to
-frame level by averaging, for each frame, every window position that holds
-it.
+of one block per window. The windows' predictions merge back to frame
+level by averaging, for each frame, every window position that holds it.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import csv
 import io
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -373,50 +372,54 @@ def window_rows(n_frames: int) -> np.ndarray:
     return np.minimum(starts[:, None] + np.arange(SEQUENCE_LEN), n_frames - 1)
 
 
-def _real_positions(rows: np.ndarray, n_frames: int) -> np.ndarray:
-    """Mask [n x SEQUENCE_LEN] of the window positions that hold a real frame, not padding."""
-    return rows[:, :1] + np.arange(rows.shape[1]) < n_frames
-
-
-def _window_labels(
-    rows: np.ndarray, n_frames: int, labels: LabelTrack | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Targets [n x SEQUENCE_LEN x 2] and mask [n x SEQUENCE_LEN] of the windows ``rows``.
-
-    Padded positions get target 0 and are masked; without labels every real
-    frame counts as valid.
-    """
-    real = _real_positions(rows, n_frames)
-    if labels is None:
-        return np.zeros(rows.shape + (2,)), real
-    targets = np.where(real[..., None], labels.targets()[rows], 0.0)
-    return targets, real & labels.valid[rows]
-
-
 @dataclass(frozen=True, eq=False)
 class WindowIndex:
-    """Windows over aligned feature tracks as integer arrays; no feature data is copied.
+    """Windows over aligned feature tracks as ``(video, start)`` pairs; no feature data is copied.
 
-    Window ``j`` covers frame rows ``rows[j]`` of the tracks ``tracks[video[j]]``
-    (one ``{modality: FileTrack}`` per video); ``targets`` and ``mask`` come
-    from that video's labels. ``select`` with a slice, index array or boolean
-    mask gives a sub-index over the same tracks, and ``gather_windows`` reads
-    a modality's feature rows for a batch of windows.
+    Window ``j`` starts at frame ``start[j]`` of the tracks ``tracks[video[j]]``,
+    one ``{modality: FileTrack}`` per video; video ``v``'s labels are frames
+    ``offsets[v]`` to ``offsets[v + 1] - 1`` of ``labels`` (None: all valid).
+    ``rows``, ``targets`` and ``mask`` are derived on access, so the index
+    holds two int32 a window besides the labels. ``select`` (a slice, index
+    array or boolean mask) gives a sub-index of the same tracks and labels.
     """
 
     tracks: tuple[dict[str, FileTrack], ...]
+    labels: LabelTrack | None
+    offsets: np.ndarray
     video: np.ndarray
-    rows: np.ndarray
-    targets: np.ndarray
-    mask: np.ndarray
+    start: np.ndarray
 
     def __len__(self) -> int:
         return len(self.video)
 
     def select(self, which) -> "WindowIndex":
-        return WindowIndex(
-            self.tracks, self.video[which], self.rows[which], self.targets[which], self.mask[which]
-        )
+        return replace(self, video=self.video[which], start=self.start[which])
+
+    def _positions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per position [n x SEQUENCE_LEN]: its row (clamped as ``window_rows`` clamps), if real, its ``labels`` index."""
+        frames = self.start[:, None] + np.arange(SEQUENCE_LEN)
+        n_frames = np.diff(self.offsets)[self.video][:, None]
+        rows = np.minimum(frames, n_frames - 1)
+        return rows, frames < n_frames, self.offsets[self.video][:, None] + rows
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._positions()[0]
+
+    @property
+    def targets(self) -> np.ndarray:
+        """[n x SEQUENCE_LEN x 2]; a padded position, or an index without labels, gets 0."""
+        _, real, at = self._positions()
+        if self.labels is None:
+            return np.zeros(real.shape + (2,))
+        return np.where(real[..., None], np.stack([self.labels.valence[at], self.labels.arousal[at]], -1), 0.0)
+
+    @property
+    def mask(self) -> np.ndarray:
+        """[n x SEQUENCE_LEN] the positions that hold a real frame with a valid label."""
+        _, real, at = self._positions()
+        return real if self.labels is None else real & self.labels.valid[at]
 
 
 def build_windows(features: dict[str, FileTrack], labels: LabelTrack | None = None) -> WindowIndex:
@@ -428,22 +431,25 @@ def build_windows(features: dict[str, FileTrack], labels: LabelTrack | None = No
     if any(n != n_frames for n in lengths.values()):
         raise DomainError(f"feature tracks disagree on frame count: {lengths}")
     if labels is not None and labels.n_frames != n_frames:
-        raise DomainError(
-            f"labels have {labels.n_frames} frames but features have {n_frames}"
-        )
-    rows = window_rows(n_frames)
-    targets, mask = _window_labels(rows, n_frames, labels)
-    return WindowIndex((features,), np.zeros(len(rows), dtype=np.intp), rows, targets, mask)
+        raise DomainError(f"labels have {labels.n_frames} frames but features have {n_frames}")
+    start = np.asarray(window_starts(n_frames), dtype=np.int32)
+    return WindowIndex((features,), labels, np.array([0, n_frames]), np.zeros(len(start), dtype=np.int32), start)
 
 
-def concat_windows(parts: list[WindowIndex]) -> WindowIndex:
-    """One index over every window of ``parts``, in order."""
-    tracks: list[dict[str, FileTrack]] = []
-    columns = []
-    for part in parts:
-        columns.append((part.video + len(tracks), part.rows, part.targets, part.mask))
-        tracks.extend(part.tracks)
-    return WindowIndex(tuple(tracks), *(np.concatenate(column) for column in zip(*columns)))
+def train_windows(videos: list[tuple[dict[str, FileTrack], LabelTrack]]) -> WindowIndex:
+    """The windows of ``videos``, ``(features, labels)`` each, that hold a valid frame, in order.
+
+    A window with no valid frame adds no gradient. Each video's windows are
+    built and filtered as it comes: the build derives one video's mask at a
+    time, and the index holds each kept pair and label once.
+    """
+    starts = [w.start[w.mask.any(axis=1)] for w in (build_windows(*video) for video in videos)]
+    counts, start = [len(s) for s in starts], np.concatenate(starts)
+    del starts  # each pair is held once
+    tracks, labels = zip(*videos)
+    joined = LabelTrack("", *(np.concatenate([getattr(t, k) for t in labels]) for k in ("valence", "arousal", "valid")))
+    offsets = np.cumsum([0, *(t.n_frames for t in labels)])
+    return WindowIndex(tracks, joined, offsets, np.repeat(np.arange(len(videos), dtype=np.int32), counts), start)
 
 
 def compute_stats(tracks: list[FileTrack]) -> NormalizationStats:
@@ -526,7 +532,7 @@ def gather_windows(windows: WindowIndex, modality: str, stats: NormalizationStat
     """Z-scored float64 batch [B x SEQUENCE_LEN x width] of ``modality`` over ``windows``.
 
     Window ``j`` of the batch is the frame block (``frame_block``) of its
-    video's file from its first row, so a track shorter than
+    video's file from its start, so a track shorter than
     ``SEQUENCE_LEN`` repeats its last frame as ``window_rows`` clamps, and
     the batch is bit-equal to stacking windows cut from normalized float64
     tracks. Each window's file is opened for its read and closed before the
@@ -535,8 +541,8 @@ def gather_windows(windows: WindowIndex, modality: str, stats: NormalizationStat
     ``frame_block`` refuses a file of another width than the statistics or
     the batch, naming it. An empty index gives an empty batch.
     """
-    out = np.empty(windows.rows.shape + (windows.tracks[0][modality].width,))
-    for block, v, lo in zip(out, windows.video, windows.rows[:, 0]):
+    out = np.empty((len(windows), SEQUENCE_LEN, windows.tracks[0][modality].width))
+    for block, v, lo in zip(out, windows.video, windows.start):
         frame_block(windows.tracks[v][modality], lo, stats, block)
     return out
 
@@ -580,7 +586,7 @@ def merge_window_predictions(rows: np.ndarray, pred: np.ndarray, n_frames: int) 
         raise DomainError(f"window predictions {pred.shape} do not match window rows {rows.shape} x 2")
     if rows.size and (rows.min() < 0 or rows.max() >= n_frames):
         raise DomainError(f"window rows {rows.min()}..{rows.max()} outside track of {n_frames} frames")
-    real = _real_positions(rows, n_frames)
+    real = rows[:, :1] + np.arange(rows.shape[1]) < n_frames  # not padding
     frames = rows[real]
     total = np.zeros((n_frames, 2))
     np.add.at(total, frames, pred[real])  # applied in C order: each frame's windows in order

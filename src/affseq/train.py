@@ -1,40 +1,36 @@
 """Training loop, checkpoint assembly, evaluation, and prediction export.
 
-A training run is one ``_Run``: the config, the normalization statistics and
-window index of the train split, the shuffle generator ``root_rng``, the model,
+A training run is one ``_Run``: the config, the train split's normalization
+statistics and window index, the shuffle generator ``root_rng``, the model,
 its optimizer, the epochs completed, the best mean val CCC and the history
 lines. ``_start_run`` checks every train and val file once, 64 rows at a
-time (``dataset.file_track``), and builds the run,
-drawing the model seed from ``root_rng`` before any permutation. Each
-modality's input width is the width of the first train row's file, and
-every other train and val file must have it; evaluation and prediction
-take the widths from the checkpoint's model. It keeps
-no feature data: the window index refers to the train split's files
-(``dataset.FileTrack``), and the statistics are read from them 64 rows at a
-time. ``_epoch`` advances the run by one pass: it shuffles the
-window index with ``root_rng``, reads each batch's windows from the feature
-files (``gather_windows``: each window's file opened for its read and closed
-before the next window's), z-scores them, runs masked-MSE backprop, clips
-the gradients and applies RMSprop. So training memory is the model, its
-gradients and optimizer caches and one batch, however large the train split
-is. A train file that is replaced, rewritten, touched or removed during the
-run fails the next batch that reads it with FileFormatError (exit 2).
-``_validate_and_keep`` then scores the validation split, whose files
-``_start_run`` checked once, from overlap-merged frame predictions, appends
-the epoch's ``history.csv`` line and saves ``best.ckpt`` on a strictly
-higher mean CCC. ``train`` drops the run before it reloads ``best.ckpt``, so
-the reload adds no peak memory.
+time (``dataset.file_track``), and builds the run, drawing the model seed
+from ``root_rng`` before any permutation; the first train row's files set
+each modality's input width (evaluation and prediction take the
+checkpoint's). It keeps no feature data: the statistics are read from the
+files 64 rows at a time, and the window index (``dataset.train_windows``)
+is a ``(video, start)`` pair of int32 per window over the files and the
+split's labels. ``_epoch`` shuffles the index with ``root_rng``, derives
+each batch's rows, targets and mask from its pairs, reads its windows from
+the files (``gather_windows``), z-scores them, runs masked-MSE backprop,
+clips the gradients and applies RMSprop. So training memory is the model,
+its gradients and optimizer caches and one batch, plus the index's 8 bytes
+a window and 17 bytes a train frame. A train file that is replaced,
+rewritten, touched or removed during the run fails the next batch that
+reads it with FileFormatError (exit 2). ``_validate_and_keep`` then scores
+the validation split, appends the epoch's ``history.csv`` line and saves
+``best.ckpt`` on a strictly higher mean CCC. ``train`` drops the run before
+it reloads ``best.ckpt``, so the reload adds no peak memory.
 
-Validation, evaluation and prediction go one video at a time (check,
-predict, drop) and read each batch's frames from the files, so their memory
-grows with neither the manifest nor a video's length; a val or scored file
-that changes after its check fails the batch that reads it, as a train file
-does. They hand the model one z-scored frame block per batch and modality
-instead of gathered windows, at least ``SEQUENCE_LEN`` frames long, so each
-branch's first layer projects a frame once (see ``predict_video``). With a
-fixed seed and a fixed BLAS thread count the whole trajectory is bit-for-bit
-reproducible; worker threads only check videos ahead, never run the
-optimizer step.
+Validation and evaluation go one video at a time (check, predict, drop);
+``predict`` first checks every row's files, keeping one ``FileTrack`` per
+file, so a bad file writes nothing. Scoring reads each batch's frames from
+the files, so its memory does not grow with a video's length, and a file
+changed after its check fails the batch that reads it. It hands the model
+one z-scored frame block per batch and modality, at least ``SEQUENCE_LEN``
+frames long, so each branch's first layer projects a frame once (see
+``predict_video``). With a fixed seed and BLAS thread count the whole
+trajectory is bit-for-bit reproducible; worker threads only check videos.
 """
 
 from __future__ import annotations
@@ -57,12 +53,12 @@ from .dataset import (
     WindowIndex,
     build_windows,
     compute_stats,
-    concat_windows,
     file_track,
     frame_block,
     gather_windows,
     load_labels,
     merge_window_predictions,
+    train_windows,
 )
 from .errors import ConfigError, CoverageError, DomainError, FileFormatError, NumericFaultError
 from .metrics import CCC_MODES, EvalReport, evaluate
@@ -187,21 +183,21 @@ def predict_video(
     BLAS may pick another kernel and move low bits. A video shorter than a
     window gets its single window as the block.
     """
-    windows = build_windows(video.features)
-    batches = [windows.rows[i : i + batch_size] for i in range(0, len(windows), batch_size)]
+    rows = build_windows(video.features).rows
+    batches = [rows[i : i + batch_size] for i in range(0, len(rows), batch_size)]
     # one buffer per modality, as long as the longest block and as wide as its file, which
     # every batch refills: a new block per batch would take fresh pages from the heap each time
-    longest = max(max(rows.max() - rows.min() + 1, SEQUENCE_LEN) for rows in batches)
+    longest = max(max(batch.max() - batch.min() + 1, SEQUENCE_LEN) for batch in batches)
     modalities = model.config.modalities()
     buffers = {m: np.empty((longest, video.features[m].width)) for m in modalities}
     pred = []
-    for rows in batches:
-        lo = rows.min()
-        length = max(rows.max() - lo + 1, SEQUENCE_LEN)
+    for batch in batches:
+        lo = batch.min()
+        length = max(batch.max() - lo + 1, SEQUENCE_LEN)
         frames = {m: frame_block(video.features[m], lo, stats, buffers[m][:length]) for m in modalities}
-        pred.append(model.forward(frames, train=False, rows=rows - lo))
+        pred.append(model.forward(frames, train=False, rows=batch - lo))
     del frames, buffers  # the blocks go before the merge allocates
-    return merge_window_predictions(windows.rows, np.concatenate(pred), video.row.n_frames)
+    return merge_window_predictions(rows, np.concatenate(pred), video.row.n_frames)
 
 
 def _checkpoint_widths(model: Model, ckpt: Checkpoint) -> _Widths:
@@ -334,7 +330,7 @@ class _Run:
 
     config: TrainConfig
     stats: NormalizationStats
-    windows: WindowIndex
+    windows: WindowIndex  # its two int32 arrays are the run's only per-window data
     val_videos: list[VideoData]  # the checked val files, scored after every epoch
     root_rng: np.random.Generator  # draws the model seed, then one permutation per shuffled epoch
     model: Model
@@ -348,13 +344,11 @@ def _start_run(train_rows, val_rows, config: TrainConfig) -> _Run:
     """Check the splits, fix the train split's statistics and windows, and build the seeded model.
 
     Each train and val file is checked a chunk of rows at a time
-    (``file_track``), so no video is held whole: the run keeps a ``FileTrack``
-    per file, each train batch reads its windows from the files, and
-    validation reads each batch's frame blocks from them. A val video that
-    cannot load fails here, before training. The first train row's file of
-    each modality sets that modality's width, in the run's model config;
-    every later train or val file of another width fails its check, in row
-    order, before its payload is read.
+    (``file_track``) and kept as a ``FileTrack``, so no video is held whole,
+    and a val video that cannot load fails here, before training. The first
+    train row's file of each modality sets that modality's width in the run's
+    model config; every later train or val file of another width fails its
+    check, in row order, before its payload is read.
     """
     first = _load_video(train_rows[0], dict.fromkeys(config.model.modalities()), True)
     widths = {m: (track.width, str(track.path)) for m, track in first.features.items()}
@@ -363,8 +357,7 @@ def _start_run(train_rows, val_rows, config: TrainConfig) -> _Run:
     train_videos = [first, *rest]
     val_videos = list(_stream_videos(val_rows, widths, need_labels=True, threads=config.threads))
     stats = compute_stats([t for v in train_videos for t in v.features.values()])
-    windows = concat_windows([build_windows(v.features, v.labels) for v in train_videos])
-    windows = windows.select(windows.mask.any(axis=1))  # a window with no valid frame contributes no gradient
+    windows = train_windows([(v.features, v.labels) for v in train_videos])
     if not len(windows):
         raise ConfigError("training split contains no window with a valid label")
     root_rng = np.random.default_rng(config.seed)
@@ -450,18 +443,19 @@ def predict(
 ) -> dict[str, Path]:
     """Write one ``<video_id>.csv`` of frame predictions per manifest row.
 
-    Rows stream one at a time: each video's files are checked, read a batch
-    at a time, predicted, written and dropped before the next, so memory
-    grows with neither the manifest nor a video's length. ``out_dir`` is
-    made just before the first CSV is written, so a run that fails before
-    then, or has no row to predict, leaves no directory.
+    Every row's files are checked, and only their ``FileTrack``s kept, before
+    the first video is read a batch at a time, predicted and written. So a
+    bad file in any row writes nothing, and memory does not grow with a
+    video's length. ``out_dir`` is made just before the first CSV is
+    written: a run that fails before then, or has no row, leaves no directory.
     """
     _check_inference_options(threads, batch_size)
     model, stats = restore_model(ckpt)
     out_dir = Path(out_dir)
     widths = _checkpoint_widths(model, ckpt)
+    videos = [replace(v, labels=None) for v in _stream_videos(manifest_rows, widths, False, threads)]
     written: dict[str, Path] = {}
-    for video in _stream_videos(manifest_rows, widths, need_labels=False, threads=threads):
+    for video in videos:
         frames = predict_video(model, video, batch_size, stats=stats)
         if not written:
             out_dir.mkdir(parents=True, exist_ok=True)

@@ -795,6 +795,35 @@ def test_predict_whose_first_video_fails_leaves_no_out_dir(trained, tmp_path, ca
     assert not (tmp_path / "preds").exists()
 
 
+def _nan_in_last_row(data):
+    data[-1, 0] = np.nan
+    return data
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [(_nan_in_last_row, "va0: feature track has non-finite entries"),
+     (lambda data: data[:-1], "va0: expnet track has 19 frames, manifest declares 20")],
+    ids=["non-finite-last-row", "short"],
+)
+def test_predict_whose_last_video_fails_writes_nothing(trained, tmp_path, capsys, spoil, message):
+    """Every row's files are checked before the first video is scored, so no CSV precedes the error."""
+    manifest, ckpt = trained
+    corpus = manifest.parent
+    write_feature_file(corpus / "bad.expnet.feat", spoil(load_feature_track(corpus / "va0.expnet.feat", "expnet").data))
+    header, tr0, va0 = manifest.read_text(encoding="utf-8").splitlines()
+    cells = va0.split(",")
+    cells[3] = "bad.expnet.feat"
+    last_fails = _rewrite_manifest(manifest, "last-fails.csv", [header, tr0, ",".join(cells)])
+    out = tmp_path / "preds" / "nested"
+    capsys.readouterr()
+    assert main(["predict", "--manifest", str(last_fails), "--checkpoint", str(ckpt), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not (tmp_path / "preds").exists()
+
+
 def test_predict_of_a_manifest_without_rows_writes_no_out_dir(trained, tmp_path, capsys):
     manifest, ckpt = trained
     header = manifest.read_text(encoding="utf-8").splitlines()[0]

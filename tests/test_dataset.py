@@ -34,10 +34,10 @@ from affseq.errors import (
 from affseq.dataset import (
     MODALITY_DIMS,
     FileTrack,
-    concat_windows,
     file_track,
     frame_block,
     gather_windows,
+    train_windows,
     window_rows,
 )
 from conftest import FILE_CHANGES
@@ -288,6 +288,39 @@ def test_build_windows_rejects_length_mismatch(tmp_path, rng):
         build_windows(features)
 
 
+def _train_index_memory(n_videos, n_frames=5000):
+    """(windows, held bytes, peak bytes) of ``train_windows`` over stub files, less the labels it keeps.
+
+    The stubs name no file, so any read of a payload would fail. Each video's
+    frames 100..129 are unannotated, which drops its windows at 100 and 110,
+    and so is every 20th frame.
+    """
+    valence = np.zeros(n_frames)
+    valence[100:130] = valence[::20] = -5.0
+    videos = [
+        ({"audio": FileTrack(f"v{v}", "audio", Path(f"v{v}.feat"), n_frames, 1, (0, 0, 0, 0))},
+         LabelTrack(f"v{v}", valence, np.zeros(n_frames), np.abs(valence) <= 1))
+        for v in range(n_videos)
+    ]
+    tracemalloc.start()
+    try:
+        index = train_windows(videos)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    labels = sum(a.nbytes for a in (index.labels.valence, index.labels.arousal, index.labels.valid))
+    assert labels == 17 * n_videos * n_frames
+    return len(index), held - labels, peak - labels
+
+
+def test_the_train_index_holds_two_int32_a_window_and_builds_one_video_at_a_time():
+    small, large = _train_index_memory(20), _train_index_memory(200)
+    assert (small[0], large[0]) == (9960, 99600)
+    for windows, held, _ in (small, large):
+        assert held <= 10 * windows, (windows, held)
+    assert large[2] - small[2] < 2**20, (small, large)
+
+
 # --- normalization ------------------------------------------------------------------
 
 def test_compute_stats_population_moments(tmp_path, rng):
@@ -350,6 +383,11 @@ def test_normalize_into_a_buffer_gives_the_bits_of_a_new_array(tmp_path, rng):
 
 
 # --- float32 tracks, window index and batch gather -------------------------------------
+
+def _all_valid(n_frames):
+    """Labels of ``n_frames`` frames, every one valid."""
+    return LabelTrack("v", np.zeros(n_frames), np.zeros(n_frames), np.ones(n_frames, dtype=bool))
+
 
 def _same_bits(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
@@ -440,8 +478,19 @@ def test_gathered_batch_is_bit_equal_to_stacked_normalized_windows(tmp_path, rng
         videos[vid] = (features, data, labels)
     stats = compute_stats([t for f, _, _ in videos.values() for t in f.values()])
 
-    index = concat_windows([build_windows(features, labels) for features, _, labels in videos.values()])
-    assert not index.mask[index.video == 3][1].any()  # the all-invalid window is indexed, not dropped
+    index = train_windows([(features, labels) for features, _, labels in videos.values()])
+    targets, masks = [], []
+    for _, data, labels in videos.values():
+        _, tgt, mask = slice_and_pad_windows(
+            data["audio"], labels.targets(), labels.valid, window_starts(labels.n_frames)
+        )
+        targets.append(tgt)
+        masks.append(mask)
+    keep = np.concatenate(masks).any(axis=1)
+    assert index.start[index.video == 3].tolist() == [0, 18]  # the all-invalid window at 10 is left out
+    assert len(index) == len(keep) - 1
+    _same_bits(index.targets, np.concatenate(targets)[keep])
+    _same_bits(index.mask, np.concatenate(masks)[keep])
     for modality in ("audio", "facepose"):
         batch = gather_windows(index, modality, stats)
         shuffled = np.random.default_rng(5).permutation(len(index))
@@ -451,17 +500,7 @@ def test_gathered_batch_is_bit_equal_to_stacked_normalized_windows(tmp_path, rng
             wide = normalize(data[modality].astype(np.float64), modality, stats)
             starts = window_starts(labels.n_frames)
             sliced.append(slice_and_pad_windows(wide, labels.targets(), labels.valid, starts)[0])
-        _same_bits(batch, np.concatenate(sliced))
-
-    targets, masks = [], []
-    for _, data, labels in videos.values():
-        _, tgt, mask = slice_and_pad_windows(
-            data["audio"], labels.targets(), labels.valid, window_starts(labels.n_frames)
-        )
-        targets.append(tgt)
-        masks.append(mask)
-    _same_bits(index.targets, np.concatenate(targets))
-    _same_bits(index.mask, np.concatenate(masks))
+        _same_bits(batch, np.concatenate(sliced)[keep])
 
 
 def test_gather_windows_requires_matching_stats(tmp_path, rng):
@@ -495,7 +534,7 @@ def test_readers_refuse_files_of_unequal_widths_naming_the_file(tmp_path, rng):
     assert _width_error(lambda: compute_stats([wide, narrow])) == (
         f"{narrow.path}: audio width 53 does not match width 168 of {wide.path}"
     )
-    index = concat_windows([build_windows({"audio": wide}), build_windows({"audio": narrow})])
+    index = train_windows([({"audio": wide}, _all_valid(20)), ({"audio": narrow}, _all_valid(20))])
     assert _width_error(lambda: gather_windows(index, "audio", compute_stats([wide]))) == (
         f"{narrow.path}: audio width 53 does not match width 168 of the audio statistics"
     )
@@ -536,7 +575,7 @@ def test_file_tracks_give_the_stats_and_batches_of_loaded_tracks(tmp_path, rng):
     """Long, exactly-15, short (padded) and 64-row videos: file reads against whole loaded arrays."""
     videos = _file_videos(tmp_path, rng, {"long": 130, "exact": 15, "short": 9, "chunk": 64})
     stats = compute_stats([t for _, on_disk, _ in videos.values() for t in on_disk.values()])
-    index = concat_windows([build_windows(on_disk, labels) for _, on_disk, labels in videos.values()])
+    index = train_windows([(on_disk, labels) for _, on_disk, labels in videos.values()])
     assert all(isinstance(t, FileTrack) for v in index.tracks for t in v.values())
     shuffled = np.random.default_rng(3).permutation(len(index))
     for modality in ("audio", "facepose"):
@@ -584,7 +623,7 @@ def test_gathered_batch_holds_the_batch_and_one_window_read(tmp_path, rng):
     """32 expnet windows of two files: the float64 batch, one [15 x 2048] float32 read, little more."""
     tracks = [_track(tmp_path, vid, "expnet", rng.normal(size=(n, 2048))) for vid, n in (("a", 330), ("b", 9))]
     stats = compute_stats(tracks)
-    index = concat_windows([build_windows({"expnet": t}) for t in tracks])
+    index = train_windows([({"expnet": t}, _all_valid(t.n_frames)) for t in tracks])
     index = index.select(np.random.default_rng(2).permutation(len(index))[:32])
     assert len(index) == 32
     gather_windows(index.select([0]), "expnet", stats)  # NumPy's one-time setup is not the batch's
