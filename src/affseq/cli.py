@@ -89,6 +89,11 @@ def _threads_default() -> int:
     return value
 
 
+_THREADS_KEY = Key(
+    "threads", _parse_int, help="reserved, selects nothing yet; must be ≥ 1 (default AFFSEQ_THREADS or 1)"
+)
+
+
 def _dsp_keys() -> list[Key]:
     return [
         Key("n_fft", _parse_int, help="FFT size for the short-time transform"),
@@ -134,7 +139,7 @@ def _train_keys() -> list[Key]:
         Key("shuffle", _parse_bool, help="shuffle windows every epoch"),
         Key("ccc_mode", _choice(CCC_MODES), help="validation CCC pooling"),
         Key("clip_norm", _parse_float, help="global gradient-norm cap; 0 disables"),
-        Key("threads", _parse_int, help="worker threads for data loading (default AFFSEQ_THREADS or 1)"),
+        _THREADS_KEY,
         *_model_keys(),
     ]
 
@@ -147,7 +152,7 @@ def _evaluate_keys() -> list[Key]:
         Key("checkpoint", _parse_path, required=True, help="trained model checkpoint"),
         Key("ccc_mode", _choice(CCC_MODES), help="CCC pooling over videos"),
         Key("report", _parse_path, help="also write the report as CSV here"),
-        Key("threads", _parse_int, help="worker threads for data loading (default AFFSEQ_THREADS or 1)"),
+        _THREADS_KEY,
         Key("batch_size", _parse_int, help="windows per forward pass"),
     ]
 
@@ -157,7 +162,7 @@ def _predict_keys() -> list[Key]:
         Key("manifest", _parse_path, required=True, help="corpus manifest CSV"),
         Key("checkpoint", _parse_path, required=True, help="trained model checkpoint"),
         Key("out", _parse_path, required=True, help="directory for per-video prediction CSVs"),
-        Key("threads", _parse_int, help="worker threads for data loading (default AFFSEQ_THREADS or 1)"),
+        _THREADS_KEY,
         Key("batch_size", _parse_int, help="windows per forward pass"),
     ]
 

@@ -29,15 +29,15 @@ the files, so its memory does not grow with a video's length, and a file
 changed after its check fails the batch that reads it. It hands the model
 one z-scored frame block per batch and modality, at least ``SEQUENCE_LEN``
 frames long, so each branch's first layer projects a frame once (see
-``predict_video``). With a fixed seed and BLAS thread count the whole
-trajectory is bit-for-bit reproducible; worker threads only check videos.
+``predict_video``). Every video is checked in row order on the calling
+thread, so with a fixed seed and BLAS thread count the whole trajectory is
+bit-for-bit reproducible. ``threads`` is validated (≥ 1) and reserved: no
+value starts a thread or changes a result.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -77,7 +77,7 @@ class TrainConfig:
     shuffle: bool = True
     ccc_mode: str = "concat"
     clip_norm: float = 5.0  # global-norm gradient clip; 0 disables
-    threads: int = 1
+    threads: int = 1  # reserved: validated, but selects nothing yet
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def __post_init__(self):
@@ -138,32 +138,6 @@ def _load_video(row: ManifestRow, widths: _Widths, need_labels: bool) -> VideoDa
     elif need_labels:
         raise CoverageError(f"{row.video_id}: split requires labels but manifest has none")
     return VideoData(row=row, features=features, labels=labels)
-
-
-def _stream_videos(rows, widths: _Widths, need_labels: bool, threads: int):
-    """Yield each row's VideoData (``_load_video``) in row order.
-
-    With ``threads`` > 1, worker threads check at most ``threads`` videos
-    ahead of the one the caller holds, and never more than the machine has
-    cores (``os.cpu_count()``).
-    """
-    threads = min(threads, os.cpu_count() or 1)
-    if threads == 1 or len(rows) < 2:
-        for row in rows:
-            yield _load_video(row, widths, need_labels)
-        return
-    # imported here, not at module load: with the logging it loads, concurrent.futures
-    # adds milliseconds to every process's start, and a one-thread run starts no pool
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        ahead = deque()
-        for row in rows:
-            ahead.append(pool.submit(_load_video, row, widths, need_labels))
-            if len(ahead) > threads:
-                yield ahead.popleft().result()
-        while ahead:
-            yield ahead.popleft().result()
 
 
 def predict_video(
@@ -353,9 +327,8 @@ def _start_run(train_rows, val_rows, config: TrainConfig) -> _Run:
     first = _load_video(train_rows[0], dict.fromkeys(config.model.modalities()), True)
     widths = {m: (track.width, str(track.path)) for m, track in first.features.items()}
     config = replace(config, model=replace(config.model, **{f"{m}_dim": w for m, (w, _) in widths.items()}))
-    rest = _stream_videos(train_rows[1:], widths, need_labels=True, threads=config.threads)
-    train_videos = [first, *rest]
-    val_videos = list(_stream_videos(val_rows, widths, need_labels=True, threads=config.threads))
+    train_videos = [first] + [_load_video(row, widths, True) for row in train_rows[1:]]
+    val_videos = [_load_video(row, widths, True) for row in val_rows]
     stats = compute_stats([t for v in train_videos for t in v.features.values()])
     windows = train_windows([(v.features, v.labels) for v in train_videos])
     if not len(windows):
@@ -411,6 +384,7 @@ def _validate_and_keep(run: _Run, out_dir: Path, train_loss: float) -> None:
 
 
 def _check_inference_options(threads: int, batch_size: int) -> None:
+    """Validate the scoring options; ``threads`` is reserved and selects nothing yet."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be ≥ 1, got {batch_size}")
     if threads < 1:
@@ -430,7 +404,8 @@ def evaluate_checkpoint(
     if not val_rows:
         raise ConfigError("manifest has no val rows to evaluate")
     model, stats = restore_model(ckpt)
-    videos = _stream_videos(val_rows, _checkpoint_widths(model, ckpt), need_labels=True, threads=threads)
+    widths = _checkpoint_widths(model, ckpt)
+    videos = (_load_video(row, widths, True) for row in val_rows)
     return _evaluate_videos(model, stats, videos, ccc_mode, batch_size)
 
 
@@ -453,7 +428,7 @@ def predict(
     model, stats = restore_model(ckpt)
     out_dir = Path(out_dir)
     widths = _checkpoint_widths(model, ckpt)
-    videos = [replace(v, labels=None) for v in _stream_videos(manifest_rows, widths, False, threads)]
+    videos = [replace(_load_video(row, widths, False), labels=None) for row in manifest_rows]
     written: dict[str, Path] = {}
     for video in videos:
         frames = predict_video(model, video, batch_size, stats=stats)

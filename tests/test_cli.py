@@ -375,7 +375,7 @@ def _open_descriptors():
 def test_val_or_scored_file_changed_after_its_check_exits_2_with_one_error_line(
     tmp_path, rng, capsys, monkeypatch, command, change
 ):
-    """A file changed between its check and the batch that reads it; read-ahead on two threads."""
+    """A file changed between its check and the batch that reads it, at the reserved ``--threads 2``."""
     manifest = _manifest(tmp_path, rng, videos=[("tr0", "train", 25), ("va0", "val", 20), ("va1", "val", 30)])
     path = tmp_path / "corpus" / "va1.expnet.feat"
     if command == "train":

@@ -58,31 +58,50 @@ def test_extract_audio_does_not_import_the_training_stack(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def one_thread_predict(tmp_path_factory):
-    """What a fresh ``predict --threads 1`` process has imported when it is done."""
-    root = tmp_path_factory.mktemp("one_thread_predict")
+def trained_corpus(tmp_path_factory):
+    """A two-row corpus and an untrained checkpoint of it, ``run/best.ckpt``."""
+    root = tmp_path_factory.mktemp("trained_corpus")
     make_corpus(root / "corpus", [("tr0", "train", 25), ("va0", "val", 20)], np.random.default_rng(5))
     from affseq.cli import main
 
     assert main(["train", "--manifest", str(root / "corpus" / "manifest.csv"), "--out", str(root / "run"),
                  "--epochs", "0", "--model.width-scale", "32"]) == 0
+    return root
+
+
+def _fresh_predict(root: Path, threads: int) -> dict:
+    """What a fresh ``predict --threads <threads>`` process imported, and the threads it started."""
     code = (
-        "import json, sys\n"
+        "import json, sys, threading\n"
         "import numpy\n"
         "numpy_loads_random = 'numpy.random' in sys.modules\n"
+        "started, real_start = [], threading.Thread.start\n"
+        "threading.Thread.start = lambda thread: (started.append(thread.name), real_start(thread))[1]\n"
         "from affseq.cli import main\n"
         "code = main(['predict', '--manifest', 'corpus/manifest.csv', '--checkpoint', 'run/best.ckpt',\n"
-        "             '--out', 'preds', '--threads', '1'])\n"
-        "print(json.dumps({'exit': code, 'numpy_loads_random': numpy_loads_random,\n"
+        f"             '--out', 'preds-{threads}', '--threads', '{threads}'])\n"
+        "print(json.dumps({'exit': code, 'numpy_loads_random': numpy_loads_random, 'started': started,\n"
         "                  'loaded': [m for m in ('numpy.random', 'concurrent.futures') if m in sys.modules]}))\n"
     )
     done = _fresh_python(code, root)
-    assert done["exit"] == 0 and sorted(p.name for p in (root / "preds").iterdir()) == ["tr0.csv", "va0.csv"]
+    preds = root / f"preds-{threads}"
+    assert done["exit"] == 0 and sorted(p.name for p in preds.iterdir()) == ["tr0.csv", "va0.csv"]
     return done
+
+
+@pytest.fixture(scope="module")
+def one_thread_predict(trained_corpus):
+    return _fresh_predict(trained_corpus, 1)
 
 
 def test_one_thread_predict_never_imports_concurrent_futures(one_thread_predict):
     assert "concurrent.futures" not in one_thread_predict["loaded"]
+
+
+def test_two_thread_predict_starts_no_thread_and_never_imports_concurrent_futures(trained_corpus):
+    done = _fresh_predict(trained_corpus, 2)
+    assert done["started"] == []
+    assert "concurrent.futures" not in done["loaded"]
 
 
 def test_one_thread_predict_never_imports_numpy_random(one_thread_predict):

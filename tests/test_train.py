@@ -632,30 +632,23 @@ def test_no_command_peak_grows_with_the_length_of_a_val_video(tmp_path, rng, cap
         assert with_long - without < 2 * 2**20, (command, without, with_long)
 
 
-@pytest.mark.parametrize(
-    "threads, cpus", [(2, None), (3, None), (64, 2)], ids=["2", "3", "64-on-2-cpus"]
-)
-def test_threaded_loading_holds_at_most_threads_videos_ahead(tmp_path, rng, monkeypatch, threads, cpus):
-    """Scoring checks at most ``threads`` videos ahead, and never more than the machine's cores.
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_scoring_checks_videos_in_row_order_on_one_thread(tmp_path, rng, monkeypatch, threads):
+    """``threads`` is reserved: scoring checks its videos in row order, the same at every value.
 
-    ``predict`` checks every row before it scores the first, with the same workers.
+    ``predict`` checks every row before it scores the first; ``evaluate``
+    checks each video only when it scores it.
     """
     rows, ckpt = _scoring_corpus(tmp_path, rng, n_val=7)
-    if cpus is not None:
-        monkeypatch.setattr(train_module.os, "cpu_count", lambda: cpus)
-    limit = min(threads, cpus or threads)
-    lock = threading.Lock()
     started, done, ahead = [], [], []
     real_load, real_predict = train_module._load_video, train_module.predict_video
 
     def load(row, *args):
-        with lock:
-            started.append(row.video_id)
+        started.append(row.video_id)
         return real_load(row, *args)
 
     def predict_video(model, video, *args, **kwargs):
-        with lock:
-            ahead.append(len(started) - len(done) - 1)
+        ahead.append(len(started) - len(done) - 1)
         frames = real_predict(model, video, *args, **kwargs)
         done.append(video.row.video_id)
         return frames
@@ -663,17 +656,34 @@ def test_threaded_loading_holds_at_most_threads_videos_ahead(tmp_path, rng, monk
     monkeypatch.setattr(train_module, "_load_video", load)
     monkeypatch.setattr(train_module, "predict_video", predict_video)
     written = predict(rows, ckpt, tmp_path / "threaded", threads=threads)
-    assert done == [r.video_id for r in rows]
-    assert sorted(started) == sorted(done)
+    assert started == done == [r.video_id for r in rows]
     assert ahead[0] == len(rows) - 1
     for seen in (started, done, ahead):
         seen.clear()
     evaluate_checkpoint(rows, ckpt, threads=threads)
-    assert 1 <= max(ahead) <= limit
+    assert started == done == [r.video_id for r in rows if r.split == "val"]
+    assert ahead == [0] * len(done)
     monkeypatch.undo()
     serial = predict(rows, ckpt, tmp_path / "serial")
     for vid, path in serial.items():
         assert written[vid].read_bytes() == path.read_bytes()
+
+
+def test_training_and_scoring_start_no_thread(tmp_path, rng, monkeypatch):
+    """At ``threads=2`` neither ``train`` nor ``evaluate_checkpoint`` nor ``predict`` starts a thread."""
+    rows, ckpt = _scoring_corpus(tmp_path, rng, n_val=2)
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread.name)
+        return real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    train(rows, TrainConfig(epochs=1, batch_size=4, threads=2, model=_small_model()), tmp_path / "two")
+    evaluate_checkpoint(rows, ckpt, threads=2)
+    predict(rows, ckpt, tmp_path / "preds", threads=2)
+    assert started == []
 
 
 def test_predict_video_keeps_batch_size_third_and_takes_stats_by_keyword(tmp_path, rng):

@@ -21,8 +21,9 @@ The matrix:
 - ``train`` of the full-width ``gru`` and ``bilstm`` fusion models, shuffled,
   with a partial last batch; of ``bilstm`` again with ``--threads 2``; and of
   ``gru`` again with ``--threads 2``, with ``--threads 3`` and with
-  ``--shuffle false``, whose batches hold runs of windows of one video. With
-  more than one thread, worker threads check the files;
+  ``--shuffle false``, whose batches hold runs of windows of one video.
+  ``--threads`` is validated and reserved, so these runs must leave the
+  bytes of the one-thread runs;
 - ``train`` of ``gru``, shuffled and with ``--shuffle false``, on
   ``corpus/gaps.csv``: the corpus with ``tr0``'s labels unannotated (``-5``)
   on frames 18 to 46, so its windows at 20 and 30 hold no valid frame and
