@@ -13,10 +13,9 @@ identical bytes, and a file whose names are repeated or out of order is
 rejected. Values are stored as float32; loading widens them, in file order,
 into one float64 buffer and returns reshaped views of it, and a load/save
 round trip is byte-exact. A load reads the file once and never holds it whole
-(see ``load_checkpoint``). A save goes through a temp file in the
-target's directory, fsynced and then renamed over the target, so a failed
-write leaves the previous file intact; the directory is then fsynced, so the
-rename itself survives a power loss.
+(see ``load_checkpoint``). A save replaces the file whole through
+``dataset.replace_file``, the one writer of every output, so a failed write
+leaves the previous file intact.
 
 This module knows the container, not the names in it: which tensors a model
 stores, and under what names, is the checkpoint layout of ``train._slots``,
@@ -34,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset import replace_file
 from .errors import (
     ChecksumError,
     FileFormatError,
@@ -106,31 +106,12 @@ def _encode(ckpt: Checkpoint) -> list[bytes]:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """Write ``ckpt`` to ``path`` atomically: the old file survives any failure."""
+    """Write ``ckpt`` to ``path`` atomically (``dataset.replace_file``): the old file survives any failure."""
     parts = _encode(ckpt)
-    path = os.fspath(path)
-    head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-    fh = open(tmp, "wb")
-    try:
-        with fh:
-            crc = 0
-            for part in parts:
-                fh.write(part)
-                crc = zlib.crc32(part, crc)
-            fh.write(struct.pack("<I", crc))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    # the rename is an entry in the directory: until that is synced, a power loss may undo it
-    dir_fd = os.open(head or ".", os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    replace_file(path, [*parts, struct.pack("<I", crc)])
 
 
 _TRAILING_CHUNK = 1 << 16  # bytes per read of anything between the last tensor and the file CRC

@@ -235,7 +235,6 @@ def _cmd_extract_audio(opts: dict) -> int:
     params = _from_opts(DspParams, opts)
     clip = read_wav(opts["wav"])
     features = extract_audio_track(clip, opts["frames"], params)
-    opts["out"].parent.mkdir(parents=True, exist_ok=True)
     write_feature_file(opts["out"], features)
     print(f"{opts['out']}: rows={features.shape[0]} cols={features.shape[1]}")
     return EXIT_OK
@@ -261,7 +260,7 @@ def _cmd_train(opts: dict) -> int:
 
 def _cmd_evaluate(opts: dict) -> int:
     from .checkpoint import load_checkpoint
-    from .dataset import load_manifest
+    from .dataset import load_manifest, replace_file
     from .train import evaluate_checkpoint
 
     rows = load_manifest(opts["manifest"])
@@ -269,8 +268,7 @@ def _cmd_evaluate(opts: dict) -> int:
     report = evaluate_checkpoint(rows, ckpt, **_given(opts, "ccc_mode", "threads", "batch_size"))
     # the file first: a report that cannot be written fails the command before stdout says anything
     if "report" in opts:
-        opts["report"].parent.mkdir(parents=True, exist_ok=True)
-        opts["report"].write_text(report.as_csv(), encoding="utf-8")
+        replace_file(opts["report"], [report.as_csv().encode("utf-8")])
     sys.stdout.write(report.as_text())
     return EXIT_OK
 

@@ -172,15 +172,13 @@ class ManifestRow:
 
 
 def write_feature_file(path, matrix) -> None:
-    """Write a float matrix in the AFFW container (f32 little-endian, row-major)."""
+    """Write a float matrix in the AFFW container (f32 little-endian, row-major), through ``replace_file``."""
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise DomainError(f"feature matrix must be 2-D, got shape {matrix.shape}")
     rows, cols = matrix.shape
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<III", FEATURE_VERSION, rows, cols))
-        fh.write(matrix.astype("<f4").tobytes())
+    header = FEATURE_MAGIC + struct.pack("<III", FEATURE_VERSION, rows, cols)
+    replace_file(path, [header, matrix.astype("<f4").tobytes()])
 
 
 def _affw_shape(path, head: bytes, size: int) -> tuple[int, int]:
@@ -265,6 +263,46 @@ def read_text(path, error: type[AffseqError]) -> str:
         line = text.count("\n", 0, text.index("\0")) + 1
         raise error(f"{path}:{line}: line contains NUL")
     return text
+
+
+def replace_file(path, chunks) -> None:
+    """Replace the file at ``path`` with the byte ``chunks``, whole or not at all.
+
+    The one writer of an output file. It makes the target's directory, writes
+    each chunk with one ``write`` to ``.<name>.<pid>.tmp`` beside the target,
+    fsyncs it and renames it over the target, so a failure at any point, a
+    chunk that raises included, leaves the previous file intact and no temp
+    file behind; the directory is then fsynced, so the rename itself survives
+    a power loss. An ``OSError`` with an errno is raised again naming the
+    target, not the temp file, so its ``error:`` line says which output
+    could not be written.
+    """
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        Path(head or ".").mkdir(parents=True, exist_ok=True)
+        fh = open(tmp, "wb")
+        try:
+            with fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+        # the rename is an entry in the directory: until that is synced, a power loss may undo it
+        dir_fd = os.open(head or ".", os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+    except OSError as exc:
+        if exc.errno is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, path) from exc  # of the errno's subclass, as the one it replaces
 
 
 def _read_table(path, header: list[str], kind: str, empty: str):

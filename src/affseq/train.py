@@ -18,9 +18,12 @@ its gradients and optimizer caches and one batch, plus the index's 8 bytes
 a window and 17 bytes a train frame. A train file that is replaced,
 rewritten, touched or removed during the run fails the next batch that
 reads it with FileFormatError (exit 2). ``_validate_and_keep`` then scores
-the validation split, appends the epoch's ``history.csv`` line and saves
-``best.ckpt`` on a strictly higher mean CCC. ``train`` drops the run before
-it reloads ``best.ckpt``, so the reload adds no peak memory.
+the validation split, rewrites ``history.csv`` whole with the epoch's line
+added and saves ``best.ckpt`` on a strictly higher mean CCC. ``train`` drops
+the run before it reloads ``best.ckpt``, so the reload adds no peak memory.
+Every file a run, ``predict`` or ``extract-audio`` leaves is written by
+``dataset.replace_file``, which replaces it whole or not at all and makes
+its directory, so a killed or failed write leaves the previous file.
 
 Validation and evaluation go one video at a time (check, predict, drop);
 ``predict`` first checks every row's files, keeping one ``FileTrack`` per
@@ -37,6 +40,7 @@ value starts a thread or changes a result.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -58,6 +62,7 @@ from .dataset import (
     gather_windows,
     load_labels,
     merge_window_predictions,
+    replace_file,
     train_windows,
 )
 from .errors import ConfigError, CoverageError, DomainError, FileFormatError, NumericFaultError
@@ -114,7 +119,11 @@ _Widths = dict[str, tuple[int, str] | None]
 
 
 def _load_video(row: ManifestRow, widths: _Widths, need_labels: bool) -> VideoData:
-    """Check one row's file of each modality in ``widths`` (``file_track``, a chunk of rows at a time) and load its labels."""
+    """Check one row's file of each modality in ``widths`` (``file_track``, a chunk of rows at a time).
+
+    With ``need_labels``, the row's labels are loaded too and must cover its
+    frames; without, its label file is not read, and ``labels`` is None.
+    """
     features = {}
     for modality, expect in widths.items():
         path = row.features.get(modality)
@@ -127,16 +136,16 @@ def _load_video(row: ManifestRow, widths: _Widths, need_labels: bool) -> VideoDa
                 f"manifest declares {row.n_frames}"
             )
         features[modality] = track
-    labels = None
-    if row.label_path is not None:
-        labels = load_labels(row.label_path, video_id=row.video_id)
-        if labels.n_frames != row.n_frames:
-            raise DomainError(
-                f"{row.video_id}: labels have {labels.n_frames} frames, "
-                f"manifest declares {row.n_frames}"
-            )
-    elif need_labels:
+    if not need_labels:
+        return VideoData(row=row, features=features, labels=None)
+    if row.label_path is None:
         raise CoverageError(f"{row.video_id}: split requires labels but manifest has none")
+    labels = load_labels(row.label_path, video_id=row.video_id)
+    if labels.n_frames != row.n_frames:
+        raise DomainError(
+            f"{row.video_id}: labels have {labels.n_frames} frames, "
+            f"manifest declares {row.n_frames}"
+        )
     return VideoData(row=row, features=features, labels=labels)
 
 
@@ -287,10 +296,9 @@ def train(manifest_rows: list[ManifestRow], config: TrainConfig, out_dir) -> tup
     if not val_rows:
         raise ConfigError("manifest has no val rows")
     run = _start_run(train_rows, val_rows, config)
-    # only now, so a run that fails its split checks or a video load leaves no empty directory
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # the first save makes out_dir, so a run that fails its split checks or a video load leaves none
     save_checkpoint(out_dir / "best.ckpt", _make_checkpoint(run.model, run.stats, 0, None, config.seed))
-    (out_dir / "history.csv").write_text(HISTORY_HEADER + "\n", encoding="utf-8", newline="")
+    _write_history(out_dir, run.history)
     while run.epoch < config.epochs:
         _validate_and_keep(run, out_dir, _epoch(run))
     history = run.history
@@ -365,8 +373,14 @@ def _epoch(run: _Run) -> float:
     return total_sq / total_count
 
 
+def _write_history(out_dir: Path, history: list[str]) -> None:
+    """Replace ``history.csv`` with its header and the ``history`` lines (``replace_file``)."""
+    lines = [HISTORY_HEADER, *history]
+    replace_file(out_dir / "history.csv", [(line + "\n").encode("utf-8") for line in lines])
+
+
 def _validate_and_keep(run: _Run, out_dir: Path, train_loss: float) -> None:
-    """Score the val split and append the epoch's ``history.csv`` line.
+    """Score the val split and rewrite ``history.csv`` with the epoch's line added.
 
     ``best.ckpt`` is saved again only when the mean CCC is strictly higher
     than every earlier epoch's, so a tie keeps the earlier epoch.
@@ -375,8 +389,7 @@ def _validate_and_keep(run: _Run, out_dir: Path, train_loss: float) -> None:
     report = _evaluate_videos(run.model, run.stats, run.val_videos, config.ccc_mode, config.batch_size)
     line = _history_line(run.epoch, train_loss, report)
     run.history.append(line)
-    with open(out_dir / "history.csv", "a", encoding="utf-8", newline="") as fh:
-        fh.write(line + "\n")
+    _write_history(out_dir, run.history)
     if report.mean_ccc() > run.best_score:
         run.best_score = report.mean_ccc()
         ckpt = _make_checkpoint(run.model, run.stats, run.epoch, run.best_score, config.seed)
@@ -418,26 +431,24 @@ def predict(
 ) -> dict[str, Path]:
     """Write one ``<video_id>.csv`` of frame predictions per manifest row.
 
-    Every row's files are checked, and only their ``FileTrack``s kept, before
-    the first video is read a batch at a time, predicted and written. So a
-    bad file in any row writes nothing, and memory does not grow with a
-    video's length. ``out_dir`` is made just before the first CSV is
-    written: a run that fails before then, or has no row, leaves no directory.
+    Every row's feature files are checked, and only their ``FileTrack``s
+    kept, before the first video is read a batch at a time, predicted and
+    written; no label file is read. So a bad feature file in any row writes
+    nothing, and memory does not grow with a video's length. Each CSV
+    replaces its target whole (``replace_file``), and the first one makes
+    ``out_dir``: a run that fails before then, or has no row, leaves no
+    directory.
     """
     _check_inference_options(threads, batch_size)
     model, stats = restore_model(ckpt)
     out_dir = Path(out_dir)
     widths = _checkpoint_widths(model, ckpt)
-    videos = [replace(_load_video(row, widths, False), labels=None) for row in manifest_rows]
+    videos = [_load_video(row, widths, False) for row in manifest_rows]
     written: dict[str, Path] = {}
     for video in videos:
         frames = predict_video(model, video, batch_size, stats=stats)
-        if not written:
-            out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"{video.row.video_id}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("frame,valence,arousal\n")
-            for i, (v, a) in enumerate(frames):
-                fh.write(f"{i},{float(v)!r},{float(a)!r}\n")
+        lines = (f"{i},{float(v)!r},{float(a)!r}\n".encode("utf-8") for i, (v, a) in enumerate(frames))
+        replace_file(path, itertools.chain([b"frame,valence,arousal\n"], lines))  # streamed, a line a write
         written[video.row.video_id] = path
     return written

@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 
 import affseq.checkpoint
+import affseq.cli as cli
+import affseq.dataset
+import affseq.train as train_module
 from affseq.checkpoint import (
     CHECKPOINT_MAGIC,
     Checkpoint,
@@ -21,7 +24,11 @@ from affseq.errors import (
     TruncatedFileError,
     VersionMismatchError,
 )
+from affseq.dataset import load_manifest, write_feature_file
 from affseq.model import ModelConfig
+from affseq.train import TrainConfig, predict, train
+
+from conftest import make_corpus
 
 
 def _sample(rng):
@@ -254,16 +261,22 @@ def test_overlong_tensor_name_rejected_on_save(tmp_path):
 
 
 class _FailingFile:
-    """File proxy whose write raises once ``limit`` writes have gone through."""
+    """File proxy whose writes go through until ``limit`` bytes are written, then raise.
+
+    The write that crosses the limit writes the bytes that fit first, as a
+    write past a full disk or a file-size limit does.
+    """
 
     def __init__(self, fh, limit):
         self._fh = fh
         self._left = limit
 
     def write(self, data):
-        if self._left == 0:
+        if len(data) > self._left:
+            self._fh.write(data[: self._left])
+            self._left = 0
             raise OSError("injected failure mid-write")
-        self._left -= 1
+        self._left -= len(data)
         return self._fh.write(data)
 
     def __getattr__(self, name):
@@ -278,9 +291,10 @@ class _FailingFile:
 
 def _fail_mid_write(monkeypatch):
     def failing_open(file, mode="r", *args, **kwargs):
-        return _FailingFile(builtins.open(file, mode, *args, **kwargs), limit=8)
+        return _FailingFile(builtins.open(file, mode, *args, **kwargs), limit=40)
 
-    monkeypatch.setattr(affseq.checkpoint, "open", failing_open, raising=False)
+    # the module of ``replace_file``, which every writer goes through
+    monkeypatch.setattr(affseq.dataset, "open", failing_open, raising=False)
 
 
 def _fail_fsync(monkeypatch):
@@ -290,18 +304,60 @@ def _fail_fsync(monkeypatch):
     monkeypatch.setattr(affseq.checkpoint.os, "fsync", failing_fsync)
 
 
+@pytest.fixture(scope="module")
+def scored(tmp_path_factory):
+    """A two-row corpus of narrow feature files and the paths of two untrained checkpoints of it."""
+    root = tmp_path_factory.mktemp("scored")
+    dims = {"audio": 4, "expnet": 6, "facepose": 5}
+    manifest = make_corpus(root / "corpus", [("tr0", "train", 25), ("va0", "val", 20)], np.random.default_rng(5),
+                           dims=dims)
+    ckpts = []
+    for seed in (1, 2):
+        config = TrainConfig(epochs=0, seed=seed, model=ModelConfig(width_scale=32))
+        train(load_manifest(manifest), config, root / f"run{seed}")
+        ckpts.append(root / f"run{seed}" / "best.ckpt")
+    return manifest, ckpts
+
+
+def _report(out, scored, version):
+    manifest, ckpts = scored
+    argv = ["evaluate", "--manifest", str(manifest), "--checkpoint", str(ckpts[version])]
+    cli._run([*argv, "--report", str(out / "report.csv")])  # the command, its errors raised, not printed
+
+
+# Each writer of an output file: ``write(out, scored, version)`` writes its
+# file(s) under ``out``, and versions 0 and 1 give different bytes.
+_WRITERS = {
+    "save_checkpoint": lambda out, scored, version: save_checkpoint(
+        out / "best.ckpt", _sample(np.random.default_rng(version))),
+    "write_feature_file": lambda out, scored, version: write_feature_file(
+        out / "a.feat", np.random.default_rng(version).normal(size=(30, 4))),
+    "predict": lambda out, scored, version: predict(
+        load_manifest(scored[0]), load_checkpoint(scored[1][version]), out),
+    "history.csv": lambda out, scored, version: train_module._write_history(
+        out, [f"{epoch},{version}.5,0.1,0.2,0.3,0.4" for epoch in (1, 2)]),
+    "--report": _report,
+}
+
+
+@pytest.mark.parametrize("writer", list(_WRITERS))
 @pytest.mark.parametrize("inject", [_fail_mid_write, _fail_fsync])
-def test_failed_save_keeps_previous_checkpoint(tmp_path, rng, monkeypatch, inject):
-    path = tmp_path / "best.ckpt"
-    save_checkpoint(path, _sample(rng))
-    before = path.read_bytes()
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch, scored, inject, writer):
+    """A write or fsync that fails in any writer leaves the previous bytes of its output and no temp file."""
+    write, out = _WRITERS[writer], tmp_path / "out"
+    out.mkdir()
+    write(out, scored, 0)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
     inject(monkeypatch)
     with pytest.raises(OSError, match="injected"):
-        save_checkpoint(path, _sample(rng))
+        write(out, scored, 1)
     monkeypatch.undo()
-    assert path.read_bytes() == before
-    assert load_checkpoint(path).epoch == 3
-    assert os.listdir(tmp_path) == ["best.ckpt"]  # no temp file left behind
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before  # so no temp file is left either
+    if writer == "save_checkpoint":
+        assert load_checkpoint(out / "best.ckpt").epoch == 3
+    write(out, scored, 1)  # the write that failed would have changed every output
+    after = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert after.keys() == before.keys() and all(after[name] != before[name] for name in before)
 
 
 def test_failed_first_save_creates_no_file(tmp_path, rng, monkeypatch):

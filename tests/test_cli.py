@@ -625,6 +625,19 @@ def test_predict_writes_tracks(trained, tmp_path, capsys):
         assert np.all(np.abs(values) <= 1.0)
 
 
+def test_predict_reads_no_label_file(trained, tmp_path, capsys):
+    """A malformed label file does not fail ``predict``, which needs no labels, nor change its bytes."""
+    manifest, ckpt = trained
+    argv = ["predict", "--manifest", str(manifest), "--checkpoint", str(ckpt), "--out"]
+    assert main([*argv, str(tmp_path / "clean")]) == 0
+    (manifest.parent / "va0.labels.csv").write_text("garbage\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main([*argv, str(tmp_path / "garbage")]) == 0
+    assert capsys.readouterr().err == ""
+    for name in ("tr0.csv", "va0.csv"):
+        assert (tmp_path / "garbage" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+
+
 def _rewrite_manifest(manifest, name, lines):
     path = manifest.with_name(name)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

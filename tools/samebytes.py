@@ -52,7 +52,14 @@ The matrix:
 - feature widths that disagree: ``train`` on ``audio/mixed.csv``, the clips'
   corpus with 53-column audio in its train row and 168-column audio in its
   val row, and the 53-column checkpoint given to ``evaluate`` and to
-  ``predict`` on the 168-column corpus.
+  ``predict`` on the 168-column corpus;
+- outputs written over existing ones, each a copy under ``overwrite/`` of
+  another command's output: ``extract-audio`` with the default keys onto
+  ``a0``'s ``--n-fft 4096`` feature file, ``predict`` with the ``gru``
+  checkpoint into an ``--out`` holding the ``bilstm`` checkpoint's CSVs,
+  ``evaluate --report`` onto the ``bilstm`` report, and ``train`` of ``gru``
+  into the ``bilstm`` run's ``--out``. Each must leave the bytes of the same
+  command run onto nothing, and no other file.
 
 Standard library and NumPy only; the inputs come from ``perfbench/inputs.py``
 (``feature_corpus`` and ``wav_corpus``, seed 4242).
@@ -66,6 +73,7 @@ import json
 import math
 import os
 import platform
+import shutil
 import struct
 import subprocess
 import sys
@@ -353,6 +361,28 @@ def _error_commands(manifests: list[str]) -> list[tuple[str, list[str], dict]]:
     ]
 
 
+def _write_overwrite_inputs(work: Path) -> None:
+    """Copies under ``overwrite/`` of outputs the main commands left, for ``_overwrite_commands`` to replace."""
+    target = work / "overwrite"
+    target.mkdir()
+    shutil.copyfile(work / "audio" / "a0" / "padded.feat", target / "a0.feat")
+    shutil.copytree(work / "preds" / "bilstm-b32", target / "preds")
+    shutil.copyfile(work / "reports" / "bilstm-concat.csv", target / "report.csv")
+    shutil.copytree(work / "runs" / "bilstm", target / "run")
+
+
+def _overwrite_commands() -> list[tuple[str, list[str], dict]]:
+    scoring = ["--manifest", MANIFEST, "--checkpoint", "runs/gru/best.ckpt"]
+    return [
+        ("overwrite-extract", ["extract-audio", "--wav", "wav/a0.wav", "--frames", str(CLIPS[0].n_frames),
+                               "--out", "overwrite/a0.feat"], {}),
+        ("overwrite-predict", ["predict", *scoring, "--out", "overwrite/preds"], {}),
+        ("overwrite-evaluate", ["evaluate", *scoring, "--report", "overwrite/report.csv"], {}),
+        ("overwrite-train", ["train", "--manifest", MANIFEST, "--out", "overwrite/run", "--model.cell", "gru",
+                             *TRAIN_FLAGS], {}),
+    ]
+
+
 def _run_command(argv: list[str], extra_env: dict, work: Path, src: Path) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "AFFSEQ_THREADS"}
     env.update({var: "1" for var in BLAS_VARS}, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1", **extra_env)
@@ -369,6 +399,8 @@ def record(work: Path, src: Path) -> dict:
     commands = {name: _run_command(argv, env, work, src) for name, argv, env in _main_commands()}
     manifests = _write_broken_inputs(work)
     commands.update({name: _run_command(argv, env, work, src) for name, argv, env in _error_commands(manifests)})
+    _write_overwrite_inputs(work)
+    commands.update({name: _run_command(argv, env, work, src) for name, argv, env in _overwrite_commands()})
     files = {p.relative_to(work).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
              for p in sorted(work.rglob("*")) if p.is_file()}
     conditions = {"python": platform.python_version(), "numpy": np.__version__, "blas_threads": 1}
@@ -419,7 +451,8 @@ def main(argv: list[str] | None = None) -> int:
     args.work.mkdir(parents=True, exist_ok=True)
     result = record(args.work.resolve(), args.src.resolve())
     args.out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    failed = sorted(name for name, _, _ in _main_commands() if result["commands"][name]["exit"] != 0)
+    succeeding = [*_main_commands(), *_overwrite_commands()]
+    failed = sorted(name for name, _, _ in succeeding if result["commands"][name]["exit"] != 0)
     print(f"{args.out}: {len(result['commands'])} commands, {len(result['files'])} files"
           + (f"; failed: {', '.join(failed)}" if failed else ""))
     return 0
