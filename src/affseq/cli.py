@@ -194,7 +194,8 @@ def _resolve(keys: list[Key], args: argparse.Namespace) -> dict[str, object]:
     """Key values from the flags, then the config file.
 
     A key set in neither is left out, so the default of the engine setting it
-    feeds applies; only ``threads`` falls back, to ``AFFSEQ_THREADS`` or 1.
+    feeds applies. Only ``threads`` feeds none: it falls back to
+    ``AFFSEQ_THREADS`` or 1 and is checked here (≥ 1), before any input is read.
     """
     file_values: dict[str, object] = {}
     if getattr(args, "config", None) is not None:
@@ -211,8 +212,11 @@ def _resolve(keys: list[Key], args: argparse.Namespace) -> dict[str, object]:
             opts[key.name] = file_values[key.name]
         elif key.required:
             raise ConfigError(f"missing required option {key.flag}")
-    if "threads" not in opts and any(key.name == "threads" for key in keys):
-        opts["threads"] = _threads_default()
+    if any(key.name == "threads" for key in keys):
+        if "threads" not in opts:
+            opts["threads"] = _threads_default()
+        if opts["threads"] < 1:
+            raise ConfigError(f"threads must be ≥ 1, got {opts['threads']}")
     return opts
 
 
@@ -265,7 +269,7 @@ def _cmd_evaluate(opts: dict) -> int:
 
     rows = load_manifest(opts["manifest"])
     ckpt = load_checkpoint(opts["checkpoint"])
-    report = evaluate_checkpoint(rows, ckpt, **_given(opts, "ccc_mode", "threads", "batch_size"))
+    report = evaluate_checkpoint(rows, ckpt, **_given(opts, "ccc_mode", "batch_size"))
     # the file first: a report that cannot be written fails the command before stdout says anything
     if "report" in opts:
         replace_file(opts["report"], [report.as_csv().encode("utf-8")])
@@ -280,7 +284,7 @@ def _cmd_predict(opts: dict) -> int:
 
     rows = load_manifest(opts["manifest"])
     ckpt = load_checkpoint(opts["checkpoint"])
-    written = predict(rows, ckpt, opts["out"], **_given(opts, "threads", "batch_size"))
+    written = predict(rows, ckpt, opts["out"], **_given(opts, "batch_size"))
     print(f"{opts['out']}: wrote {len(written)} prediction files")
     return EXIT_OK
 

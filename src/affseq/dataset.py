@@ -273,13 +273,20 @@ def replace_file(path, chunks) -> None:
     fsyncs it and renames it over the target, so a failure at any point, a
     chunk that raises included, leaves the previous file intact and no temp
     file behind; the directory is then fsynced, so the rename itself survives
-    a power loss. An ``OSError`` with an errno is raised again naming the
-    target, not the temp file, so its ``error:`` line says which output
-    could not be written.
+    a power loss. A failure also removes each directory this call made that
+    is still empty, deepest first, so a failed first write leaves no empty
+    directory, and one that another writer has put a file in stays.
+    An ``OSError`` with an errno is raised again naming the target, not the
+    temp file, so its ``error:`` line says which output could not be written.
     """
     path = os.fspath(path)
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    missing = []  # the parent directories this call makes, deepest first
+    parent = head
+    while parent and not os.path.isdir(parent):
+        missing.append(parent)
+        parent = os.path.dirname(parent)
     try:
         Path(head or ".").mkdir(parents=True, exist_ok=True)
         fh = open(tmp, "wb")
@@ -299,8 +306,13 @@ def replace_file(path, chunks) -> None:
             os.fsync(dir_fd)
         finally:
             os.close(dir_fd)
-    except OSError as exc:
-        if exc.errno is None:
+    except BaseException as exc:
+        for directory in missing:  # rmdir refuses one that holds a file, and so each above it
+            try:
+                os.rmdir(directory)
+            except OSError:
+                pass
+        if not isinstance(exc, OSError) or exc.errno is None:
             raise
         raise OSError(exc.errno, exc.strerror, path) from exc  # of the errno's subclass, as the one it replaces
 

@@ -34,8 +34,8 @@ one z-scored frame block per batch and modality, at least ``SEQUENCE_LEN``
 frames long, so each branch's first layer projects a frame once (see
 ``predict_video``). Every video is checked in row order on the calling
 thread, so with a fixed seed and BLAS thread count the whole trajectory is
-bit-for-bit reproducible. ``threads`` is validated (≥ 1) and reserved: no
-value starts a thread or changes a result.
+bit-for-bit reproducible. Nothing here starts a thread or takes a thread
+count; the CLI's reserved count is checked there and goes no further.
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ class TrainConfig:
     shuffle: bool = True
     ccc_mode: str = "concat"
     clip_norm: float = 5.0  # global-norm gradient clip; 0 disables
-    threads: int = 1  # reserved: validated, but selects nothing yet
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def __post_init__(self):
@@ -100,8 +99,6 @@ class TrainConfig:
             raise ConfigError(f"epochs must be ≥ 0, got {self.epochs}")
         if self.ccc_mode not in CCC_MODES:
             raise ConfigError(f"unknown ccc_mode {self.ccc_mode!r}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be ≥ 1, got {self.threads}")
 
 
 @dataclass
@@ -396,23 +393,20 @@ def _validate_and_keep(run: _Run, out_dir: Path, train_loss: float) -> None:
         save_checkpoint(out_dir / "best.ckpt", ckpt)
 
 
-def _check_inference_options(threads: int, batch_size: int) -> None:
-    """Validate the scoring options; ``threads`` is reserved and selects nothing yet."""
+def _check_inference_options(batch_size: int) -> None:
+    """Validate the scoring options."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be ≥ 1, got {batch_size}")
-    if threads < 1:
-        raise ConfigError(f"threads must be ≥ 1, got {threads}")
 
 
 def evaluate_checkpoint(
     manifest_rows: list[ManifestRow],
     ckpt: Checkpoint,
     ccc_mode: str = "concat",
-    threads: int = 1,
     batch_size: int = 32,
 ) -> EvalReport:
     """Score the manifest's validation split with a stored model."""
-    _check_inference_options(threads, batch_size)
+    _check_inference_options(batch_size)
     val_rows = [r for r in manifest_rows if r.split == "val"]
     if not val_rows:
         raise ConfigError("manifest has no val rows to evaluate")
@@ -426,7 +420,6 @@ def predict(
     manifest_rows: list[ManifestRow],
     ckpt: Checkpoint,
     out_dir,
-    threads: int = 1,
     batch_size: int = 32,
 ) -> dict[str, Path]:
     """Write one ``<video_id>.csv`` of frame predictions per manifest row.
@@ -439,7 +432,7 @@ def predict(
     ``out_dir``: a run that fails before then, or has no row, leaves no
     directory.
     """
-    _check_inference_options(threads, batch_size)
+    _check_inference_options(batch_size)
     model, stats = restore_model(ckpt)
     out_dir = Path(out_dir)
     widths = _checkpoint_widths(model, ckpt)

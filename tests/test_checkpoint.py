@@ -24,7 +24,7 @@ from affseq.errors import (
     TruncatedFileError,
     VersionMismatchError,
 )
-from affseq.dataset import load_manifest, write_feature_file
+from affseq.dataset import load_manifest, replace_file, write_feature_file
 from affseq.model import ModelConfig
 from affseq.train import TrainConfig, predict, train
 
@@ -422,3 +422,21 @@ def test_file_that_shrinks_after_its_layout_was_walked_is_truncated(tmp_path, rn
     )
     with pytest.raises(TruncatedFileError, match="file too short"):
         load_checkpoint(path)
+
+
+def test_a_failed_write_removes_the_directories_it_made_up_to_one_in_use(tmp_path):
+    """``new/a`` is removed once the write fails; ``new`` stays when another writer has put a file in it."""
+
+    def chunks(other=None):
+        if other is not None:  # another writer's file, made after this write made its directories
+            other.write_bytes(b"theirs")
+        yield b"ours"
+        raise OSError("injected failure mid-write")
+
+    target = tmp_path / "new" / "a" / "out.bin"
+    with pytest.raises(OSError, match="injected"):
+        replace_file(target, chunks())
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(OSError, match="injected"):
+        replace_file(target, chunks(tmp_path / "new" / "theirs"))
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == ["new", "new/theirs"]

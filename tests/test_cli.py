@@ -950,7 +950,39 @@ def test_inference_exit_codes_property(trained_once, command, options):
         assert not out.exists()
 
 
-# --- thread environment ----------------------------------------------------------
+# --- thread count ----------------------------------------------------------------
+
+def _writing_argv(command, manifest, ckpt, out):
+    """``command`` over ``manifest`` writing to ``out``: train's run, evaluate's report or predict's CSVs."""
+    if command == "train":
+        return _train_args(manifest, out)
+    return [command, "--manifest", str(manifest), "--checkpoint", str(ckpt),
+            "--report" if command == "evaluate" else "--out", str(out)]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+def test_a_thread_count_below_1_exits_3_and_writes_nothing(trained_once, tmp_path, capsys, command, source):
+    manifest, ckpt = trained_once
+    out = tmp_path / "out"
+    argv = _writing_argv(command, manifest, ckpt, out)
+    if source == "flag":
+        argv += ["--threads", "0"]
+    else:
+        config = tmp_path / "threads.cfg"
+        config.write_text("threads = 0\n")
+        argv += ["--config", str(config)]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", "error: threads must be ≥ 1, got 0\n")
+    assert not out.exists()
+
+
+def test_a_bad_thread_count_fails_before_any_input_file_is_read(tmp_path, capsys):
+    """The CLI checks ``--threads`` before the command starts, so a missing manifest goes unread."""
+    assert main(_train_args(tmp_path / "missing.csv", tmp_path / "run", "--threads", "0")) == 3
+    assert capsys.readouterr().err == "error: threads must be ≥ 1, got 0\n"
+    assert not (tmp_path / "run").exists()
+
 
 def test_threads_env_must_be_integer(monkeypatch, trained, capsys):
     manifest, ckpt = trained

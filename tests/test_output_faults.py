@@ -3,7 +3,8 @@
 Every output is replaced whole (``dataset.replace_file``), so a command that
 fails or dies mid-write leaves each output absent, with its previous bytes,
 or with the complete bytes of a run that was not stopped; the only other
-files it may leave are its own ``.<name>.<pid>.tmp``.
+files it may leave are its own ``.<name>.<pid>.tmp``, and a write that fails
+leaves no directory it made.
 """
 
 import errno
@@ -127,6 +128,28 @@ def test_a_write_past_the_file_size_limit_exits_2_naming_its_output_and_leaves_n
         assert data in (previous[name], complete[name]), name
     if case == "predict":
         assert left["va0.csv"] == complete["va0.csv"]
+
+
+# name: (argv of a run whose first write makes the directory ``new`` and exceeds a 16-byte limit, its target)
+_FIRST_WRITE = {
+    "extract-audio": (["extract-audio", "--wav", "a.wav", "--frames", "40", "--out", "new/x.feat"], "new/x.feat"),
+    "train": (["train", "--manifest", "corpus/manifest.csv", "--out", "new/run", "--epochs", "1",
+               "--model.width-scale", "32"], "new/run/best.ckpt"),
+    "evaluate --report": (["evaluate", *_scoring("seed1/best.ckpt"), "--report", "new/r.csv"], "new/r.csv"),
+    # va0.csv, the first video's, is written first
+    "predict": (["predict", *_scoring("seed1/best.ckpt"), "--out", "new/preds"], "new/preds/va0.csv"),
+}
+
+
+@pytest.mark.parametrize("case", list(_FIRST_WRITE))
+def test_a_first_write_past_the_file_size_limit_leaves_no_directory_it_made(corpus, tmp_path, case):
+    argv, target = _FIRST_WRITE[case]
+    for name in ("corpus", "a.wav", "seed1"):
+        os.symlink(corpus / name, tmp_path / name)
+    code, stdout, stderr = _run(argv, tmp_path, limit=16)
+    assert code == 2, stderr
+    assert (stdout, stderr) == ("", f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: '{target}'\n")
+    assert not (tmp_path / "new").exists()
 
 
 _TMP = re.compile(r"\.(?P<name>.+)\.(?P<pid>\d+)\.tmp")

@@ -64,8 +64,6 @@ def test_config_validation():
         TrainConfig(epochs=-1)
     with pytest.raises(ConfigError):
         TrainConfig(ccc_mode="pooled")
-    with pytest.raises(ConfigError):
-        TrainConfig(threads=0)
 
 
 def test_package_train_name_is_the_submodule():
@@ -111,15 +109,6 @@ def test_same_seed_is_deterministic(tmp_path, rng):
     train(rows, config, tmp_path / "b")
     assert (tmp_path / "a" / "history.csv").read_bytes() == (tmp_path / "b" / "history.csv").read_bytes()
     assert (tmp_path / "a" / "best.ckpt").read_bytes() == (tmp_path / "b" / "best.ckpt").read_bytes()
-
-
-def test_loader_threads_do_not_change_results(tmp_path, rng):
-    rows = _corpus(tmp_path, rng)
-    base = TrainConfig(epochs=2, batch_size=4, seed=11, model=_small_model())
-    threaded = TrainConfig(epochs=2, batch_size=4, seed=11, threads=3, model=_small_model())
-    train(rows, base, tmp_path / "a")
-    train(rows, threaded, tmp_path / "b")
-    assert (tmp_path / "a" / "history.csv").read_bytes() == (tmp_path / "b" / "history.csv").read_bytes()
 
 
 def test_unshuffled_epochs_feed_windows_in_index_order(tmp_path, rng, monkeypatch):
@@ -357,7 +346,7 @@ def test_open_files_and_threads_stay_flat_over_epochs(tmp_path, rng, monkeypatch
         seen.append(snapshot())
 
     monkeypatch.setattr(train_module, "_validate_and_keep", validate)
-    train(rows, TrainConfig(epochs=3, batch_size=4, threads=2, model=_small_model()), tmp_path / "run")
+    train(rows, TrainConfig(epochs=3, batch_size=4, model=_small_model()), tmp_path / "run")
     assert len(seen) == 4 and len(set(seen)) == 1, seen
 
 
@@ -632,9 +621,8 @@ def test_no_command_peak_grows_with_the_length_of_a_val_video(tmp_path, rng, cap
         assert with_long - without < 2 * 2**20, (command, without, with_long)
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3])
-def test_scoring_checks_videos_in_row_order_on_one_thread(tmp_path, rng, monkeypatch, threads):
-    """``threads`` is reserved: scoring checks its videos in row order, the same at every value.
+def test_scoring_checks_videos_in_row_order_on_one_thread(tmp_path, rng, monkeypatch):
+    """Scoring checks its videos in row order on the calling thread.
 
     ``predict`` checks every row before it scores the first; ``evaluate``
     checks each video only when it scores it.
@@ -655,12 +643,12 @@ def test_scoring_checks_videos_in_row_order_on_one_thread(tmp_path, rng, monkeyp
 
     monkeypatch.setattr(train_module, "_load_video", load)
     monkeypatch.setattr(train_module, "predict_video", predict_video)
-    written = predict(rows, ckpt, tmp_path / "threaded", threads=threads)
+    written = predict(rows, ckpt, tmp_path / "watched")
     assert started == done == [r.video_id for r in rows]
     assert ahead[0] == len(rows) - 1
     for seen in (started, done, ahead):
         seen.clear()
-    evaluate_checkpoint(rows, ckpt, threads=threads)
+    evaluate_checkpoint(rows, ckpt)
     assert started == done == [r.video_id for r in rows if r.split == "val"]
     assert ahead == [0] * len(done)
     monkeypatch.undo()
@@ -670,7 +658,7 @@ def test_scoring_checks_videos_in_row_order_on_one_thread(tmp_path, rng, monkeyp
 
 
 def test_training_and_scoring_start_no_thread(tmp_path, rng, monkeypatch):
-    """At ``threads=2`` neither ``train`` nor ``evaluate_checkpoint`` nor ``predict`` starts a thread."""
+    """Neither ``train`` nor ``evaluate_checkpoint`` nor ``predict`` starts a thread."""
     rows, ckpt = _scoring_corpus(tmp_path, rng, n_val=2)
     started = []
     real_start = threading.Thread.start
@@ -680,9 +668,9 @@ def test_training_and_scoring_start_no_thread(tmp_path, rng, monkeypatch):
         return real_start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", start)
-    train(rows, TrainConfig(epochs=1, batch_size=4, threads=2, model=_small_model()), tmp_path / "two")
-    evaluate_checkpoint(rows, ckpt, threads=2)
-    predict(rows, ckpt, tmp_path / "preds", threads=2)
+    train(rows, TrainConfig(epochs=1, batch_size=4, model=_small_model()), tmp_path / "two")
+    evaluate_checkpoint(rows, ckpt)
+    predict(rows, ckpt, tmp_path / "preds")
     assert started == []
 
 

@@ -22,8 +22,8 @@ The matrix:
   with a partial last batch; of ``bilstm`` again with ``--threads 2``; and of
   ``gru`` again with ``--threads 2``, with ``--threads 3`` and with
   ``--shuffle false``, whose batches hold runs of windows of one video.
-  ``--threads`` is validated and reserved, so these runs must leave the
-  bytes of the one-thread runs;
+  ``--threads`` is checked by the CLI and reserved, so these runs must leave
+  the bytes of the one-thread runs;
 - ``train`` of ``gru``, shuffled and with ``--shuffle false``, on
   ``corpus/gaps.csv``: the corpus with ``tr0``'s labels unannotated (``-5``)
   on frames 18 to 46, so its windows at 20 and 30 hold no valid frame and
@@ -38,17 +38,19 @@ The matrix:
   blocks;
 - ``evaluate`` with each checkpoint in both CCC modes;
 - the standing error cases: usage and option errors, config files (one of
-  them not UTF-8, one holding a NUL), ``AFFSEQ_THREADS``, bad WAV input,
-  every manifest and label table rule (tables that are not UTF-8 or hold a
-  NUL included, and a NUL ``video_id`` given to ``predict``), broken feature
-  files (missing, truncated, narrow, and non-finite: ``tr0``'s expnet with a
-  NaN in its first row and ``va2``'s with a NaN in its last, partial 64-row
-  chunk, each given to ``train`` and to ``predict``) and broken checkpoints:
-  a flipped byte, a file cut in half, and, each with its whole-file CRC
-  refixed, a flipped payload byte, two tensors out of name order, trailing
-  bytes after the last tensor and a ``best.ckpt`` re-saved with
-  ``"expnet_dim": 10000000``, an input width its tensors do not have, given
-  to ``evaluate`` and to ``predict``;
+  them not UTF-8, one holding a NUL), a thread count of 0 from each source
+  (``--threads 0`` to ``train``, ``evaluate`` and ``predict``, ``threads =
+  0`` in a config file, ``AFFSEQ_THREADS=0``) and a non-integer
+  ``AFFSEQ_THREADS``, bad WAV input, every manifest and label table rule
+  (tables that are not UTF-8 or hold a NUL included, and a NUL ``video_id``
+  given to ``predict``), broken feature files (missing, truncated, narrow,
+  and non-finite: ``tr0``'s expnet with a NaN in its first row and ``va2``'s
+  with a NaN in its last, partial 64-row chunk, each given to ``train`` and
+  to ``predict``) and broken checkpoints: a flipped byte, a file cut in
+  half, and, each with its whole-file CRC refixed, a flipped payload byte,
+  two tensors out of name order, trailing bytes after the last tensor and a
+  ``best.ckpt`` re-saved with ``"expnet_dim": 10000000``, an input width its
+  tensors do not have, given to ``evaluate`` and to ``predict``;
 - feature widths that disagree: ``train`` on ``audio/mixed.csv``, the clips'
   corpus with 53-column audio in its train row and 168-column audio in its
   val row, and the 53-column checkpoint given to ``evaluate`` and to
@@ -224,6 +226,7 @@ def _write_broken_inputs(work: Path) -> list[str]:
     (work / "config" / "no-equals.conf").write_text("epochs 1\n", encoding="utf-8")
     (work / "config" / "not-utf8.conf").write_bytes(b"epochs = 1\nseed = \xff\n")
     (work / "config" / "nul.conf").write_bytes(b"epochs = 1\nout = errors/nul\x00\n")
+    (work / "config" / "threads-zero.conf").write_text("epochs = 1\nthreads = 0\n", encoding="utf-8")
     (work / "wav" / "not-riff.wav").write_bytes(b"RIFX" + bytes(40))
     (work / "broken").mkdir()
     ckpt = (work / "runs" / "gru" / "best.ckpt").read_bytes()
@@ -333,6 +336,11 @@ def _error_commands(manifests: list[str]) -> list[tuple[str, list[str], dict]]:
         ("config-nul", ["train", "--manifest", MANIFEST, "--config", "config/nul.conf"], {}),
         ("threads-env-not-int", [*evaluate, "runs/gru/best.ckpt"], {"AFFSEQ_THREADS": "many"}),
         ("threads-env-zero", [*evaluate, "runs/gru/best.ckpt"], {"AFFSEQ_THREADS": "0"}),
+        ("threads-flag-zero-train", [*train, "--threads", "0"], {}),
+        ("threads-flag-zero-evaluate", [*evaluate, "runs/gru/best.ckpt", "--threads", "0"], {}),
+        ("threads-flag-zero-predict", ["predict", "--manifest", MANIFEST, "--checkpoint", "runs/gru/best.ckpt",
+                                       "--out", "errors/threads-preds", "--threads", "0"], {}),
+        ("threads-config-zero", [*train, "--config", "config/threads-zero.conf"], {}),
         ("extract-empty-mel-filters", extract("wav/a0.wav", "--n-mels", "4000"), {}),
         ("extract-missing-wav", extract("wav/nope.wav"), {}),
         ("extract-not-riff", extract("wav/not-riff.wav"), {}),
